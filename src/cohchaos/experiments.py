@@ -37,6 +37,7 @@ from .oracle import (
     hilbert_for_labels,
     product_coherent_vector,
     reduced_linear_entropy,
+    top_fock_population,
 )
 
 
@@ -327,6 +328,11 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
+def _sig3(value: float) -> float:
+    # three significant figures, so the manifest stays byte-reproducible
+    return float(f"{value:.3g}")
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -418,9 +424,12 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
             evolver = ExactEvolver(build_hamiltonian_matrix(cfg.model, hcfg))
             psi0 = product_coherent_vector(s.x, s.y, hcfg)
             manifest["truncation_deficits"] = [psi0.truncation_deficit]
-            delta_exact = [
-                reduced_linear_entropy(evolver.evolve(psi0, float(t))) for t in traj.times
-            ]
+            delta_exact = []
+            top = 0.0
+            for psi in evolver.evolve_grid(psi0, traj.times):
+                delta_exact.append(reduced_linear_entropy(psi))
+                top = max(top, top_fock_population(psi))
+            manifest["hilbert"]["top_fock_population"] = _sig3(top)
             emit("entropy.csv", ["t", "delta2", "delta_exact"], zip(traj.times, delta2, delta_exact))
 
     elif verb == "lyapunov":
@@ -452,15 +461,18 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
         psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states[:2]]
         manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
         rows = []
-        for i, t in enumerate(trajs[0].times):
-            evolved = [evolver.evolve(p, float(t)) for p in psi0]
-            ov_exact = abs(exact_overlap_pair(evolved[0], evolved[1]))
+        top = 0.0
+        grids = [evolver.evolve_grid(p, trajs[0].times) for p in psi0]
+        for i, (t, a, b) in enumerate(zip(trajs[0].times, *grids)):
+            ov_exact = abs(exact_overlap_pair(a, b))
             ov_mf = abs(
                 mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), h.group_a, h.group_b)
             )
             rows.append(
-                (t, abs(field_annihilation_expectation(evolved[0]) - trajs[0].x[i]), ov_exact, ov_mf)
+                (t, abs(field_annihilation_expectation(a) - trajs[0].x[i]), ov_exact, ov_mf)
             )
+            top = max(top, top_fock_population(a), top_fock_population(b))
+        manifest["hilbert"]["top_fock_population"] = _sig3(top)
         emit("oracle_compare.csv", ["t", "field_err", "abs_overlap_exact", "abs_overlap_mf"], rows)
 
     elif verb == "fig1":

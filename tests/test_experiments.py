@@ -312,6 +312,17 @@ def test_run_oracle_compare_schema(tmp_path):
         assert row[1] < 0.05
 
 
+@pytest.mark.parametrize("verb", ["entropy", "oracle-compare"])
+def test_oracle_verbs_record_top_fock_population(tmp_path, verb):
+    cfg = config_from_dict(
+        {"model": {"j": 1.0}, "pairs": [[0.4, 0.0, 0.2, 0.1], [0.45, 0.0, 0.2, 0.1]], "t_final": 0.3, "n_max": 30}
+    )
+    top = run_experiment(verb, cfg, tmp_path)["hilbert"]["top_fock_population"]
+    assert 0.0 <= top < 1e-8
+    # rounded to three significant figures, so reruns write the same manifest
+    assert float(f"{top:.3g}") == top
+
+
 def test_run_fig1_writes_pair_files(tmp_path):
     cfg = config_from_dict({"preset": "fig1", "t_final": 1.0})
     manifest = run_experiment("fig1", cfg, tmp_path)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from cohchaos.algebra import CohChaosError, TruncationError, overlap, spin_matrices
 from cohchaos.algebra import HEISENBERG, spin as spin_group
@@ -98,6 +100,18 @@ def test_hamiltonian_is_hermitian():
     assert abs(h - h.getH()).max() < 1e-14
 
 
+def test_hamiltonian_stores_no_explicit_zeros(fig1_h_matrix):
+    # co-rotating only, spin 1/2: the counter-rotating terms vanish, and the
+    # excitation manifolds {|n, down>, |n-1, up>} decouple
+    cfg = HilbertConfig(n_max=30, j=0.5)
+    h = build_hamiltonian_matrix(MaserParams(epsilon=1.0, omega=1.0, g=0.25, g_prime=0.0, j=0.5), cfg)
+    assert np.all(h.data != 0)
+    assert connected_components(abs(h), directed=False)[0] == cfg.n_max + 2
+    # with both couplings on, only the parity (-1)^(n+k) is conserved
+    assert np.all(fig1_h_matrix.data != 0)
+    assert connected_components(abs(fig1_h_matrix), directed=False)[0] == 2
+
+
 def test_eigenvector_acquires_pure_phase():
     h = build_hamiltonian_matrix(small_params(), SMALL)
     evals, evecs = np.linalg.eigh(h.toarray())
@@ -109,14 +123,44 @@ def test_eigenvector_acquires_pure_phase():
         assert np.abs(out.amplitudes - np.exp(-1j * evals[3] * t) * v).max() < 1e-10
 
 
-def test_dense_and_sparse_paths_agree():
-    h = build_hamiltonian_matrix(small_params(), SMALL)
+@pytest.mark.parametrize("g_prime", [0.1, 0.0])
+def test_dense_and_sparse_paths_agree(g_prime):
+    h = build_hamiltonian_matrix(MaserParams(epsilon=1.0, omega=1.0, g=0.3, g_prime=g_prime, j=0.5), SMALL)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
+    expected = sla.expm(-1j * 0.7 * h.toarray()) @ st.amplitudes
     dense = ExactEvolver(h).evolve(st, 0.7)
     sparse = ExactEvolver(h, dense_limit=1).evolve(st, 0.7)
-    assert np.abs(dense.amplitudes - sparse.amplitudes).max() < 1e-9
+    assert np.abs(dense.amplitudes - expected).max() < 1e-10
+    assert np.abs(sparse.amplitudes - expected).max() < 1e-10
     module_level = evolve(st, h, 0.7)
     assert np.abs(dense.amplitudes - module_level.amplitudes).max() < 1e-12
+
+
+def test_dense_path_on_complex_interleaved_blocks(rng):
+    # three decoupled complex Hermitian blocks of sizes 5, 3 and 2 whose
+    # basis positions interleave, as the parity blocks of the model do
+    cfg = HilbertConfig(n_max=4, j=0.5)
+    labels = rng.permutation(np.repeat([0, 1, 2], [5, 3, 2]))
+    a = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
+    a = (a + a.conj().T) * (labels[:, None] == labels[None, :])
+    psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+    st = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
+    ev = ExactEvolver(sp.csr_matrix(a))
+    for t, out in zip((0.3, 1.7), ev.evolve_grid(st, (0.3, 1.7))):
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ st.amplitudes).max() < 1e-10
+
+
+@pytest.mark.parametrize("dense_limit", [SMALL.dim, 1], ids=["dense", "krylov"])
+def test_evolve_grid_matches_per_time_evolve(dense_limit):
+    ev = ExactEvolver(build_hamiltonian_matrix(small_params(), SMALL), dense_limit=dense_limit)
+    st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
+    # a repeated time, and a short last step as on a t_final = 0.73, dt = 0.1 grid
+    times = [0.0, 0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.73]
+    grid = list(ev.evolve_grid(st, times))
+    assert len(grid) == len(times)
+    for t, out in zip(times, grid):
+        assert out.config == st.config
+        assert np.abs(out.amplitudes - ev.evolve(st, t).amplitudes).max() < 1e-12
 
 
 def test_evolver_rejects_norm_drift():
@@ -124,6 +168,16 @@ def test_evolver_rejects_norm_drift():
     st = OracleState(amplitudes=0.5 * np.eye(SMALL.dim, dtype=complex)[0], config=SMALL)
     with pytest.raises(CohChaosError, match="norm drift"):
         ExactEvolver(h).evolve(st, 0.1)
+    for ev in (ExactEvolver(h), ExactEvolver(h, dense_limit=1)):
+        with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.1$"):
+            list(ev.evolve_grid(st, [0.1, 0.2]))
+    # a weak decay loses norm as exp(-1e-8 t): within 1e-9 up to t = 0.1 only
+    lossy = h - 1e-8j * sp.identity(SMALL.dim, format="csr")
+    good = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
+    grid = ExactEvolver(lossy, dense_limit=1).evolve_grid(good, [0.0, 0.05, 0.2, 0.3])
+    assert [next(grid).norm for _ in range(2)] == pytest.approx([1.0, 1.0], abs=1e-9)
+    with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.2$"):
+        next(grid)
 
 
 def test_energy_expectation_drift(fig1_h_matrix, fig1_evolver, fig1_pair_vectors):
