@@ -4,165 +4,28 @@ Labels evolve on the product of the oscillator plane and the spin
 stereographic plane; on top of the resulting classical flow the package
 carries phases, first-order doorway corrections, pair-overlap and
 Lyapunov diagnostics, and an exact truncated-basis reference evolution.
+
+The top level exports what the README example uses; everything else is
+imported from its submodule (algebra, model, dynamics, corrections,
+oracle, experiments).
 """
 
-from .algebra import (
-    CONVENTIONS_VERSION,
-    HEISENBERG,
-    CohChaosError,
-    Gen,
-    GroupKind,
-    TruncationError,
-    displaced_basis_vector,
-    expectation,
-    group_relation_coeffs,
-    overlap,
-    overlap_modulus_sq,
-    spin,
-)
-from .corrections import (
-    CorrectionKernel,
-    DoorwayState,
-    FirstOrderAmplitudes,
-    build_kernel,
-    c_general,
-    c_maser,
-    doorway_state,
-    entropy_series,
-    first_order_state,
-    linear_entropy_2nd,
-    save_kernel_csv,
-)
-from .dynamics import (
-    IntegrationError,
-    IntegratorConfig,
-    ProductState,
-    ScaledState,
-    Trajectory,
-    from_classical,
-    integrate,
-    label_distances,
-    label_rhs,
-    lyapunov_estimate,
-    lyapunov_series,
-    mf_overlap,
-    scale_to_classical,
-    trajectory_energy,
-)
-from .experiments import (
-    VERBS,
-    ConfigError,
-    EnergyProjectionError,
-    ExperimentConfig,
-    apply_overrides,
-    config_from_dict,
-    config_to_dict,
-    expand_preset,
-    load_config,
-    load_raw,
-    project_to_energy,
-    project_with_fallback,
-    run_experiment,
-)
-from .model import (
-    BilinearHamiltonian,
-    MaserParams,
-    classical_energy,
-    maser_hamiltonian,
-    mean_field_coeffs,
-)
-from .oracle import (
-    DimensionError,
-    ExactEvolver,
-    HilbertConfig,
-    OracleState,
-    build_hamiltonian_matrix,
-    doorway_vector,
-    exact_overlap_pair,
-    evolve,
-    field_annihilation_expectation,
-    hilbert_for_labels,
-    load_amplitudes_csv,
-    operator_expectation,
-    product_coherent_vector,
-    recommended_n_max,
-    reduced_linear_entropy,
-    save_amplitudes_csv,
-)
+from .algebra import CONVENTIONS_VERSION, CohChaosError
+from .corrections import build_kernel, entropy_series
+from .dynamics import ProductState, integrate, mf_overlap
+from .model import MaserParams, maser_hamiltonian
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "apply_overrides",
-    "BilinearHamiltonian",
-    "build_hamiltonian_matrix",
     "build_kernel",
-    "c_general",
-    "c_maser",
-    "classical_energy",
     "CohChaosError",
-    "config_from_dict",
-    "config_to_dict",
-    "ConfigError",
     "CONVENTIONS_VERSION",
-    "CorrectionKernel",
-    "DimensionError",
-    "displaced_basis_vector",
-    "doorway_state",
-    "doorway_vector",
-    "DoorwayState",
-    "EnergyProjectionError",
     "entropy_series",
-    "evolve",
-    "exact_overlap_pair",
-    "ExactEvolver",
-    "expand_preset",
-    "expectation",
-    "ExperimentConfig",
-    "field_annihilation_expectation",
-    "first_order_state",
-    "FirstOrderAmplitudes",
-    "from_classical",
-    "Gen",
-    "group_relation_coeffs",
-    "GroupKind",
-    "HEISENBERG",
-    "HilbertConfig",
-    "hilbert_for_labels",
     "integrate",
-    "IntegrationError",
-    "IntegratorConfig",
-    "label_distances",
-    "label_rhs",
-    "linear_entropy_2nd",
-    "load_amplitudes_csv",
-    "load_config",
-    "load_raw",
-    "lyapunov_estimate",
-    "lyapunov_series",
     "maser_hamiltonian",
     "MaserParams",
-    "mean_field_coeffs",
     "mf_overlap",
-    "operator_expectation",
-    "OracleState",
-    "overlap",
-    "overlap_modulus_sq",
-    "product_coherent_vector",
     "ProductState",
-    "project_to_energy",
-    "project_with_fallback",
-    "recommended_n_max",
-    "reduced_linear_entropy",
-    "run_experiment",
-    "save_amplitudes_csv",
-    "save_kernel_csv",
-    "scale_to_classical",
-    "ScaledState",
-    "spin",
-    "Trajectory",
-    "trajectory_energy",
-    "TruncationError",
-    "VERBS",
     "__version__",
 ]

@@ -21,24 +21,14 @@ from .experiments import (
     run_experiment,
 )
 
-_VERB_HELP = {
-    "trajectory": "integrate the mean-field flow for each initial state",
-    "overlap-pair": "track the overlap of two nearby evolving product states",
-    "entropy": "correction kernel and second-order linear entropy for one state",
-    "lyapunov": "two-trajectory largest-Lyapunov estimate for each state",
-    "oracle-compare": "exact truncated-basis run against the mean-field labels",
-    "fig1": "both preset pair-overlap diagnostics (chaotic and regular)",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohchaos",
         description="Coherent-state mean-field dynamics of oscillator-spin models",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in VERBS:
-        sv = sub.add_parser(verb, help=_VERB_HELP[verb])
+    for verb, run in VERBS.items():
+        sv = sub.add_parser(verb, help=run.__doc__.splitlines()[0])
         sv.add_argument("--config", type=Path, help="JSON run description")
         sv.add_argument("--preset", help="named built-in run description (fig1)")
         sv.add_argument("--out", type=Path, required=True, help="output directory")

@@ -12,56 +12,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from .algebra import CohChaosError, Gen, GroupKind, raising_matrix_element
-from .dynamics import ProductState, Trajectory
-from .model import BilinearHamiltonian, MaserParams
-
-
-@dataclass(frozen=True)
-class DoorwayState:
-    """One-excitation-per-factor partner of an initial product state.
-
-    base is the t = 0 product state whose displaced fiducials define the
-    doorway; fiducial holds the excitation index on each factor (field,
-    spin). First order only ever populates (1, 1), but the indices are
-    kept explicit so the description is self-contained.
-    """
-
-    base: ProductState
-    fiducial: tuple[int, int] = (1, 1)
-
-    def __post_init__(self) -> None:
-        if len(self.fiducial) != 2 or any(
-            not isinstance(k, int) or isinstance(k, bool) or k < 0 for k in self.fiducial
-        ):
-            raise ValueError(f"fiducial must be two non-negative integers, got {self.fiducial!r}")
-
-
-def doorway_state(traj: Trajectory) -> DoorwayState:
-    """Doorway description of a trajectory: its initial state, fiducials (1, 1)."""
-    return DoorwayState(base=traj.state_at(0))
-
-
-class FirstOrderAmplitudes(NamedTuple):
-    """Amplitudes on the mean-field state and on the doorway at one time.
-
-    The corrected state is base * |mean field> + doorway * |doorway state>
-    in the frame where both components carry their own action phases.
-    """
-
-    base: complex
-    doorway: complex
-    time: float
-
-    @property
-    def norm_estimate(self) -> float:
-        """1 + |C|^2; growth away from 1 monitors first-order validity."""
-        return 1.0 + abs(self.doorway) ** 2
+from .algebra import CohChaosError, GroupKind, raising_matrix_element
+from .dynamics import Trajectory
+from .model import BilinearHamiltonian
 
 
 def _plus_column(group: GroupKind, z: np.ndarray) -> np.ndarray:
@@ -79,21 +36,15 @@ def _plus_column(group: GroupKind, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrectionKernel:
-    """Sampled kernel c(t) and its running integral C(t) on a trajectory grid."""
+    """Sampled kernel c(t) and its running integral C(t) on a trajectory grid.
+
+    To first order the state at knot i is |mean field> - i cum[i] |doorway>,
+    each component carrying its own action phase.
+    """
 
     times: np.ndarray
     c: np.ndarray
     cum: np.ndarray
-
-    def c_at(self, t: float) -> complex:
-        return complex(
-            np.interp(t, self.times, self.c.real) + 1j * np.interp(t, self.times, self.c.imag)
-        )
-
-    def cumulative_at(self, t: float) -> complex:
-        return complex(
-            np.interp(t, self.times, self.cum.real) + 1j * np.interp(t, self.times, self.cum.imag)
-        )
 
 
 def build_kernel(traj: Trajectory, h: BilinearHamiltonian) -> CorrectionKernel:
@@ -112,36 +63,6 @@ def build_kernel(traj: Trajectory, h: BilinearHamiltonian) -> CorrectionKernel:
     c = sigma * np.exp(1j * (traj.s0 - traj.s1)) * quad
     cum = cumulative_trapezoid(c, traj.times, initial=0.0)
     return CorrectionKernel(times=traj.times, c=c, cum=cum)
-
-
-def c_general(traj: Trajectory, h: BilinearHamiltonian, t: float) -> complex:
-    """Kernel c(t) for any bilinear model, from interpolated labels and phases."""
-    if traj.group_a is None or traj.group_b is None:
-        raise CohChaosError("trajectory lacks group tags; integrate() attaches them")
-    x, y, s0, s1 = traj.interp(t)
-    ga = _plus_column(traj.group_a, np.array([x]))[:, 0]
-    gb = _plus_column(traj.group_b, np.array([y]))[:, 0]
-    quad = ga @ h.gamma @ gb
-    sigma = raising_matrix_element(traj.group_a) * raising_matrix_element(traj.group_b)
-    return complex(sigma * np.exp(1j * (s0 - s1)) * quad)
-
-
-def c_maser(traj: Trajectory, p: MaserParams, t: float) -> complex:
-    """Closed form of the kernel for the oscillator-spin coupling.
-
-    For gamma with cross entries g/sqrt(j) and anomalous entries
-    g'/sqrt(j) the double sum collapses to
-    sqrt(2) (g' - g y^2) / (1 + |y|^2) * e^{i (S0 - S1)}.
-    """
-    _, y, s0, s1 = traj.interp(t)
-    return complex(
-        np.sqrt(2.0) * (p.g_prime - p.g * y * y) / (1.0 + abs(y) ** 2) * np.exp(1j * (s0 - s1))
-    )
-
-
-def first_order_state(kernel: CorrectionKernel, t: float) -> FirstOrderAmplitudes:
-    """Expansion coefficients (1, -i C(t)) of the corrected state at time t."""
-    return FirstOrderAmplitudes(base=1.0 + 0.0j, doorway=-1j * kernel.cumulative_at(t), time=t)
 
 
 def _refine(base: np.ndarray, level: int) -> np.ndarray:
@@ -216,7 +137,10 @@ def entropy_series(kernel: CorrectionKernel) -> np.ndarray:
 def save_kernel_csv(kernel: CorrectionKernel, path) -> None:
     """Write the kernel and entropy series as t, re_c, im_c, abs_C, delta2."""
     delta2 = entropy_series(kernel)
-    with open(Path(path), "w", newline="") as fh:
+    path = Path(path)
+    # ext4 forces a truncated-then-rewritten file out to disk on close; a new file is not
+    path.unlink(missing_ok=True)
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "re_c", "im_c", "abs_C", "delta2"])
         for i in range(len(kernel.times)):

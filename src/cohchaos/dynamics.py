@@ -106,10 +106,6 @@ class Trajectory:
     group_a: GroupKind | None = None
     group_b: GroupKind | None = None
 
-    @property
-    def states(self) -> tuple[ProductState, ...]:
-        return tuple(self.state_at(i) for i in range(len(self.times)))
-
     def state_at(self, i: int) -> ProductState:
         """Sampled state with the coupling counterterm folded into eta_x.
 
@@ -121,19 +117,6 @@ class Trajectory:
         return ProductState(
             x=self.x[i], y=self.y[i], eta_x=self.eta_x[i] + phi, eta_y=self.eta_y[i]
         )
-
-    def interp(self, t: float) -> tuple[complex, complex, float, float]:
-        """Linear interpolation of (x, y, s0, s1) at time t inside the grid."""
-        t0, t1 = self.times[0], self.times[-1]
-        if not t0 - 1e-12 <= t <= t1 + 1e-12:
-            raise ValueError(f"time {t} outside trajectory range [{t0}, {t1}]")
-        xr = np.interp(t, self.times, self.x.real)
-        xi = np.interp(t, self.times, self.x.imag)
-        yr = np.interp(t, self.times, self.y.real)
-        yi = np.interp(t, self.times, self.y.imag)
-        s0 = np.interp(t, self.times, self.s0)
-        s1 = np.interp(t, self.times, self.s1)
-        return complex(xr, xi), complex(yr, yi), float(s0), float(s1)
 
 
 def label_rhs(h: BilinearHamiltonian, s: ProductState) -> tuple[complex, complex]:
@@ -281,13 +264,12 @@ class ScaledState(NamedTuple):
 
     z_field: complex
     z_spin: complex
-    time_scale: float
 
 
 def scale_to_classical(s: ProductState, j: float) -> ScaledState:
     """Map labels to the classical-limit coordinates (x/sqrt(4j), y)."""
     root = math.sqrt(4.0 * j)
-    return ScaledState(z_field=s.x / root, z_spin=s.y, time_scale=4.0 * j)
+    return ScaledState(z_field=s.x / root, z_spin=s.y)
 
 
 def from_classical(scaled: ScaledState, j: float, eta_x: float = 0.0, eta_y: float = 0.0) -> ProductState:

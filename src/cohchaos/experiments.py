@@ -11,6 +11,7 @@ import csv
 import difflib
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .dynamics import (
 from .model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian
 from .oracle import (
     ExactEvolver,
+    OracleState,
     build_hamiltonian_matrix,
     exact_overlap_pair,
     field_annihilation_expectation,
@@ -48,8 +50,6 @@ class ConfigError(CohChaosError):
 class EnergyProjectionError(CohChaosError):
     """No crossing of the target energy along the requested direction."""
 
-
-VERBS = ("trajectory", "overlap-pair", "entropy", "lyapunov", "oracle-compare", "fig1")
 
 _TOP_KEYS = {
     "preset",
@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one initial state in 'pairs'")
         if not (self.t_final > 0.0 and self.sampling_dt > 0.0):
             raise ConfigError("t_final and sampling_dt must be positive")
+        if not self.lyapunov_delta0 > 0.0:
+            raise ConfigError("'lyapunov.delta0' must be positive")
+        if not 0.0 < self.lyapunov_window <= self.lyapunov_t_total:
+            raise ConfigError("'lyapunov.window' must lie in (0, lyapunov.t_total]")
 
 
 def expand_preset(name: str) -> dict:
@@ -135,6 +139,14 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
+def _checked(where: str, make, **values):
+    """make(**values), with its ValueError reported as a ConfigError naming where."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a raw mapping and build the run description.
 
@@ -155,7 +167,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(model_raw, dict):
         raise ConfigError("'model' must be an object")
     _check_keys(model_raw, _MODEL_KEYS, prefix="model.")
-    model = MaserParams(**{k: _require_number(v, f"model.{k}") for k, v in model_raw.items()})
+    values = {k: _require_number(v, f"model.{k}") for k, v in model_raw.items()}
+    model = _checked("model", MaserParams, **values)
 
     pairs = data.get("pairs")
     if not isinstance(pairs, list) or not pairs:
@@ -181,7 +194,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if energy_target is not None:
         energy_target = _require_number(energy_target, "energy_target")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         model=model,
         states=tuple(states),
         t_final=_require_number(data.get("t_final", 25.0), "t_final"),
@@ -194,6 +207,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         lyapunov_window=_require_number(lyap_raw.get("window", 1.0), "lyapunov.window"),
         lyapunov_t_total=_require_number(lyap_raw.get("t_total", 300.0), "lyapunov.t_total"),
     )
+    _checked("tolerances", IntegratorConfig, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+    return cfg
 
 
 def load_raw(path) -> dict:
@@ -334,6 +349,8 @@ def _sig3(value: float) -> float:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    # ext4 forces a truncated-then-rewritten file out to disk on close; a new file is not
+    path.unlink(missing_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -341,9 +358,26 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _pair_rows(h, s1, s2, t_final, icfg):
-    t1 = integrate(h, s1, t_final, icfg)
-    t2 = integrate(h, s2, t_final, icfg)
+@dataclass
+class _Run:
+    """One verb's inputs (config, model, projected states) and its output sink."""
+
+    cfg: ExperimentConfig
+    h: BilinearHamiltonian
+    icfg: IntegratorConfig
+    states: list[ProductState]
+    out: Path
+    manifest: dict
+
+    def emit(self, name: str, header, rows) -> None:
+        _write_csv(self.out / name, header, rows)
+        self.manifest["outputs"].append(name)
+
+
+def _pair_rows(run: _Run, s1, s2):
+    h = run.h
+    t1 = integrate(h, s1, run.cfg.t_final, run.icfg)
+    t2 = integrate(h, s2, run.cfg.t_final, run.icfg)
     rows = []
     for i, t in enumerate(t1.times):
         a, b = t1.state_at(i), t2.state_at(i)
@@ -351,6 +385,115 @@ def _pair_rows(h, s1, s2, t_final, icfg):
         d_f, d_s = label_distances(a, b, h.group_a, h.group_b)
         rows.append((t, ov, d_f, d_s))
     return rows
+
+
+def _exact_runs(run: _Run, states, times) -> Iterator[tuple[OracleState, ...]]:
+    """Yield, per time, the exact evolutions of the product vectors of states.
+
+    The basis is sized for the states' field labels. It, the truncation
+    deficits, and (once the times are exhausted) the largest top-Fock
+    population over every yielded state go into the manifest.
+    """
+    hcfg = hilbert_for_labels([s.x for s in states], run.cfg.model.j, n_max=run.cfg.n_max)
+    hilbert = run.manifest["hilbert"] = {"n_max": hcfg.n_max, "j": hcfg.j, "dim": hcfg.dim}
+    evolver = ExactEvolver(build_hamiltonian_matrix(run.h, hcfg))
+    psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states]
+    run.manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
+    top = 0.0
+    for evolved in zip(*(evolver.evolve_grid(p, times) for p in psi0)):
+        top = max(top, *(top_fock_population(p) for p in evolved))
+        yield evolved
+    hilbert["top_fock_population"] = _sig3(top)
+
+
+def _trajectory(run: _Run) -> None:
+    """integrate the mean-field flow for each initial state"""
+    drifts = []
+    for i, s in enumerate(run.states):
+        traj = integrate(run.h, s, run.cfg.t_final, run.icfg)
+        energy = trajectory_energy(run.h, traj)
+        drifts.append(float(np.max(np.abs(energy - energy[0]))))
+        run.emit(
+            f"trajectory_{i}.csv",
+            ["t", "re_x", "im_x", "re_y", "im_y", "eta_x", "eta_y", "s0", "s1", "energy"],
+            zip(
+                traj.times, traj.x.real, traj.x.imag, traj.y.real, traj.y.imag,
+                traj.eta_x, traj.eta_y, traj.s0, traj.s1, energy,
+            ),
+        )
+    run.manifest["energy_drift"] = drifts
+
+
+def _overlap_pair(run: _Run) -> None:
+    """track the overlap of two nearby evolving product states"""
+    if len(run.states) < 2:
+        raise ConfigError("overlap-pair needs two initial states")
+    run.emit("overlap_pair.csv", ["t", "overlap_sq", "d_field", "d_spin"], _pair_rows(run, *run.states[:2]))
+
+
+def _entropy(run: _Run) -> None:
+    """correction kernel and second-order linear entropy for one state"""
+    traj = integrate(run.h, run.states[0], run.cfg.t_final, run.icfg)
+    kernel = build_kernel(traj, run.h)
+    delta2 = entropy_series(kernel)
+    save_kernel_csv(kernel, run.out / "kernel.csv")
+    run.manifest["outputs"].append("kernel.csv")
+    if run.cfg.n_max is None:
+        run.emit("entropy.csv", ["t", "delta2"], zip(traj.times, delta2))
+        return
+    delta_exact = [reduced_linear_entropy(psi) for (psi,) in _exact_runs(run, run.states[:1], traj.times)]
+    run.emit("entropy.csv", ["t", "delta2", "delta_exact"], zip(traj.times, delta2, delta_exact))
+
+
+def _lyapunov(run: _Run) -> None:
+    """two-trajectory largest-Lyapunov estimate for each state"""
+    cfg = run.cfg
+    estimates = []
+    for i, s in enumerate(run.states):
+        series = lyapunov_series(
+            run.h, s,
+            delta0=cfg.lyapunov_delta0,
+            t_total=cfg.lyapunov_t_total,
+            renorm_interval=cfg.lyapunov_window,
+            cfg=run.icfg,
+        )
+        estimates.append(float(series.running[-1]))
+        run.emit(f"lyapunov_{i}.csv", ["window_end", "running_exponent"], zip(series.window_ends, series.running))
+    run.manifest["lyapunov_estimates"] = estimates
+
+
+def _oracle_compare(run: _Run) -> None:
+    """exact truncated-basis run against the mean-field labels"""
+    if len(run.states) < 2:
+        raise ConfigError("oracle-compare needs two initial states")
+    h, pair = run.h, run.states[:2]
+    trajs = [integrate(h, s, run.cfg.t_final, run.icfg) for s in pair]
+    rows = []
+    for i, (a, b) in enumerate(_exact_runs(run, pair, trajs[0].times)):
+        ov_mf = abs(mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), h.group_a, h.group_b))
+        field_err = abs(field_annihilation_expectation(a) - trajs[0].x[i])
+        rows.append((trajs[0].times[i], field_err, abs(exact_overlap_pair(a, b)), ov_mf))
+    run.emit("oracle_compare.csv", ["t", "field_err", "abs_overlap_exact", "abs_overlap_mf"], rows)
+
+
+def _fig1(run: _Run) -> None:
+    """both preset pair-overlap diagnostics (chaotic and regular)"""
+    if len(run.states) < 4:
+        raise ConfigError("fig1 needs the four preset initial states (two pairs)")
+    for name, i in (("chaotic", 0), ("regular", 2)):
+        rows = _pair_rows(run, run.states[i], run.states[i + 1])
+        run.emit(f"fig1_{name}.csv", ["t", "overlap_sq", "d_field", "d_spin"], rows)
+
+
+# Each verb's function; the first line of its docstring is the CLI help.
+VERBS: dict[str, Callable[[_Run], None]] = {
+    "trajectory": _trajectory,
+    "overlap-pair": _overlap_pair,
+    "entropy": _entropy,
+    "lyapunov": _lyapunov,
+    "oracle-compare": _oracle_compare,
+    "fig1": _fig1,
+}
 
 
 def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
@@ -380,112 +523,11 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
             "by shifting one field coordinate onto the target energy shell"
         )
 
-    def emit(name: str, header, rows) -> None:
-        _write_csv(out / name, header, rows)
-        manifest["outputs"].append(name)
+    VERBS[verb](_Run(cfg, h, icfg, states, out, manifest))
 
-    if verb == "trajectory":
-        drifts = []
-        for i, s in enumerate(states):
-            traj = integrate(h, s, cfg.t_final, icfg)
-            energy = trajectory_energy(h, traj)
-            drifts.append(float(np.max(np.abs(energy - energy[0]))))
-            emit(
-                f"trajectory_{i}.csv",
-                ["t", "re_x", "im_x", "re_y", "im_y", "eta_x", "eta_y", "s0", "s1", "energy"],
-                zip(
-                    traj.times, traj.x.real, traj.x.imag, traj.y.real, traj.y.imag,
-                    traj.eta_x, traj.eta_y, traj.s0, traj.s1, energy,
-                ),
-            )
-        manifest["energy_drift"] = drifts
-
-    elif verb == "overlap-pair":
-        if len(states) < 2:
-            raise ConfigError("overlap-pair needs two initial states")
-        emit(
-            "overlap_pair.csv",
-            ["t", "overlap_sq", "d_field", "d_spin"],
-            _pair_rows(h, states[0], states[1], cfg.t_final, icfg),
-        )
-
-    elif verb == "entropy":
-        traj = integrate(h, states[0], cfg.t_final, icfg)
-        kernel = build_kernel(traj, h)
-        delta2 = entropy_series(kernel)
-        save_kernel_csv(kernel, out / "kernel.csv")
-        manifest["outputs"].append("kernel.csv")
-        if cfg.n_max is None:
-            emit("entropy.csv", ["t", "delta2"], zip(traj.times, delta2))
-        else:
-            s = states[0]
-            hcfg = hilbert_for_labels([s.x], cfg.model.j, n_max=cfg.n_max)
-            manifest["hilbert"] = {"n_max": hcfg.n_max, "j": hcfg.j, "dim": hcfg.dim}
-            evolver = ExactEvolver(build_hamiltonian_matrix(cfg.model, hcfg))
-            psi0 = product_coherent_vector(s.x, s.y, hcfg)
-            manifest["truncation_deficits"] = [psi0.truncation_deficit]
-            delta_exact = []
-            top = 0.0
-            for psi in evolver.evolve_grid(psi0, traj.times):
-                delta_exact.append(reduced_linear_entropy(psi))
-                top = max(top, top_fock_population(psi))
-            manifest["hilbert"]["top_fock_population"] = _sig3(top)
-            emit("entropy.csv", ["t", "delta2", "delta_exact"], zip(traj.times, delta2, delta_exact))
-
-    elif verb == "lyapunov":
-        estimates = []
-        for i, s in enumerate(states):
-            series = lyapunov_series(
-                h, s,
-                delta0=cfg.lyapunov_delta0,
-                t_total=cfg.lyapunov_t_total,
-                renorm_interval=cfg.lyapunov_window,
-                cfg=icfg,
-            )
-            estimates.append(float(series.running[-1]))
-            emit(
-                f"lyapunov_{i}.csv",
-                ["window_end", "running_exponent"],
-                zip(series.window_ends, series.running),
-            )
-        manifest["lyapunov_estimates"] = estimates
-
-    elif verb == "oracle-compare":
-        if len(states) < 2:
-            raise ConfigError("oracle-compare needs two initial states")
-        labels = [s.x for s in states[:2]]
-        hcfg = hilbert_for_labels(labels, cfg.model.j, n_max=cfg.n_max)
-        manifest["hilbert"] = {"n_max": hcfg.n_max, "j": hcfg.j, "dim": hcfg.dim}
-        evolver = ExactEvolver(build_hamiltonian_matrix(cfg.model, hcfg))
-        trajs = [integrate(h, s, cfg.t_final, icfg) for s in states[:2]]
-        psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states[:2]]
-        manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
-        rows = []
-        top = 0.0
-        grids = [evolver.evolve_grid(p, trajs[0].times) for p in psi0]
-        for i, (t, a, b) in enumerate(zip(trajs[0].times, *grids)):
-            ov_exact = abs(exact_overlap_pair(a, b))
-            ov_mf = abs(
-                mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), h.group_a, h.group_b)
-            )
-            rows.append(
-                (t, abs(field_annihilation_expectation(a) - trajs[0].x[i]), ov_exact, ov_mf)
-            )
-            top = max(top, top_fock_population(a), top_fock_population(b))
-        manifest["hilbert"]["top_fock_population"] = _sig3(top)
-        emit("oracle_compare.csv", ["t", "field_err", "abs_overlap_exact", "abs_overlap_mf"], rows)
-
-    elif verb == "fig1":
-        if len(states) < 4:
-            raise ConfigError("fig1 needs the four preset initial states (two pairs)")
-        for name, (i, k) in (("chaotic", (0, 1)), ("regular", (2, 3))):
-            emit(
-                f"fig1_{name}.csv",
-                ["t", "overlap_sq", "d_field", "d_spin"],
-                _pair_rows(h, states[i], states[k], cfg.t_final, icfg),
-            )
-
-    with open(out / "run_manifest.json", "w") as fh:
+    path = out / "run_manifest.json"
+    path.unlink(missing_ok=True)  # a new file, for the reason given in _write_csv
+    with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

@@ -1,15 +1,16 @@
-"""Exact truncated-basis evolution of the oscillator-spin model.
+"""Exact truncated-basis evolution of bilinear oscillator-spin models.
 
-This is the ground truth the mean-field machinery is checked against:
-states live on the product basis |n> (x) |j,-j+k| with the spin index
-fastest, the Hamiltonian is assembled sparsely, and evolution uses a dense
+This is the ground truth the mean-field machinery is checked against. It
+covers every BilinearHamiltonian of an oscillator and a spin, the same
+object the mean-field flow integrates: states live on the product basis
+|n> (x) |j,-j+k> with the spin index fastest, the Hamiltonian is assembled
+sparsely from the generator matrices, and evolution uses a dense
 eigendecomposition of its decoupled blocks below a dimension threshold and
 sparse Krylov exponential action (scipy's expm_multiply) above it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections.abc import Iterable, Iterator
@@ -24,13 +25,12 @@ from .algebra import (
     HEISENBERG,
     CohChaosError,
     TruncationError,
-    boson_operators,
     displaced_basis_vector,
+    generator_matrices,
     spin,
-    spin_matrices,
 )
-from .model import MaserParams
 from .dynamics import ProductState
+from .model import BilinearHamiltonian
 
 _DENSE_LIMIT = 3000
 # Complex entries in one dense-path chunk of evolved states (1 MiB); a
@@ -106,33 +106,37 @@ class OracleState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def build_hamiltonian_matrix(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
-    """Sparse matrix of the model on the product basis (spin index fastest)."""
-    a_dense, ad_dense, num_dense = boson_operators(cfg.n_max + 1)
-    jz_dense, jp_dense, jm_dense = spin_matrices(cfg.j)
-    a = sp.csr_matrix(a_dense)
-    ad = sp.csr_matrix(ad_dense)
-    num = sp.csr_matrix(num_dense)
-    jz = sp.csr_matrix(jz_dense)
-    jp = sp.csr_matrix(jp_dense)
-    jm = sp.csr_matrix(jm_dense)
-    eye_f = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
-    eye_s = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
-    root_j = math.sqrt(p.j)
-    h = (
-        p.omega * sp.kron(num, eye_s)
-        + p.epsilon * sp.kron(eye_f, jz)
-        + (p.g / root_j) * (sp.kron(ad, jm) + sp.kron(a, jp))
-        + (p.g_prime / root_j) * (sp.kron(ad, jp) + sp.kron(a, jm))
-    ).tocsr()
-    # Terms that cancel, such as a zero coupling, leave explicit zeros that
-    # would cost every matvec and merge decoupled blocks.
-    h.eliminate_zeros()
-    residual = abs(h - h.getH()).max()
-    scale = max(1.0, abs(h).max())
+def build_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.csr_matrix:
+    """Sparse matrix of a bilinear model on the product basis (spin index fastest).
+
+    H = sum_i alpha_i A_i (x) 1 + sum_j beta_j 1 (x) B_j + sum_ij gamma_ij A_i (x) B_j,
+    with A the oscillator generators truncated to Fock states 0..n_max and B
+    the generators of the spin cfg.j.
+    """
+    if h.group_a != HEISENBERG or h.group_b != spin(cfg.j):
+        raise ValueError(
+            f"the basis needs an oscillator and a spin {cfg.j}, got {h.group_a} and {h.group_b}"
+        )
+    a_ops = [sp.csr_matrix(m) for m in generator_matrices(HEISENBERG, cfg.n_max + 1)]
+    b_ops = [sp.csr_matrix(m) for m in generator_matrices(h.group_b)]
+    eye_a = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
+    eye_b = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
+    terms = [(h.alpha[i], a, eye_b) for i, a in enumerate(a_ops)]
+    terms += [(h.beta[k], eye_a, b) for k, b in enumerate(b_ops)]
+    terms += [(h.gamma[i, k], a, b) for i, a in enumerate(a_ops) for k, b in enumerate(b_ops)]
+    mat = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
+    for coeff, a, b in terms:
+        if coeff != 0:
+            mat = mat + coeff * sp.kron(a, b, format="csr")
+    # Terms that cancel, such as omega n + epsilon m = 0 on the diagonal,
+    # leave explicit zeros that would cost every matvec and merge decoupled
+    # blocks.
+    mat.eliminate_zeros()
+    residual = abs(mat - mat.getH()).max()
+    scale = max(1.0, abs(mat).max())
     if residual > 1e-12 * scale:
         raise CohChaosError(f"assembled Hamiltonian has hermiticity residual {residual:.3e}")
-    return h
+    return mat
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,11 +224,6 @@ class ExactEvolver:
         return next(self.evolve_grid(state, [t]))
 
 
-def evolve(state: OracleState, h_matrix: sp.spmatrix, t: float) -> OracleState:
-    """One-shot exact evolution; build an ExactEvolver for repeated times."""
-    return ExactEvolver(h_matrix).evolve(state, t)
-
-
 def _field_truncation_deficit(x: complex, n_max: int) -> float:
     # Poisson tail mass beyond n_max for mean |x|^2
     return float(gammainc(n_max + 1.0, abs(x) ** 2))
@@ -301,22 +300,3 @@ def top_fock_population(state: OracleState) -> float:
 def operator_expectation(state: OracleState, op: sp.spmatrix) -> complex:
     return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
 
-
-def save_amplitudes_csv(state: OracleState, path) -> None:
-    """Regression-fixture export: one row per basis state (n, k, re, im)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "k", "re", "im"])
-        spin_dim = state.config.spin_dim
-        for idx, amp in enumerate(state.amplitudes):
-            w.writerow([idx // spin_dim, idx % spin_dim, f"{amp.real:.17g}", f"{amp.imag:.17g}"])
-
-
-def load_amplitudes_csv(path, cfg: HilbertConfig) -> OracleState:
-    """Inverse of save_amplitudes_csv."""
-    amps = np.zeros(cfg.dim, dtype=complex)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            idx = int(row["n"]) * cfg.spin_dim + int(row["k"])
-            amps[idx] = complex(float(row["re"]), float(row["im"]))
-    return OracleState(amplitudes=amps, config=cfg)

@@ -40,8 +40,8 @@ def fig1_hilbert():
 
 
 @pytest.fixture(scope="session")
-def fig1_h_matrix(fig1_cfg, fig1_hilbert):
-    return build_hamiltonian_matrix(fig1_cfg.model, fig1_hilbert)
+def fig1_h_matrix(fig1_h, fig1_hilbert):
+    return build_hamiltonian_matrix(fig1_h, fig1_hilbert)
 
 
 @pytest.fixture(scope="session")

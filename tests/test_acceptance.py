@@ -11,37 +11,40 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from cohchaos import (
-    ExactEvolver,
-    Gen,
+from cohchaos.algebra import (
     HEISENBERG,
-    HilbertConfig,
+    Gen,
+    displacement_matrix,
+    generator_matrices,
+    group_relation_coeffs,
+    overlap_modulus_sq,
+    spin,
+    spin_matrices,
+)
+from cohchaos.corrections import build_kernel, entropy_series, linear_entropy_2nd
+from cohchaos.dynamics import (
     IntegratorConfig,
-    MaserParams,
-    OracleState,
     ProductState,
     ScaledState,
-    build_hamiltonian_matrix,
-    build_kernel,
-    entropy_series,
-    exact_overlap_pair,
-    field_annihilation_expectation,
     from_classical,
-    group_relation_coeffs,
     integrate,
-    linear_entropy_2nd,
     lyapunov_estimate,
-    maser_hamiltonian,
     mf_overlap,
-    operator_expectation,
-    overlap_modulus_sq,
-    product_coherent_vector,
-    reduced_linear_entropy,
-    spin,
     trajectory_energy,
 )
-from cohchaos.algebra import displacement_matrix, generator_matrices, spin_matrices
-from cohchaos.oracle import hilbert_for_labels
+from cohchaos.model import MaserParams, maser_hamiltonian
+from cohchaos.oracle import (
+    ExactEvolver,
+    HilbertConfig,
+    OracleState,
+    build_hamiltonian_matrix,
+    exact_overlap_pair,
+    field_annihilation_expectation,
+    hilbert_for_labels,
+    operator_expectation,
+    product_coherent_vector,
+    reduced_linear_entropy,
+)
 
 ROOT2 = math.sqrt(2.0)
 
@@ -120,7 +123,7 @@ def test_criterion_04_vacuum_rabi_law():
     # excitation at angular rate sqrt(2) g, so P_e(t) = cos^2(sqrt(2) g t)
     p = MaserParams(epsilon=1.0, omega=1.0, g=0.25, g_prime=0.0, j=0.5)
     cfg = HilbertConfig(n_max=30, j=0.5)
-    evolver = ExactEvolver(build_hamiltonian_matrix(p, cfg))
+    evolver = ExactEvolver(build_hamiltonian_matrix(maser_hamiltonian(p), cfg))
     amps = np.zeros(cfg.dim, dtype=complex)
     amps[1] = 1.0  # |n=0> x |m=+1/2>
     psi0 = OracleState(amplitudes=amps, config=cfg)
@@ -140,7 +143,7 @@ def test_criterion_05_decoupled_mean_field_is_exact():
     sa = ProductState(x=1.3 - 0.4j, y=0.3 + 0.5j)
     sb = ProductState(x=1.1 - 0.1j, y=0.45 + 0.35j)
     cfg = HilbertConfig(n_max=40, j=4.5)
-    evolver = ExactEvolver(build_hamiltonian_matrix(p, cfg))
+    evolver = ExactEvolver(build_hamiltonian_matrix(h, cfg))
     va = product_coherent_vector(sa.x, sa.y, cfg)
     vb = product_coherent_vector(sb.x, sb.y, cfg)
     ta = integrate(h, sa, 10.0)
@@ -169,7 +172,7 @@ def test_criterion_06_energy_conservation(fig1_h, fig1_states):
 
 
 def test_criterion_07_large_j_convergence():
-    scaled0 = ScaledState(z_field=0.45 + 0.15j, z_spin=0.35 - 0.2j, time_scale=0.0)
+    scaled0 = ScaledState(z_field=0.45 + 0.15j, z_spin=0.35 - 0.2j)
     devs = []
     for jj in (4.5, 9.0, 18.0):
         p = MaserParams(epsilon=1.0, omega=1.0, g=0.5 / ROOT2, g_prime=0.2 / ROOT2, j=jj)
@@ -177,7 +180,7 @@ def test_criterion_07_large_j_convergence():
         s0 = from_classical(scaled0, jj)
         traj = integrate(h, s0, 2.5)
         cfg = hilbert_for_labels([s0.x], jj)
-        evolver = ExactEvolver(build_hamiltonian_matrix(p, cfg))
+        evolver = ExactEvolver(build_hamiltonian_matrix(maser_hamiltonian(p), cfg))
         psi0 = product_coherent_vector(s0.x, s0.y, cfg)
         jz_d, _, jm_d = spin_matrices(jj)
         eye_f = sp.identity(cfg.n_max + 1, format="csr")
@@ -208,7 +211,7 @@ def test_criterion_08_entanglement_short_time_law(fig1_h, fig1_states, fig1_hilb
     for i in (2, 4, 6, 8, 10):  # t = 0.1 .. 0.5
         t = float(kernel.times[i])
         nested = linear_entropy_2nd(kernel, t, tol=1e-8)
-        direct = 2.0 * abs(kernel.cumulative_at(t)) ** 2
+        direct = 2.0 * abs(kernel.cum[i]) ** 2
         worst_identity = max(worst_identity, abs(nested - direct))
     ok &= worst_identity <= 1e-8
 

@@ -86,6 +86,17 @@ def test_bad_config_key_reports_error(tmp_path, capsys):
     assert "did you mean 't_final'" in err
 
 
+@pytest.mark.parametrize(
+    "override", ["model.j=1.3", "rel_tol=0", "model.g=1e400", "lyapunov.window=0"]
+)
+def test_bad_config_value_reports_error(tmp_path, capsys, override):
+    cfg = write_config(tmp_path)
+    code = main(["lyapunov", "--config", str(cfg), "--out", str(tmp_path / "out"), "--override", override])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_needs_config_or_preset(tmp_path, capsys):
     code = main(["trajectory", "--out", str(tmp_path / "out")])
     assert code == 2

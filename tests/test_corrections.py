@@ -4,27 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from cohchaos import (
-    BilinearHamiltonian,
-    CohChaosError,
+from cohchaos.algebra import HEISENBERG, CohChaosError, spin
+from cohchaos.corrections import (
     CorrectionKernel,
-    DoorwayState,
-    IntegratorConfig,
-    MaserParams,
-    ProductState,
-    Trajectory,
     build_kernel,
-    c_general,
-    c_maser,
-    doorway_state,
     entropy_series,
-    first_order_state,
-    integrate,
     linear_entropy_2nd,
-    maser_hamiltonian,
     save_kernel_csv,
-    spin,
 )
+from cohchaos.dynamics import IntegratorConfig, ProductState, Trajectory, integrate
+from cohchaos.model import MaserParams, maser_hamiltonian
+from cohchaos.oracle import doorway_vector, exact_overlap_pair, product_coherent_vector
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +34,10 @@ def maser_kernel(maser_setup):
 
 def synthetic_trajectory(y0: complex, j: float = 4.5, n: int = 41,
                          t_final: float = 1.0, s0=None, s1=None) -> Trajectory:
-    """Frozen-label trajectory for testing the kernel formula in isolation."""
+    """Frozen-label trajectory for testing the kernel formula in isolation.
+
+    Its knots are at multiples of t_final / (n - 1): 0.025 by default.
+    """
     ts = np.linspace(0.0, t_final, n)
     zeros = np.zeros(n)
     return Trajectory(
@@ -55,9 +48,28 @@ def synthetic_trajectory(y0: complex, j: float = 4.5, n: int = 41,
         eta_y=zeros.copy(),
         s0=zeros.copy() if s0 is None else np.asarray(s0, dtype=float),
         s1=zeros.copy() if s1 is None else np.asarray(s1, dtype=float),
-        group_a=None,
+        group_a=HEISENBERG,
         group_b=spin(j),
     )
+
+
+def maser_kernel_closed_form(traj: Trajectory, p: MaserParams) -> np.ndarray:
+    """Reference kernel for the oscillator-spin coupling, on the trajectory knots.
+
+    For gamma with cross entries g/sqrt(j) and anomalous entries
+    g'/sqrt(j) the double sum collapses to
+    sqrt(2) (g' - g y^2) / (1 + |y|^2) * e^{i (S0 - S1)}.
+    """
+    y = traj.y
+    phase = np.exp(1j * (traj.s0 - traj.s1))
+    return np.sqrt(2.0) * (p.g_prime - p.g * y * y) / (1.0 + np.abs(y) ** 2) * phase
+
+
+def knot(traj: Trajectory, t: float) -> int:
+    """Index of the knot at time t."""
+    i = int(np.argmin(np.abs(traj.times - t)))
+    assert traj.times[i] == pytest.approx(t, abs=1e-12)
+    return i
 
 
 def constant_kernel(c0: complex, t_final: float = 2.0, n: int = 41) -> CorrectionKernel:
@@ -73,9 +85,6 @@ def test_zero_coupling_kernel_vanishes():
     k = build_kernel(traj, h)
     assert np.max(np.abs(k.c)) < 1e-14
     assert np.max(np.abs(k.cum)) < 1e-14
-    fo = first_order_state(k, 1.5)
-    assert fo.base == pytest.approx(1.0)
-    assert abs(fo.doorway) < 1e-14
 
 
 def test_kernel_requires_group_tags():
@@ -88,22 +97,16 @@ def test_kernel_requires_group_tags():
 
 
 def test_general_and_maser_kernels_agree(maser_setup, maser_kernel):
-    p, h, traj = maser_setup
-    for t in np.linspace(0.0, 3.0, 16):
-        general = c_general(traj, h, float(t))
-        closed = c_maser(traj, p, float(t))
-        assert general == pytest.approx(closed, abs=1e-10)
-    # and the tabulated kernel stores the same values at its own knots
-    for i in (0, 7, 30, 60):
-        t = float(maser_kernel.times[i])
-        assert maser_kernel.c[i] == pytest.approx(c_general(traj, h, t), abs=1e-10)
+    p, _, traj = maser_setup
+    assert np.abs(maser_kernel.c - maser_kernel_closed_form(traj, p)).max() < 1e-10
 
 
 def test_kernel_modulus_at_spin_origin():
     # y = 0 leaves only the counter-rotating term: |c| = sqrt(2) g'
     p = MaserParams(g=0.4, g_prime=0.15, j=2.5)
     traj = synthetic_trajectory(0.0, j=2.5)
-    assert abs(c_maser(traj, p, 0.5)) == pytest.approx(np.sqrt(2.0) * 0.15, abs=1e-12)
+    kernel = build_kernel(traj, maser_hamiltonian(p))
+    assert abs(kernel.c[knot(traj, 0.5)]) == pytest.approx(np.sqrt(2.0) * 0.15, abs=1e-12)
 
 
 def test_kernel_zero_on_balance_circle():
@@ -111,38 +114,35 @@ def test_kernel_zero_on_balance_circle():
     p = MaserParams(g=0.4, g_prime=0.1, j=2.5)
     y0 = np.sqrt(0.1 / 0.4)
     traj = synthetic_trajectory(complex(y0, 0.0), j=2.5)
+    kernel = build_kernel(traj, maser_hamiltonian(p))
     for t in (0.0, 0.3, 0.9):
-        assert abs(c_maser(traj, p, t)) < 1e-14
+        assert abs(kernel.c[knot(traj, t)]) < 1e-14
 
 
 def test_kernel_modulus_ignores_action_phase():
-    p = MaserParams(g=0.4, g_prime=0.15, j=2.5)
+    h = maser_hamiltonian(MaserParams(g=0.4, g_prime=0.15, j=2.5))
     ts = np.linspace(0.0, 1.0, 41)
     plain = synthetic_trajectory(0.3 + 0.1j, j=2.5)
     phased = synthetic_trajectory(0.3 + 0.1j, j=2.5, s0=1.7 * ts, s1=0.4 * ts ** 2)
+    c_plain, c_phased = build_kernel(plain, h).c, build_kernel(phased, h).c
     for t in (0.2, 0.65, 1.0):
-        a = c_maser(plain, p, t)
-        b = c_maser(phased, p, t)
-        assert abs(a) == pytest.approx(abs(b), abs=1e-12)
+        i = knot(plain, t)
+        assert abs(c_plain[i]) == pytest.approx(abs(c_phased[i]), abs=1e-12)
         expected_rot = np.exp(1j * (1.7 * t - 0.4 * t ** 2))
-        assert b == pytest.approx(a * expected_rot, abs=1e-12)
+        assert c_phased[i] == pytest.approx(c_plain[i] * expected_rot, abs=1e-12)
 
 
 def test_first_order_state_initially_unexcited(maser_kernel):
-    fo = first_order_state(maser_kernel, 0.0)
-    assert fo.base == pytest.approx(1.0)
-    assert fo.doorway == 0.0
-    assert fo.time == 0.0
-    assert fo.norm_estimate == pytest.approx(1.0)
+    # the doorway amplitude -i C(t) starts at zero
+    assert maser_kernel.times[0] == 0.0
+    assert -1j * maser_kernel.cum[0] == 0.0
 
 
 def test_first_order_amplitude_short_time_slope(maser_kernel):
-    # |C(dt)| ~ |c(0)| dt for small dt
-    dt = 1e-3
-    fo = first_order_state(maser_kernel, dt)
-    slope = abs(fo.doorway) / dt
+    # |C(dt)| ~ |c(0)| dt for small dt, here the first knot
+    dt = float(maser_kernel.times[1])
+    slope = abs(-1j * maser_kernel.cum[1]) / dt
     assert slope == pytest.approx(abs(maser_kernel.c[0]), rel=5e-2)
-    assert fo.norm_estimate == pytest.approx(1.0 + abs(fo.doorway) ** 2)
 
 
 def test_entropy_zero_kernel():
@@ -192,38 +192,6 @@ def test_entropy_rejects_inconsistent_running_integral():
         linear_entropy_2nd(bad, 1.0)
 
 
-def test_doorway_state_from_trajectory(maser_setup):
-    _, _, traj = maser_setup
-    d = doorway_state(traj)
-    assert d.fiducial == (1, 1)
-    start = traj.state_at(0)
-    assert d.base.x == start.x
-    assert d.base.y == start.y
-    assert d.base.eta_x == start.eta_x
-
-
-def test_doorway_state_validation():
-    base = ProductState(x=0.1 + 0.0j, y=0.0j)
-    with pytest.raises(ValueError):
-        DoorwayState(base=base, fiducial=(1, -1))
-    with pytest.raises(ValueError):
-        DoorwayState(base=base, fiducial=(1, 1, 1))
-    with pytest.raises(ValueError):
-        DoorwayState(base=base, fiducial=(1, True))
-    assert DoorwayState(base=base).fiducial == (1, 1)
-
-
-def test_kernel_interpolators(maser_kernel):
-    # interpolation agrees with stored samples at knots and is continuous between
-    i = 12
-    t = float(maser_kernel.times[i])
-    assert maser_kernel.c_at(t) == pytest.approx(complex(maser_kernel.c[i]), abs=1e-12)
-    assert maser_kernel.cumulative_at(t) == pytest.approx(complex(maser_kernel.cum[i]), abs=1e-12)
-    mid = 0.5 * (maser_kernel.times[i] + maser_kernel.times[i + 1])
-    expect = 0.5 * (maser_kernel.c[i] + maser_kernel.c[i + 1])
-    assert maser_kernel.c_at(float(mid)) == pytest.approx(complex(expect), abs=1e-12)
-
-
 def test_kernel_csv_schema(tmp_path, maser_kernel):
     path = tmp_path / "kernel.csv"
     save_kernel_csv(maser_kernel, path)
@@ -244,8 +212,6 @@ def test_doorway_amplitude_matches_exact_projection(fig1_h, fig1_states, fig1_hi
     vector (with the elementary-excitation phase removed) reproduces
     -i C(t) while the correction is still perturbative.
     """
-    from cohchaos import doorway_vector, exact_overlap_pair, product_coherent_vector
-
     state = fig1_states[0]
     traj = integrate(fig1_h, state, 0.5, IntegratorConfig(dense_output_dt=0.05))
     kernel = build_kernel(traj, fig1_h)
@@ -258,5 +224,5 @@ def test_doorway_amplitude_matches_exact_projection(fig1_h, fig1_states, fig1_hi
         moving = traj.state_at(i)
         door = doorway_vector(ProductState(x=moving.x, y=moving.y), fig1_hilbert)
         amp_exact = exact_overlap_pair(door, psi_t) * np.exp(-1j * traj.s1[i])
-        fo = first_order_state(kernel, t)
-        assert abs(amp_exact - fo.doorway) <= 0.1 * abs(fo.doorway)
+        doorway = -1j * kernel.cum[i]
+        assert abs(amp_exact - doorway) <= 0.1 * abs(doorway)

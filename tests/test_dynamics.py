@@ -17,7 +17,6 @@ from cohchaos.dynamics import (
     IntegratorConfig,
     ProductState,
     ScaledState,
-    Trajectory,
     action_rate,
     from_classical,
     integrate,
@@ -166,16 +165,6 @@ def test_state_at_carries_physical_phase(fig1_h, fig1_states):
     traj = integrate(fig1_h, fig1_states[0], 2.0, IntegratorConfig(dense_output_dt=0.5))
     for i in range(len(traj.times)):
         assert traj.state_at(i).eta_total == pytest.approx(traj.s0[i], abs=1e-12)
-    assert len(traj.states) == len(traj.times)
-
-
-def test_trajectory_interp_bounds(fig1_h, fig1_states):
-    traj = integrate(fig1_h, fig1_states[0], 1.0, IntegratorConfig(dense_output_dt=0.5))
-    with pytest.raises(ValueError):
-        traj.interp(1.5)
-    x, y, s0, s1 = traj.interp(1.0)
-    assert x == traj.x[-1] and y == traj.y[-1]
-    assert s0 == traj.s0[-1] and s1 == traj.s1[-1]
 
 
 def test_mf_overlap_reference_cases():
@@ -212,25 +201,24 @@ def test_label_distances_match_overlap(rng):
 def test_scaling_round_trip():
     s = ProductState(x=5.7263433, y=-0.24253563, eta_x=0.3, eta_y=0.1)
     scaled = scale_to_classical(s, 4.5)
-    assert scaled.time_scale == 18.0
     assert scaled.z_field == pytest.approx(5.7263433 / math.sqrt(18.0), abs=1e-12)
     assert abs(scaled.z_field - 1.3497) < 2e-4
     back = from_classical(scaled, 4.5, eta_x=s.eta_x, eta_y=s.eta_y)
     assert back == s
     unit = scale_to_classical(ProductState(x=1.5 + 1j, y=0.2), 0.25)
-    assert unit.time_scale == 1.0 and unit.z_field == 1.5 + 1j
+    assert unit.z_field == 1.5 + 1j
 
 
 def test_scaled_flow_independent_of_magnitude():
     # with the couplings normalized by sqrt(j) the scaled-label flow does
     # not depend on j at all; doubling j twice must reproduce the same
     # scaled trajectory in real time
-    scaled0 = ScaledState(z_field=0.45 + 0.15j, z_spin=0.35 - 0.2j, time_scale=None)
+    scaled0 = ScaledState(z_field=0.45 + 0.15j, z_spin=0.35 - 0.2j)
     icfg = IntegratorConfig(dense_output_dt=0.25)
     curves = []
     for j in (4.5, 18.0):
         p = MaserParams(epsilon=1.0, omega=1.0, g=0.5 / math.sqrt(2), g_prime=0.2 / math.sqrt(2), j=j)
-        s0 = from_classical(ScaledState(scaled0.z_field, scaled0.z_spin, 4.0 * j), j)
+        s0 = from_classical(scaled0, j)
         traj = integrate(maser_hamiltonian(p), s0, 4.0, icfg)
         root = math.sqrt(4.0 * j)
         curves.append(np.stack([traj.x / root, traj.y]))
@@ -261,17 +249,3 @@ def test_product_state_validation():
     with pytest.raises(ValueError):
         ProductState(x=0.0, y=0.0, eta_x=float("inf"))
 
-
-def test_raw_trajectory_interp_requires_bounds():
-    times = np.array([0.0, 1.0])
-    traj = Trajectory(
-        times=times,
-        x=np.array([0.0 + 0j, 1.0 + 0j]),
-        y=np.array([0.0 + 0j, 0.0 + 0j]),
-        eta_x=np.zeros(2),
-        eta_y=np.zeros(2),
-        s0=np.zeros(2),
-        s1=np.zeros(2),
-    )
-    x, _, _, _ = traj.interp(0.5)
-    assert x == 0.5 + 0j

@@ -6,24 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from cohchaos import (
+from cohchaos.dynamics import ProductState
+from cohchaos.experiments import (
     ConfigError,
     EnergyProjectionError,
     ExperimentConfig,
-    MaserParams,
-    ProductState,
     apply_overrides,
-    classical_energy,
     config_from_dict,
     config_to_dict,
     expand_preset,
     load_config,
     load_raw,
-    maser_hamiltonian,
     project_to_energy,
     project_with_fallback,
     run_experiment,
 )
+from cohchaos.model import MaserParams, classical_energy, maser_hamiltonian
 
 ROOT2 = math.sqrt(2.0)
 
@@ -78,6 +76,18 @@ def test_config_rejects_bad_values():
         config_from_dict(minimal_dict(n_max=2.5))
     with pytest.raises(ConfigError, match="root must be an object"):
         config_from_dict([1, 2])
+    with pytest.raises(ConfigError, match="invalid model: spin magnitude .* got 1.3"):
+        config_from_dict(minimal_dict(model={"j": 1.3}))
+    with pytest.raises(ConfigError, match="invalid model: g must be finite"):
+        config_from_dict(apply_overrides(minimal_dict(), ["model.g=1e400"]))
+    with pytest.raises(ConfigError, match="invalid tolerances: rel_tol"):
+        config_from_dict(minimal_dict(rel_tol=0))
+    with pytest.raises(ConfigError, match=r"'lyapunov\.window'"):
+        config_from_dict(minimal_dict(lyapunov={"window": 0}))
+    with pytest.raises(ConfigError, match=r"'lyapunov\.window'"):
+        config_from_dict(minimal_dict(lyapunov={"window": 5.0, "t_total": 2.0}))
+    with pytest.raises(ConfigError, match=r"'lyapunov\.delta0'"):
+        config_from_dict(minimal_dict(lyapunov={"delta0": -1e-6}))
 
 
 def test_config_unknown_key_suggestions():
@@ -231,6 +241,17 @@ def test_run_is_deterministic(tmp_path):
     run_experiment("trajectory", cfg, b)
     for name in ("trajectory_0.csv", "run_manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_rerun_replaces_outputs(tmp_path):
+    # a shorter rerun into the same directory must leave exactly what a fresh run writes
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    run_experiment("trajectory", config_from_dict(minimal_dict(t_final=1.0)), reused)
+    short = config_from_dict(minimal_dict(t_final=0.5))
+    run_experiment("trajectory", short, reused)
+    run_experiment("trajectory", short, fresh)
+    for name in ("trajectory_0.csv", "run_manifest.json"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_csv_formatting_is_stable(tmp_path):

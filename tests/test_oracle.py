@@ -1,6 +1,7 @@
 """Exact truncated-basis reference: assembly, evolution, reductions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from cohchaos.algebra import CohChaosError, TruncationError, overlap, spin_matrices
+from cohchaos.algebra import CohChaosError, TruncationError, boson_operators, overlap, spin_matrices
 from cohchaos.algebra import HEISENBERG, spin as spin_group
-from cohchaos.dynamics import ProductState
-from cohchaos.model import MaserParams
+from cohchaos.dynamics import ProductState, integrate
+from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian
 from cohchaos.oracle import (
     DimensionError,
     ExactEvolver,
@@ -19,23 +20,37 @@ from cohchaos.oracle import (
     OracleState,
     build_hamiltonian_matrix,
     doorway_vector,
-    evolve,
     exact_overlap_pair,
     field_annihilation_expectation,
     hilbert_for_labels,
-    load_amplitudes_csv,
     operator_expectation,
     product_coherent_vector,
     recommended_n_max,
     reduced_linear_entropy,
-    save_amplitudes_csv,
 )
 
 SMALL = HilbertConfig(n_max=8, j=0.5)
 
 
-def small_params():
-    return MaserParams(epsilon=1.0, omega=1.0, g=0.3, g_prime=0.1, j=0.5)
+def small_model(g_prime=0.1):
+    return maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.3, g_prime=g_prime, j=0.5))
+
+
+def maser_matrix_reference(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
+    """The maser Hamiltonian written out with ladder operators, as a reference."""
+    a, ad, num = (sp.csr_matrix(m) for m in boson_operators(cfg.n_max + 1))
+    jz, jp, jm = (sp.csr_matrix(m) for m in spin_matrices(cfg.j))
+    eye_f = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
+    eye_s = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
+    root_j = math.sqrt(p.j)
+    h = (
+        p.omega * sp.kron(num, eye_s)
+        + p.epsilon * sp.kron(eye_f, jz)
+        + (p.g / root_j) * (sp.kron(ad, jm) + sp.kron(a, jp))
+        + (p.g_prime / root_j) * (sp.kron(ad, jp) + sp.kron(a, jm))
+    ).tocsr()
+    h.eliminate_zeros()
+    return h
 
 
 def test_hilbert_config_validation():
@@ -95,8 +110,46 @@ def test_hamiltonian_matches_entrywise_assembly(fig1_cfg, fig1_hilbert, fig1_h_m
     assert np.abs(fig1_h_matrix.toarray() - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("g_prime", [0.2 / math.sqrt(2.0), 0.0], ids=["fig1", "g_prime_0"])
+def test_hamiltonian_equals_maser_reference(fig1_cfg, fig1_hilbert, g_prime):
+    p = replace(fig1_cfg.model, g_prime=g_prime)
+    h = build_hamiltonian_matrix(maser_hamiltonian(p), fig1_hilbert)
+    ref = maser_matrix_reference(p, fig1_hilbert)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(h, part), getattr(ref, part))
+
+
+def test_hamiltonian_rejects_mismatched_groups():
+    with pytest.raises(ValueError, match="spin 1.5"):
+        build_hamiltonian_matrix(small_model(), HilbertConfig(n_max=8, j=1.5))
+    swapped = BilinearHamiltonian(
+        group_a=spin_group(0.5), group_b=spin_group(0.5),
+        alpha=np.zeros(3), beta=np.zeros(3), gamma=np.zeros((3, 3)),
+    )
+    with pytest.raises(ValueError, match="oscillator"):
+        build_hamiltonian_matrix(swapped, SMALL)
+
+
+def test_driven_field_follows_mean_field():
+    # a linear drive f a^dag + conj(f) a and no coupling: the field stays
+    # coherent, so the exact <a>(t) is the mean-field label x(t)
+    f = 0.3 - 0.2j
+    h = BilinearHamiltonian(
+        group_a=HEISENBERG, group_b=spin_group(1.5),
+        alpha=np.array([1.0, f, np.conj(f)]), beta=np.array([0.7, 0.0, 0.0]), gamma=np.zeros((3, 3)),
+    )
+    s = ProductState(x=0.5 + 0.1j, y=0.2 - 0.3j)
+    cfg = HilbertConfig(n_max=40, j=1.5)
+    traj = integrate(h, s, 5.0)
+    grid = ExactEvolver(build_hamiltonian_matrix(h, cfg)).evolve_grid(
+        product_coherent_vector(s.x, s.y, cfg), traj.times
+    )
+    field = np.array([field_annihilation_expectation(psi) for psi in grid])
+    assert np.abs(field - traj.x).max() < 1e-8
+
+
 def test_hamiltonian_is_hermitian():
-    h = build_hamiltonian_matrix(small_params(), SMALL)
+    h = build_hamiltonian_matrix(small_model(), SMALL)
     assert abs(h - h.getH()).max() < 1e-14
 
 
@@ -104,7 +157,8 @@ def test_hamiltonian_stores_no_explicit_zeros(fig1_h_matrix):
     # co-rotating only, spin 1/2: the counter-rotating terms vanish, and the
     # excitation manifolds {|n, down>, |n-1, up>} decouple
     cfg = HilbertConfig(n_max=30, j=0.5)
-    h = build_hamiltonian_matrix(MaserParams(epsilon=1.0, omega=1.0, g=0.25, g_prime=0.0, j=0.5), cfg)
+    p = MaserParams(epsilon=1.0, omega=1.0, g=0.25, g_prime=0.0, j=0.5)
+    h = build_hamiltonian_matrix(maser_hamiltonian(p), cfg)
     assert np.all(h.data != 0)
     assert connected_components(abs(h), directed=False)[0] == cfg.n_max + 2
     # with both couplings on, only the parity (-1)^(n+k) is conserved
@@ -113,7 +167,7 @@ def test_hamiltonian_stores_no_explicit_zeros(fig1_h_matrix):
 
 
 def test_eigenvector_acquires_pure_phase():
-    h = build_hamiltonian_matrix(small_params(), SMALL)
+    h = build_hamiltonian_matrix(small_model(), SMALL)
     evals, evecs = np.linalg.eigh(h.toarray())
     v = evecs[:, 3].astype(complex)
     st = OracleState(amplitudes=v, config=SMALL)
@@ -125,15 +179,13 @@ def test_eigenvector_acquires_pure_phase():
 
 @pytest.mark.parametrize("g_prime", [0.1, 0.0])
 def test_dense_and_sparse_paths_agree(g_prime):
-    h = build_hamiltonian_matrix(MaserParams(epsilon=1.0, omega=1.0, g=0.3, g_prime=g_prime, j=0.5), SMALL)
+    h = build_hamiltonian_matrix(small_model(g_prime), SMALL)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     expected = sla.expm(-1j * 0.7 * h.toarray()) @ st.amplitudes
     dense = ExactEvolver(h).evolve(st, 0.7)
     sparse = ExactEvolver(h, dense_limit=1).evolve(st, 0.7)
     assert np.abs(dense.amplitudes - expected).max() < 1e-10
     assert np.abs(sparse.amplitudes - expected).max() < 1e-10
-    module_level = evolve(st, h, 0.7)
-    assert np.abs(dense.amplitudes - module_level.amplitudes).max() < 1e-12
 
 
 def test_dense_path_on_complex_interleaved_blocks(rng):
@@ -152,7 +204,7 @@ def test_dense_path_on_complex_interleaved_blocks(rng):
 
 @pytest.mark.parametrize("dense_limit", [SMALL.dim, 1], ids=["dense", "krylov"])
 def test_evolve_grid_matches_per_time_evolve(dense_limit):
-    ev = ExactEvolver(build_hamiltonian_matrix(small_params(), SMALL), dense_limit=dense_limit)
+    ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL), dense_limit=dense_limit)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     # a repeated time, and a short last step as on a t_final = 0.73, dt = 0.1 grid
     times = [0.0, 0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.73]
@@ -164,7 +216,7 @@ def test_evolve_grid_matches_per_time_evolve(dense_limit):
 
 
 def test_evolver_rejects_norm_drift():
-    h = build_hamiltonian_matrix(small_params(), SMALL)
+    h = build_hamiltonian_matrix(small_model(), SMALL)
     st = OracleState(amplitudes=0.5 * np.eye(SMALL.dim, dtype=complex)[0], config=SMALL)
     with pytest.raises(CohChaosError, match="norm drift"):
         ExactEvolver(h).evolve(st, 0.1)
@@ -249,10 +301,3 @@ def test_overlap_pair_matches_closed_form():
     with pytest.raises(ValueError):
         exact_overlap_pair(a, product_coherent_vector(x1, y1, HilbertConfig(n_max=51, j=2.5)))
 
-
-def test_amplitude_snapshot_round_trip(tmp_path):
-    st = product_coherent_vector(0.6 - 0.2j, 0.1 + 0.4j, SMALL)
-    path = tmp_path / "snapshot.csv"
-    save_amplitudes_csv(st, path)
-    again = load_amplitudes_csv(path, SMALL)
-    assert np.array_equal(again.amplitudes, st.amplitudes)
