@@ -162,28 +162,22 @@ def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:
     return float(min(1.0, base ** (2.0 * group.j)))
 
 
-def expectation(group: GroupKind, index: Gen, z: complex) -> complex:
-    """Coherent expectation value of one generator.
+def expectations(group: GroupKind, z: complex) -> np.ndarray:
+    """Coherent expectation values of the generators, ordered (ZERO, PLUS, MINUS).
 
     Oscillator: <a^dag a> = |z|^2, <a^dag> = conj(z), <a> = z.
     Spin: <J_z> = -j (1-|z|^2)/(1+|z|^2), <J_+> = 2j conj(z)/(1+|z|^2),
     <J_-> = 2j z/(1+|z|^2).  The induced Bloch vector has length j exactly.
+    The label is not range-checked: the flow checks it on entry and exit.
     """
-    z = _check_label(z)
-    index = Gen(index)
+    z = complex(z)
     if not group.is_spin:
-        if index is Gen.ZERO:
-            return complex(abs(z) ** 2)
-        if index is Gen.PLUS:
-            return complex(np.conj(z))
-        return complex(z)
+        return np.array([abs(z) ** 2, np.conj(z), z], dtype=complex)
     j = group.j
     den = 1.0 + abs(z) ** 2
-    if index is Gen.ZERO:
-        return complex(-j * (1.0 - abs(z) ** 2) / den)
-    if index is Gen.PLUS:
-        return complex(2.0 * j * np.conj(z) / den)
-    return complex(2.0 * j * z / den)
+    return np.array(
+        [-j * (1.0 - abs(z) ** 2) / den, 2.0 * j * np.conj(z) / den, 2.0 * j * z / den], dtype=complex
+    )
 
 
 def group_relation_coeffs(group: GroupKind, index: Gen, z: complex) -> GroupRelationRow:

@@ -54,12 +54,10 @@ def build_kernel(traj: Trajectory, h: BilinearHamiltonian) -> CorrectionKernel:
     where sigma collects the fiducial raising matrix elements of the two
     factors and g_+ are the raising components of the relation rows.
     """
-    if traj.group_a is None or traj.group_b is None:
-        raise CohChaosError("trajectory lacks group tags; integrate() attaches them")
-    ga = _plus_column(traj.group_a, traj.x)
-    gb = _plus_column(traj.group_b, traj.y)
+    ga = _plus_column(h.group_a, traj.x)
+    gb = _plus_column(h.group_b, traj.y)
     quad = np.einsum("ij,in,jn->n", h.gamma, ga, gb)
-    sigma = raising_matrix_element(traj.group_a) * raising_matrix_element(traj.group_b)
+    sigma = raising_matrix_element(h.group_a) * raising_matrix_element(h.group_b)
     c = sigma * np.exp(1j * (traj.s0 - traj.s1)) * quad
     cum = cumulative_trapezoid(c, traj.times, initial=0.0)
     return CorrectionKernel(times=traj.times, c=c, cum=cum)

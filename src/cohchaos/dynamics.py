@@ -20,18 +20,22 @@ Their closed forms are
 
 both validated against numerically differentiated matrix elements in the
 tests.
+
+Labels are validated where they enter and leave the flow, not in the RHS:
+ProductState requires them finite with |z| <= 1e6, and integrate raises
+IntegrationError at the first sample time where a label breaks that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import Gen, GroupKind, CohChaosError, _check_label, overlap
+from .algebra import _LABEL_BOUND, Gen, GroupKind, CohChaosError, _check_label, expectations, overlap
 from .model import (
     BilinearHamiltonian,
     classical_energy,
@@ -41,7 +45,7 @@ from .model import (
 
 
 class IntegrationError(CohChaosError):
-    """The adaptive integrator failed before reaching the requested time."""
+    """The integrator failed before the requested time, or a label left its valid range."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     dense_output_dt: float = 0.05
 
     def __post_init__(self) -> None:
@@ -79,8 +82,6 @@ class IntegratorConfig:
             v = getattr(self, name)
             if not 0.0 < v <= bound:
                 raise ValueError(f"{name} must lie in (0, {bound}]")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
         if not self.dense_output_dt > 0.0:
             raise ValueError("dense_output_dt must be positive")
 
@@ -103,8 +104,6 @@ class Trajectory:
     eta_y: np.ndarray
     s0: np.ndarray
     s1: np.ndarray
-    group_a: GroupKind | None = None
-    group_b: GroupKind | None = None
 
     def state_at(self, i: int) -> ProductState:
         """Sampled state with the coupling counterterm folded into eta_x.
@@ -117,15 +116,6 @@ class Trajectory:
         return ProductState(
             x=self.x[i], y=self.y[i], eta_x=self.eta_x[i] + phi, eta_y=self.eta_y[i]
         )
-
-
-def label_rhs(h: BilinearHamiltonian, s: ProductState) -> tuple[complex, complex]:
-    """Time derivatives of the two labels under the self-consistent flow."""
-    c = mean_field_coeffs(h, s.x, s.y)
-    return (
-        _one_label_rhs(h.group_a, s.x, c.a),
-        _one_label_rhs(h.group_b, s.y, c.b),
-    )
 
 
 def _one_label_rhs(group: GroupKind, z: complex, coeffs: np.ndarray) -> complex:
@@ -142,7 +132,6 @@ def action_rate(group: GroupKind, z: complex, dz: complex, coeffs: np.ndarray) -
     coeffs are the one-body coefficients (c_0, c_+, c_-) acting on this
     degree.  Both rates are real; see the module docstring for the forms.
     """
-    z = _check_label(z)
     c0, cp, cm = coeffs[Gen.ZERO], coeffs[Gen.PLUS], coeffs[Gen.MINUS]
     geom = -(dz * np.conj(z)).imag
     if not group.is_spin:
@@ -162,14 +151,16 @@ def _pack(s: ProductState) -> np.ndarray:
 def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     x = complex(v[0], v[1])
     y = complex(v[2], v[3])
-    c = mean_field_coeffs(h, x, y)
-    dx = _one_label_rhs(h.group_a, x, c.a)
-    dy = _one_label_rhs(h.group_b, y, c.b)
-    deta_x, ds1_x = action_rate(h.group_a, x, dx, c.a)
-    deta_y, ds1_y = action_rate(h.group_b, y, dy, c.b)
+    ev_a = expectations(h.group_a, x)
+    ev_b = expectations(h.group_b, y)
+    a, b = mean_field_coeffs(h, ev_a, ev_b)
+    dx = _one_label_rhs(h.group_a, x, a)
+    dy = _one_label_rhs(h.group_b, y, b)
+    deta_x, ds1_x = action_rate(h.group_a, x, dx, a)
+    deta_y, ds1_y = action_rate(h.group_b, y, dy, b)
     # the factorized one-body Hamiltonians each count the coupling energy
     # once, so the physical phases carry it back as a counterterm
-    dphi = interaction_energy(h, x, y)
+    dphi = interaction_energy(h, ev_a, ev_b)
     return np.array([dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi])
 
 
@@ -191,9 +182,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate the mean-field flow from s0 to t_final on the dense grid.
 
-    Uses an adaptive high-order embedded Runge-Kutta pair; failures (step
-    size underflow from a label running into the coordinate singularity,
-    typically) raise IntegrationError with the time reached.
+    Uses an adaptive high-order embedded Runge-Kutta pair. A failed step (a
+    label running into the coordinate singularity, typically) or a sampled
+    label out of range raises IntegrationError with the time.
     """
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")
@@ -206,26 +197,29 @@ def integrate(
         t_eval=times,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
-        max_step=cfg.max_step,
         args=(h,),
     )
     if not sol.success:
         reached = sol.t[-1] if sol.t.size else 0.0
         raise IntegrationError(f"integration failed at t = {reached:.6g}: {sol.message}")
     v = sol.y
+    x = v[0] + 1j * v[1]
+    y = v[2] + 1j * v[3]
+    bad = ~((np.abs(x) <= _LABEL_BOUND) & (np.abs(y) <= _LABEL_BOUND))  # NaN compares false
+    if bad.any():
+        t_bad = sol.t[np.argmax(bad)]
+        raise IntegrationError(f"label non-finite or beyond |z| = {_LABEL_BOUND:.0e} at t = {t_bad:.6g}")
     eta_x = v[4]
     eta_y = v[5]
     phi = v[8]
     return Trajectory(
         times=sol.t,
-        x=v[0] + 1j * v[1],
-        y=v[2] + 1j * v[3],
+        x=x,
+        y=y,
         eta_x=eta_x,
         eta_y=eta_y,
         s0=(eta_x - eta_x[0]) + (eta_y - eta_y[0]) + phi,
         s1=v[6] + v[7] + phi,
-        group_a=h.group_a,
-        group_b=h.group_b,
     )
 
 
@@ -283,6 +277,14 @@ def _scaled_coords(x: complex, y: complex, j: float) -> np.ndarray:
     return np.array([x.real / root, x.imag / root, y.real, y.imag])
 
 
+def window_count(t_total: float, window: float) -> int:
+    """Number of windows of length window in t_total, which must be a whole number."""
+    q = t_total / window
+    if abs(q - round(q)) > 1e-9 * q:
+        raise ValueError(f"t_total {t_total} is not a whole number of windows of length {window}")
+    return round(q)
+
+
 class LyapunovSeries(NamedTuple):
     """Renormalization-window ends and the running exponent estimate."""
 
@@ -304,15 +306,14 @@ def lyapunov_series(
     direction is integrated alongside the reference; after every window the
     log stretch of the scaled separation is accumulated and the partner is
     pulled back to distance delta0 along the current separation direction.
+    t_total must be a whole number of windows.
     """
     if not (delta0 > 0.0 and t_total > 0.0 and 0.0 < renorm_interval <= t_total):
         raise ValueError("need delta0 > 0, t_total > 0, 0 < renorm_interval <= t_total")
     j = h.group_b.j if h.group_b.is_spin else (h.group_a.j if h.group_a.is_spin else 0.25)
     root = math.sqrt(4.0 * j)
-    window_cfg = IntegratorConfig(
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_step=cfg.max_step, dense_output_dt=renorm_interval
-    )
-    n_windows = int(round(t_total / renorm_interval))
+    window_cfg = replace(cfg, dense_output_dt=renorm_interval)
+    n_windows = window_count(t_total, renorm_interval)
     ref = ProductState(x=s0.x, y=s0.y)
     pert = ProductState(x=s0.x + delta0 * root, y=s0.y)
     log_sum = 0.0
@@ -337,15 +338,3 @@ def lyapunov_series(
         )
     return LyapunovSeries(window_ends=ends, running=running)
 
-
-def lyapunov_estimate(
-    h: BilinearHamiltonian,
-    s0: ProductState,
-    delta0: float = 1e-6,
-    t_total: float = 300.0,
-    renorm_interval: float = 1.0,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> float:
-    """Final running value of the two-trajectory exponent estimate."""
-    series = lyapunov_series(h, s0, delta0, t_total, renorm_interval, cfg)
-    return float(series.running[-1])

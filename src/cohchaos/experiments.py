@@ -11,6 +11,7 @@ import csv
 import difflib
 import json
 import math
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from .dynamics import (
     lyapunov_series,
     mf_overlap,
     trajectory_energy,
+    window_count,
 )
 from .model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian
 from .oracle import (
@@ -106,6 +108,7 @@ class ExperimentConfig:
             raise ConfigError("'lyapunov.delta0' must be positive")
         if not 0.0 < self.lyapunov_window <= self.lyapunov_t_total:
             raise ConfigError("'lyapunov.window' must lie in (0, lyapunov.t_total]")
+        _checked("'lyapunov.t_total'", window_count, t_total=self.lyapunov_t_total, window=self.lyapunov_window)
 
 
 def expand_preset(name: str) -> dict:
@@ -136,6 +139,9 @@ def _check_keys(given, allowed: set, prefix: str = "") -> None:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}' must be a number, got {value!r}")
+    # json.loads reads Infinity, NaN and 1e400 as floats; NaN fails every comparison
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{where}' must be finite, got {value!r}")
     return float(value)
 
 
@@ -178,7 +184,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(row, list) or len(row) != 4:
             raise ConfigError(f"'pairs[{i}]' must be a list of four numbers [re_x, im_x, re_y, im_y]")
         vals = [_require_number(v, f"pairs[{i}][{k}]") for k, v in enumerate(row)]
-        states.append(ProductState(x=complex(vals[0], vals[1]), y=complex(vals[2], vals[3])))
+        x, y = complex(vals[0], vals[1]), complex(vals[2], vals[3])
+        states.append(_checked(f"pairs[{i}]", ProductState, x=x, y=y))
 
     lyap_raw = data.get("lyapunov", {})
     if not isinstance(lyap_raw, dict):

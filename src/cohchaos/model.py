@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Gen, GroupKind, HEISENBERG, CohChaosError, expectation, spin
+from .algebra import Gen, GroupKind, HEISENBERG, CohChaosError, expectations, spin
 
 # dagger permutation of the generator ordering (ZERO, PLUS, MINUS)
 _DAG = (0, 2, 1)
@@ -25,15 +25,6 @@ _DAG = (0, 2, 1)
 
 class HermiticityError(CohChaosError):
     """Coefficient arrays violate the hermiticity constraints."""
-
-
-def _as_c3(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError(f"{name} must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -53,15 +44,15 @@ class BilinearHamiltonian:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        alpha = _as_c3(self.alpha, "alpha")
-        beta = _as_c3(self.beta, "beta")
-        gamma = np.asarray(self.gamma, dtype=complex)
-        if gamma.shape != (3, 3):
-            raise ValueError(f"gamma must have shape (3, 3), got {gamma.shape}")
-        if not np.all(np.isfinite(gamma.view(float))):
-            raise ValueError("gamma must be finite")
-        scale = max(1.0, float(np.abs(alpha).max()), float(np.abs(beta).max()), float(np.abs(gamma).max()))
-        tol = 1e-12 * scale
+        arrays = {}
+        for name, shape in (("alpha", (3,)), ("beta", (3,)), ("gamma", (3, 3))):
+            arr = arrays[name] = np.asarray(getattr(self, name), dtype=complex)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr.view(float))):
+                raise ValueError(f"{name} must be finite")
+        alpha, beta, gamma = arrays.values()
+        tol = 1e-12 * max(1.0, *(float(np.abs(arr).max()) for arr in arrays.values()))
         problems = []
         for name, vec in (("alpha", alpha), ("beta", beta)):
             if abs(vec[Gen.ZERO].imag) > tol:
@@ -74,7 +65,7 @@ class BilinearHamiltonian:
                     problems.append(f"gamma[{_DAG[i]},{_DAG[jj]}] must equal conj(gamma[{i},{jj}])")
         if problems:
             raise HermiticityError("; ".join(sorted(set(problems))))
-        for arr, name in ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -124,33 +115,14 @@ def maser_hamiltonian(p: MaserParams) -> BilinearHamiltonian:
     )
 
 
-@dataclass(frozen=True)
-class MeanFieldCoeffs:
-    """Self-consistent one-body coefficients (a, b) ordered (ZERO, PLUS, MINUS)."""
+def mean_field_coeffs(h: BilinearHamiltonian, ev_a: np.ndarray, ev_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients a_i = alpha_i + sum_j gamma_ij <B_j> and the mirrored b_j.
 
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_c3(self.a, "a"))
-        object.__setattr__(self, "b", _as_c3(self.b, "b"))
-        self.a.setflags(write=False)
-        self.b.setflags(write=False)
-
-
-def _expectations(group: GroupKind, z: complex) -> np.ndarray:
-    return np.array([expectation(group, i, z) for i in (Gen.ZERO, Gen.PLUS, Gen.MINUS)])
-
-
-def mean_field_coeffs(h: BilinearHamiltonian, x: complex, y: complex) -> MeanFieldCoeffs:
-    """Coefficients a_i = alpha_i + sum_j gamma_ij <B_j>_y and the mirrored b_j.
-
-    The zero components stay real and the raising/lowering components stay
+    ev_a and ev_b are the two sides' algebra.expectations.  The zero
+    components stay real and the raising/lowering components stay
     conjugate because the partner expectations are themselves conjugate
     pairs on a hermitian model.
     """
-    ev_a = _expectations(h.group_a, x)
-    ev_b = _expectations(h.group_b, y)
     a = h.alpha + h.gamma @ ev_b
     b = h.beta + h.gamma.T @ ev_a
     # hermiticity of h guarantees these analytically; guard against drift
@@ -158,7 +130,7 @@ def mean_field_coeffs(h: BilinearHamiltonian, x: complex, y: complex) -> MeanFie
         if abs(vec[Gen.ZERO].imag) > 1e-10 * max(1.0, abs(vec[Gen.ZERO])):
             raise HermiticityError("mean-field zero component acquired an imaginary part")
         vec[Gen.ZERO] = vec[Gen.ZERO].real
-    return MeanFieldCoeffs(a=a, b=b)
+    return a, b
 
 
 def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
@@ -167,23 +139,21 @@ def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>.
     The imaginary residue is asserted tiny (hermiticity) and discarded.
     """
-    ev_a = _expectations(h.group_a, x)
-    ev_b = _expectations(h.group_b, y)
-    e = h.alpha @ ev_a + h.beta @ ev_b + ev_a @ h.gamma @ ev_b
-    scale = max(1.0, abs(e))
-    if abs(e.imag) > 1e-12 * scale:
-        raise HermiticityError(f"energy has imaginary residue {e.imag:.3e}; hermiticity bug")
-    return float(e.real)
+    ev_a = expectations(h.group_a, x)
+    ev_b = expectations(h.group_b, y)
+    return _real(h.alpha @ ev_a + h.beta @ ev_b + ev_a @ h.gamma @ ev_b, "energy")
 
 
-def interaction_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
+def interaction_energy(h: BilinearHamiltonian, ev_a: np.ndarray, ev_b: np.ndarray) -> float:
     """Coherent expectation of the coupling term alone, sum_ij gamma_ij <A_i><B_j>.
 
     This is the c-number the decoupled single-factor Hamiltonians count
     twice; the exact-state phase carries it back as a counterterm.
     """
-    e = _expectations(h.group_a, x) @ h.gamma @ _expectations(h.group_b, y)
-    scale = max(1.0, abs(e))
-    if abs(e.imag) > 1e-12 * scale:
-        raise HermiticityError(f"interaction energy has imaginary residue {e.imag:.3e}")
+    return _real(ev_a @ h.gamma @ ev_b, "interaction energy")
+
+
+def _real(e: complex, what: str) -> float:
+    if abs(e.imag) > 1e-12 * max(1.0, abs(e)):
+        raise HermiticityError(f"{what} has imaginary residue {e.imag:.3e}; hermiticity bug")
     return float(e.real)

@@ -28,7 +28,7 @@ from cohchaos.dynamics import (
     ScaledState,
     from_classical,
     integrate,
-    lyapunov_estimate,
+    lyapunov_series,
     mf_overlap,
     trajectory_energy,
 )
@@ -238,8 +238,8 @@ def test_criterion_09_chaotic_regular_separation(fig1_h, fig1_states, chaotic_tr
     regular_a = integrate(fig1_h, fig1_states[2], 25.0)
     regular_b = integrate(fig1_h, fig1_states[3], 25.0)
     regular_sq = _pair_modulus(regular_a, regular_b, fig1_h) ** 2
-    lam_chaotic = lyapunov_estimate(fig1_h, fig1_states[0])
-    lam_regular = lyapunov_estimate(fig1_h, fig1_states[2])
+    lam_chaotic = lyapunov_series(fig1_h, fig1_states[0]).running[-1]
+    lam_regular = lyapunov_series(fig1_h, fig1_states[2]).running[-1]
     ok = (chaotic_sq.min() < 0.2 and regular_sq.min() > 0.6
           and lam_chaotic > 5.0 * lam_regular)
     report(9, f"chaotic overlap^2 min {chaotic_sq.min():.3f} < 0.2, regular min "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from cohchaos.algebra import HEISENBERG, CohChaosError, spin
+from cohchaos.algebra import CohChaosError
 from cohchaos.corrections import (
     CorrectionKernel,
     build_kernel,
@@ -32,7 +32,7 @@ def maser_kernel(maser_setup):
     return build_kernel(traj, h)
 
 
-def synthetic_trajectory(y0: complex, j: float = 4.5, n: int = 41,
+def synthetic_trajectory(y0: complex, n: int = 41,
                          t_final: float = 1.0, s0=None, s1=None) -> Trajectory:
     """Frozen-label trajectory for testing the kernel formula in isolation.
 
@@ -48,8 +48,6 @@ def synthetic_trajectory(y0: complex, j: float = 4.5, n: int = 41,
         eta_y=zeros.copy(),
         s0=zeros.copy() if s0 is None else np.asarray(s0, dtype=float),
         s1=zeros.copy() if s1 is None else np.asarray(s1, dtype=float),
-        group_a=HEISENBERG,
-        group_b=spin(j),
     )
 
 
@@ -87,15 +85,6 @@ def test_zero_coupling_kernel_vanishes():
     assert np.max(np.abs(k.cum)) < 1e-14
 
 
-def test_kernel_requires_group_tags():
-    ts = np.linspace(0.0, 1.0, 11)
-    z = np.zeros(11)
-    bare = Trajectory(times=ts, x=z.astype(complex), y=z.astype(complex),
-                      eta_x=z, eta_y=z, s0=z, s1=z, group_a=None, group_b=None)
-    with pytest.raises(CohChaosError, match="group tags"):
-        build_kernel(bare, maser_hamiltonian(MaserParams()))
-
-
 def test_general_and_maser_kernels_agree(maser_setup, maser_kernel):
     p, _, traj = maser_setup
     assert np.abs(maser_kernel.c - maser_kernel_closed_form(traj, p)).max() < 1e-10
@@ -104,7 +93,7 @@ def test_general_and_maser_kernels_agree(maser_setup, maser_kernel):
 def test_kernel_modulus_at_spin_origin():
     # y = 0 leaves only the counter-rotating term: |c| = sqrt(2) g'
     p = MaserParams(g=0.4, g_prime=0.15, j=2.5)
-    traj = synthetic_trajectory(0.0, j=2.5)
+    traj = synthetic_trajectory(0.0)
     kernel = build_kernel(traj, maser_hamiltonian(p))
     assert abs(kernel.c[knot(traj, 0.5)]) == pytest.approx(np.sqrt(2.0) * 0.15, abs=1e-12)
 
@@ -113,7 +102,7 @@ def test_kernel_zero_on_balance_circle():
     # y^2 = g'/g kills the doorway amplitude identically
     p = MaserParams(g=0.4, g_prime=0.1, j=2.5)
     y0 = np.sqrt(0.1 / 0.4)
-    traj = synthetic_trajectory(complex(y0, 0.0), j=2.5)
+    traj = synthetic_trajectory(complex(y0, 0.0))
     kernel = build_kernel(traj, maser_hamiltonian(p))
     for t in (0.0, 0.3, 0.9):
         assert abs(kernel.c[knot(traj, t)]) < 1e-14
@@ -122,8 +111,8 @@ def test_kernel_zero_on_balance_circle():
 def test_kernel_modulus_ignores_action_phase():
     h = maser_hamiltonian(MaserParams(g=0.4, g_prime=0.15, j=2.5))
     ts = np.linspace(0.0, 1.0, 41)
-    plain = synthetic_trajectory(0.3 + 0.1j, j=2.5)
-    phased = synthetic_trajectory(0.3 + 0.1j, j=2.5, s0=1.7 * ts, s1=0.4 * ts ** 2)
+    plain = synthetic_trajectory(0.3 + 0.1j)
+    phased = synthetic_trajectory(0.3 + 0.1j, s0=1.7 * ts, s1=0.4 * ts ** 2)
     c_plain, c_phased = build_kernel(plain, h).c, build_kernel(phased, h).c
     for t in (0.2, 0.65, 1.0):
         i = knot(plain, t)

@@ -9,32 +9,40 @@ from cohchaos.algebra import (
     HEISENBERG,
     Gen,
     displaced_basis_vector,
-    expectation,
+    expectations,
     generator_matrices,
     spin,
 )
 from cohchaos.dynamics import (
+    IntegrationError,
     IntegratorConfig,
     ProductState,
     ScaledState,
+    _pack,
+    _rhs,
     action_rate,
     from_classical,
     integrate,
     label_distances,
-    label_rhs,
-    lyapunov_estimate,
+    lyapunov_series,
     mf_overlap,
     scale_to_classical,
     trajectory_energy,
 )
-from cohchaos.model import MaserParams, maser_hamiltonian
+from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
 
 DECOUPLED = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.0, g_prime=0.0, j=1.5))
 
 
+def label_velocities(h, s):
+    """(dx, dy) from the first four components of the flow's RHS."""
+    v = _rhs(0.0, _pack(s), h)
+    return complex(v[0], v[1]), complex(v[2], v[3])
+
+
 def test_label_rhs_decoupled():
     s = ProductState(x=0.8 - 0.3j, y=0.25 + 0.1j)
-    dx, dy = label_rhs(DECOUPLED, s)
+    dx, dy = label_velocities(DECOUPLED, s)
     assert dx == pytest.approx(-1j * s.x, abs=1e-14)
     assert dy == pytest.approx(-1j * s.y, abs=1e-14)
 
@@ -42,11 +50,9 @@ def test_label_rhs_decoupled():
 def test_label_rhs_coupled_spin_nonlinearity():
     h = maser_hamiltonian(MaserParams(g=0.4, g_prime=0.1, j=2.0))
     s = ProductState(x=1.0 + 0.5j, y=0.3 - 0.2j)
-    from cohchaos.model import mean_field_coeffs
-
-    c = mean_field_coeffs(h, s.x, s.y)
-    _, dy = label_rhs(h, s)
-    b0, bp = c.b[Gen.ZERO], c.b[Gen.PLUS]
+    _, b = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
+    _, dy = label_velocities(h, s)
+    b0, bp = b[Gen.ZERO], b[Gen.PLUS]
     manual = -1j * bp - 1j * b0 * s.y + 1j * np.conj(bp) * s.y * s.y
     assert dy == pytest.approx(manual, abs=1e-14)
 
@@ -111,8 +117,6 @@ def test_integrator_config_validation():
         IntegratorConfig(abs_tol=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dense_output_dt=-0.1)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step=0.0)
 
 
 def test_integrate_validation():
@@ -155,8 +159,8 @@ def test_bloch_vector_stays_on_sphere(fig1_h, fig1_states):
     g = fig1_h.group_b
     traj = integrate(fig1_h, fig1_states[0], 5.0, IntegratorConfig(dense_output_dt=0.5))
     for y in traj.y:
-        jz = expectation(g, Gen.ZERO, y).real
-        jp = expectation(g, Gen.PLUS, y)
+        jz = expectations(g, y)[Gen.ZERO].real
+        jp = expectations(g, y)[Gen.PLUS]
         length = math.sqrt(jp.real**2 + jp.imag**2 + jz * jz)
         assert abs(length - g.j) < 1e-10
 
@@ -226,21 +230,42 @@ def test_scaled_flow_independent_of_magnitude():
 
 
 def test_lyapunov_decoupled_is_zero():
-    est = lyapunov_estimate(
+    est = lyapunov_series(
         DECOUPLED,
         ProductState(x=1.0 + 0.3j, y=0.4 - 0.1j),
         delta0=1e-6,
         t_total=50.0,
         renorm_interval=1.0,
-    )
+    ).running[-1]
     assert abs(est) < 1e-4
 
 
 def test_lyapunov_argument_validation():
     with pytest.raises(ValueError):
-        lyapunov_estimate(DECOUPLED, ProductState(x=0.1, y=0.1), delta0=0.0, t_total=10.0)
+        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), delta0=0.0, t_total=10.0)
     with pytest.raises(ValueError):
-        lyapunov_estimate(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=1.0, renorm_interval=2.0)
+        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=1.0, renorm_interval=2.0)
+    # rounding 2.6 windows would run to t = 3, past the requested horizon
+    with pytest.raises(ValueError, match="whole number"):
+        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=2.6, renorm_interval=1.0)
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: three windows
+    series = lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=0.3, renorm_interval=0.1)
+    assert len(series.window_ends) == 3
+    assert series.window_ends[-1] == pytest.approx(0.3, abs=1e-15)
+
+
+def test_label_leaving_the_valid_range_raises_integration_error():
+    # a field driven at amplitude 1e5 passes |x| = 1e6 near t = 10; the
+    # flow is regular, so only the check on the sampled labels can catch it
+    driven = BilinearHamiltonian(
+        group_a=HEISENBERG,
+        group_b=spin(0.5),
+        alpha=np.array([0.0, 1e5, 1e5]),
+        beta=np.zeros(3),
+        gamma=np.zeros((3, 3)),
+    )
+    with pytest.raises(IntegrationError, match=r"at t = 10\.05"):
+        integrate(driven, ProductState(x=0.0, y=0.0), 20.0)
 
 
 def test_product_state_validation():

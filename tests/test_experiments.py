@@ -78,7 +78,7 @@ def test_config_rejects_bad_values():
         config_from_dict([1, 2])
     with pytest.raises(ConfigError, match="invalid model: spin magnitude .* got 1.3"):
         config_from_dict(minimal_dict(model={"j": 1.3}))
-    with pytest.raises(ConfigError, match="invalid model: g must be finite"):
+    with pytest.raises(ConfigError, match=r"'model\.g' must be finite"):
         config_from_dict(apply_overrides(minimal_dict(), ["model.g=1e400"]))
     with pytest.raises(ConfigError, match="invalid tolerances: rel_tol"):
         config_from_dict(minimal_dict(rel_tol=0))
@@ -88,6 +88,25 @@ def test_config_rejects_bad_values():
         config_from_dict(minimal_dict(lyapunov={"window": 5.0, "t_total": 2.0}))
     with pytest.raises(ConfigError, match=r"'lyapunov\.delta0'"):
         config_from_dict(minimal_dict(lyapunov={"delta0": -1e-6}))
+    # json.loads reads Infinity and NaN, in files and in overrides alike
+    for key, where in (
+        ("t_final=Infinity", "t_final"),
+        ("lyapunov.t_total=Infinity", "lyapunov.t_total"),
+        ("energy_target=Infinity", "energy_target"),
+        ("sampling_dt=Infinity", "sampling_dt"),
+        ("model.epsilon=NaN", "model.epsilon"),
+        ("t_final=1" + "0" * 400, "t_final"),
+    ):
+        with pytest.raises(ConfigError, match=f"'{where}' must be finite"):
+            config_from_dict(apply_overrides(minimal_dict(), [key]))
+    with pytest.raises(ConfigError, match=r"'pairs\[0\]\[2\]' must be finite"):
+        config_from_dict(minimal_dict(pairs=[[0.4, 0.0, math.nan, 0.1]]))
+    with pytest.raises(ConfigError, match=r"invalid pairs\[1\]: coherent label magnitude"):
+        config_from_dict(minimal_dict(pairs=[[0.4, 0.0, 0.2, 0.1], [2e6, 0.0, 0.2, 0.1]]))
+    # a run must not stop short of, or overshoot, its Lyapunov horizon
+    with pytest.raises(ConfigError, match=r"'lyapunov\.t_total'.*whole number"):
+        config_from_dict(minimal_dict(lyapunov={"window": 1.0, "t_total": 2.6}))
+    assert config_from_dict(minimal_dict(lyapunov={"window": 0.1, "t_total": 0.3})).lyapunov_t_total == 0.3
 
 
 def test_config_unknown_key_suggestions():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cohchaos.algebra import HEISENBERG, Gen, expectation, spin
+from cohchaos.algebra import HEISENBERG, Gen, expectations, spin
 from cohchaos.model import (
     BilinearHamiltonian,
     HermiticityError,
@@ -94,24 +94,24 @@ def test_coefficients_are_frozen():
 
 def test_mean_field_coeffs_decoupled():
     h = decoupled(epsilon=0.7, omega=1.3)
-    c = mean_field_coeffs(h, 0.4 + 0.2j, -0.1j)
-    assert np.allclose(c.a, h.alpha)
-    assert np.allclose(c.b, h.beta)
+    a, b = mean_field_coeffs(h, expectations(h.group_a, 0.4 + 0.2j), expectations(h.group_b, -0.1j))
+    assert np.allclose(a, h.alpha)
+    assert np.allclose(b, h.beta)
 
 
 def test_mean_field_coeffs_manual():
     p = MaserParams(epsilon=1.0, omega=1.0, g=0.4, g_prime=0.15, j=2.0)
     h = maser_hamiltonian(p)
     x, y = 0.8 - 0.3j, 0.2 + 0.5j
-    c = mean_field_coeffs(h, x, y)
-    evb = np.array([expectation(h.group_b, i, y) for i in (Gen.ZERO, Gen.PLUS, Gen.MINUS)])
-    eva = np.array([expectation(h.group_a, i, x) for i in (Gen.ZERO, Gen.PLUS, Gen.MINUS)])
-    assert np.allclose(c.a, h.alpha + h.gamma @ evb, atol=1e-14)
-    assert np.allclose(c.b, h.beta + h.gamma.T @ eva, atol=1e-14)
+    eva = expectations(h.group_a, x)
+    evb = expectations(h.group_b, y)
+    a, b = mean_field_coeffs(h, eva, evb)
+    assert np.allclose(a, h.alpha + h.gamma @ evb, atol=1e-14)
+    assert np.allclose(b, h.beta + h.gamma.T @ eva, atol=1e-14)
     # hermitian structure survives the contraction
-    assert c.a[Gen.ZERO].imag == 0.0
-    assert abs(c.a[Gen.MINUS] - np.conj(c.a[Gen.PLUS])) < 1e-14
-    assert abs(c.b[Gen.MINUS] - np.conj(c.b[Gen.PLUS])) < 1e-14
+    assert a[Gen.ZERO].imag == 0.0
+    assert abs(a[Gen.MINUS] - np.conj(a[Gen.PLUS])) < 1e-14
+    assert abs(b[Gen.MINUS] - np.conj(b[Gen.PLUS])) < 1e-14
 
 
 def test_classical_energy_reference_points():
@@ -157,5 +157,7 @@ def test_interaction_energy_decomposition():
     h = maser_hamiltonian(p)
     x, y = 1.4 - 0.6j, 0.5 + 0.2j
     one_body = classical_energy(maser_hamiltonian(MaserParams(p.epsilon, p.omega, 0.0, 0.0, p.j)), x, y)
-    assert classical_energy(h, x, y) == pytest.approx(one_body + interaction_energy(h, x, y), abs=1e-12)
-    assert interaction_energy(maser_hamiltonian(MaserParams(j=2.0, g=0.0, g_prime=0.0)), x, y) == 0.0
+    eva, evb = expectations(h.group_a, x), expectations(h.group_b, y)
+    assert classical_energy(h, x, y) == pytest.approx(one_body + interaction_energy(h, eva, evb), abs=1e-12)
+    h0 = maser_hamiltonian(MaserParams(j=2.0, g=0.0, g_prime=0.0))
+    assert interaction_energy(h0, eva, expectations(h0.group_b, y)) == 0.0
