@@ -1,10 +1,11 @@
 """Coherent-state kinematics for a single oscillator or spin degree of freedom.
 
-This module fixes the displacement conventions and provides the closed forms
-the rest of the library is built on: overlaps between coherent states,
-generator expectation values, and the rows expressing a displaced generator
-as a combination of generators plus a scalar.  Every closed form here is
-cross-checked in the tests against literal truncated-basis matrix algebra.
+This module fixes the displacement conventions and is the one home of the
+closed forms the rest of the library is built on: overlaps between coherent
+states and their distance exponent, generator expectation values, the rows
+expressing a displaced generator as a combination of generators plus a
+scalar, and the generator matrices.  Every closed form here is cross-checked
+in the tests against literal truncated-basis matrix algebra.
 
 Conventions (see docs/conventions.md, version CONVENTIONS_VERSION):
 
@@ -93,18 +94,6 @@ def spin(j: float) -> GroupKind:
     return GroupKind("spin", float(j))
 
 
-@dataclass(frozen=True)
-class GroupRelationRow:
-    """Row of the displaced-generator relation A_i D(z) = D(z) (sum_k g_ik A_k + k_i).
-
-    g is ordered (ZERO, PLUS, MINUS).  For the spin family the scalar part
-    k_i vanishes identically; for the oscillator it carries the label shift.
-    """
-
-    g: tuple[complex, complex, complex]
-    k: complex
-
-
 class DisplacedVector(NamedTuple):
     """Truncated-basis representation of D(z)|fiducial_index> plus its norm deficit."""
 
@@ -142,24 +131,23 @@ def overlap(group: GroupKind, z1: complex, z2: complex) -> complex:
     return complex(np.exp(2.0 * j * np.log(w) - log_den))
 
 
-def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:
-    """Squared modulus of the coherent overlap, clamped to [0, 1].
+def overlap_exponent(group: GroupKind, z1: complex, z2: complex) -> float:
+    """Distance exponent -log |<z1|z2>|^2 of two coherent labels on one degree.
 
-    Oscillator: exp(-|z1-z2|^2).  Spin: the base
-    1 - |z1-z2|^2 / [(1+|z1|^2)(1+|z2|^2)] raised to the power 2j, with the
-    base clamped at zero so antipodal labels give exactly 0.
+    Oscillator: |z1-z2|^2.  Spin: -2j log of the base
+    1 - |z1-z2|^2 / [(1+|z1|^2)(1+|z2|^2)], and inf once rounding takes
+    the base to zero or below (antipodal labels).
     """
-    z1 = _check_label(z1)
-    z2 = _check_label(z2)
-    if z1 == z2:
-        return 1.0
     d2 = abs(z1 - z2) ** 2
     if not group.is_spin:
-        return float(np.exp(-d2))
+        return d2
     base = 1.0 - d2 / ((1.0 + abs(z1) ** 2) * (1.0 + abs(z2) ** 2))
-    if base <= 0.0:
-        return 0.0
-    return float(min(1.0, base ** (2.0 * group.j)))
+    return math.inf if base <= 0.0 else -2.0 * group.j * math.log(base)
+
+
+def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:
+    """Squared modulus of the coherent overlap, exp(-overlap_exponent)."""
+    return math.exp(-overlap_exponent(group, _check_label(z1), _check_label(z2)))
 
 
 def expectations(group: GroupKind, z: complex) -> np.ndarray:
@@ -180,30 +168,28 @@ def expectations(group: GroupKind, z: complex) -> np.ndarray:
     )
 
 
-def group_relation_coeffs(group: GroupKind, index: Gen, z: complex) -> GroupRelationRow:
-    """Coefficients of A_index D(z) = D(z) (sum_k g_k A_k + k).
+def group_relation_coeffs(group: GroupKind, z) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of A_i D(z) = D(z) (sum_k g_ik A_k + k_i) for a label or an array of labels.
 
-    The oscillator rows follow from D^dag a D = a + z; the spin rows are the
-    adjoint rotation of (J_z, J_+, J_-) by the displacement and carry no
-    scalar part.
+    Returns (g, k) with g[i, k] and k[i] shaped like z, both indices ordered
+    (ZERO, PLUS, MINUS).  The oscillator rows follow from D^dag a D = a + z;
+    the spin rows are the adjoint rotation of (J_z, J_+, J_-) by the
+    displacement and carry no scalar part.
     """
-    z = _check_label(z)
-    index = Gen(index)
-    zc = complex(np.conj(z))
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)
+    one = np.ones_like(z)
+    zero = np.zeros_like(z)
     if not group.is_spin:
-        if index is Gen.ZERO:
-            return GroupRelationRow(g=(1.0 + 0j, z, zc), k=complex(abs(z) ** 2))
-        if index is Gen.PLUS:
-            return GroupRelationRow(g=(0j, 1.0 + 0j, 0j), k=zc)
-        return GroupRelationRow(g=(0j, 0j, 1.0 + 0j), k=z)
-    den = 1.0 + abs(z) ** 2
-    if index is Gen.ZERO:
-        g = ((1.0 - abs(z) ** 2) / den, z / den, zc / den)
-    elif index is Gen.PLUS:
-        g = (-2.0 * zc / den, 1.0 / den, -(zc * zc) / den)
-    else:
-        g = (-2.0 * z / den, -(z * z) / den, 1.0 / den)
-    return GroupRelationRow(g=tuple(complex(v) for v in g), k=0j)
+        g = [[one, z, zc], [zero, one, zero], [zero, zero, one]]
+        return np.array(g), np.array([np.abs(z) ** 2, zc, z])
+    den = 1.0 + np.abs(z) ** 2
+    g = [
+        [(1.0 - np.abs(z) ** 2) / den, z / den, zc / den],
+        [-2.0 * zc / den, one / den, -(zc * zc) / den],
+        [-2.0 * z / den, -(z * z) / den, one / den],
+    ]
+    return np.array(g), np.array([zero, zero, zero])
 
 
 def raising_matrix_element(group: GroupKind) -> float:
@@ -224,52 +210,38 @@ def raising_matrix_element(group: GroupKind) -> float:
 # building blocks.
 
 
-def boson_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (a, a^dag, n) on the lowest `dim` Fock states."""
-    if dim < 1:
-        raise ValueError("need at least one Fock state")
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a, a.conj().T, np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
-def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (J_z, J_+, J_-) in the basis |j,-j+k>, k = 0 .. 2j."""
-    g = spin(j)
-    dim = g.dim
-    k = np.arange(dim)
-    jz = np.diag(-g.j + k).astype(complex)
-    jp = np.zeros((dim, dim), dtype=complex)
-    jp[k[:-1] + 1, k[:-1]] = np.sqrt((2.0 * g.j - k[:-1]) * (k[:-1] + 1.0))
-    return jz, jp, jp.conj().T
-
-
 def generator_matrices(group: GroupKind, truncation: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices (A_0, A_+, A_-) for one degree, truncated for the oscillator."""
+    """Dense (A_0, A_+, A_-) for one degree, ordered (ZERO, PLUS, MINUS).
+
+    Oscillator: (n, a^dag, a) on the lowest `truncation` Fock states.
+    Spin: (J_z, J_+, J_-) in the basis |j,-j+k>, k = 0 .. 2j.
+    """
     if group.is_spin:
-        return spin_matrices(group.j)
+        k = np.arange(group.dim)
+        jz = np.diag(-group.j + k).astype(complex)
+        jp = np.zeros((group.dim, group.dim), dtype=complex)
+        jp[k[:-1] + 1, k[:-1]] = np.sqrt((2.0 * group.j - k[:-1]) * (k[:-1] + 1.0))
+        return jz, jp, jp.conj().T
     if truncation is None:
         raise ValueError("oscillator matrices need an explicit truncation")
-    a, ad, n = boson_operators(truncation)
-    return n, ad, a
+    if truncation < 1:
+        raise ValueError("need at least one Fock state")
+    a = np.zeros((truncation, truncation), dtype=complex)
+    ns = np.arange(1, truncation)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return np.diag(np.arange(truncation, dtype=float)).astype(complex), a.conj().T, a
 
 
 def displacement_matrix(group: GroupKind, z: complex, truncation: int | None = None) -> np.ndarray:
     """Matrix of D(z), exact for spins, truncated for the oscillator."""
     z = _check_label(z)
+    _, ap, am = generator_matrices(group, truncation)
+    xi = z
     if group.is_spin:
-        jz, jp, jm = spin_matrices(group.j)
         r = abs(z)
         # xi = z * atan(r)/r with the smooth r -> 0 limit
-        if r < 1e-8:
-            xi = z * (1.0 - r * r / 3.0)
-        else:
-            xi = z * math.atan(r) / r
-        return expm(xi * jp - np.conj(xi) * jm)
-    _, ad, _ = boson_operators(int(truncation))
-    a = ad.conj().T
-    return expm(z * ad - np.conj(z) * a)
+        xi = z * (1.0 - r * r / 3.0) if r < 1e-8 else z * math.atan(r) / r
+    return expm(xi * ap - np.conj(xi) * am)
 
 
 def _field_coherent_amplitudes(z: complex, dim: int) -> np.ndarray:

@@ -16,22 +16,9 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from .algebra import CohChaosError, GroupKind, raising_matrix_element
+from .algebra import CohChaosError, Gen, group_relation_coeffs, raising_matrix_element
 from .dynamics import Trajectory
 from .model import BilinearHamiltonian
-
-
-def _plus_column(group: GroupKind, z: np.ndarray) -> np.ndarray:
-    """Raising-generator coefficients of the three relation rows, shape (3, n).
-
-    Vectorized counterpart of group_relation_coeffs(...).g[Gen.PLUS].
-    """
-    z = np.asarray(z, dtype=complex)
-    ones = np.ones_like(z)
-    if group.is_spin:
-        den = 1.0 + np.abs(z) ** 2
-        return np.stack([z / den, ones / den, -(z**2) / den])
-    return np.stack([z, ones, np.zeros_like(z)])
 
 
 @dataclass(frozen=True)
@@ -54,8 +41,8 @@ def build_kernel(traj: Trajectory, h: BilinearHamiltonian) -> CorrectionKernel:
     where sigma collects the fiducial raising matrix elements of the two
     factors and g_+ are the raising components of the relation rows.
     """
-    ga = _plus_column(h.group_a, traj.x)
-    gb = _plus_column(h.group_b, traj.y)
+    ga = group_relation_coeffs(h.group_a, traj.x)[0][:, Gen.PLUS]
+    gb = group_relation_coeffs(h.group_b, traj.y)[0][:, Gen.PLUS]
     quad = np.einsum("ij,in,jn->n", h.gamma, ga, gb)
     sigma = raising_matrix_element(h.group_a) * raising_matrix_element(h.group_b)
     c = sigma * np.exp(1j * (traj.s0 - traj.s1)) * quad

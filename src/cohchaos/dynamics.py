@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import _LABEL_BOUND, Gen, GroupKind, CohChaosError, _check_label, expectations, overlap
+from .algebra import _LABEL_BOUND, Gen, GroupKind, CohChaosError, _check_label, expectations, overlap, overlap_exponent
 from .model import (
     BilinearHamiltonian,
     classical_energy,
@@ -239,18 +239,12 @@ def mf_overlap(s1: ProductState, s2: ProductState, group_a: GroupKind, group_b: 
 
 
 def label_distances(s1: ProductState, s2: ProductState, group_a: GroupKind, group_b: GroupKind) -> tuple[float, float]:
-    """Squared-distance exponents (d_field, d_spin) of the pair overlap.
+    """Distance exponents (d_field, d_spin) of the first and second degree.
 
-    Defined so the pair overlap modulus is exp(-(d_field + d_spin)/2); the
-    oscillator one is |x1-x2|^2, the spin one -2j log of the modulus base.
+    Each is algebra.overlap_exponent of that degree's labels, so the pair
+    overlap modulus squared is exp(-(d_field + d_spin)).
     """
-    d_f = abs(s1.x - s2.x) ** 2
-    if group_b.is_spin:
-        base = 1.0 - abs(s1.y - s2.y) ** 2 / ((1.0 + abs(s1.y) ** 2) * (1.0 + abs(s2.y) ** 2))
-        d_s = math.inf if base <= 0.0 else -2.0 * group_b.j * math.log(base)
-    else:
-        d_s = abs(s1.y - s2.y) ** 2
-    return float(d_f), float(d_s)
+    return overlap_exponent(group_a, s1.x, s2.x), overlap_exponent(group_b, s1.y, s2.y)
 
 
 class ScaledState(NamedTuple):
@@ -270,11 +264,6 @@ def from_classical(scaled: ScaledState, j: float, eta_x: float = 0.0, eta_y: flo
     """Inverse of scale_to_classical; recovers the bare labels exactly."""
     root = math.sqrt(4.0 * j)
     return ProductState(x=scaled.z_field * root, y=scaled.z_spin, eta_x=eta_x, eta_y=eta_y)
-
-
-def _scaled_coords(x: complex, y: complex, j: float) -> np.ndarray:
-    root = math.sqrt(4.0 * j)
-    return np.array([x.real / root, x.imag / root, y.real, y.imag])
 
 
 def window_count(t_total: float, window: float) -> int:
@@ -324,7 +313,9 @@ def lyapunov_series(
         tp = integrate(h, pert, renorm_interval, window_cfg)
         ref = tr.state_at(-1)
         p_end = tp.state_at(-1)
-        sep = _scaled_coords(p_end.x, p_end.y, j) - _scaled_coords(ref.x, ref.y, j)
+        end, start = scale_to_classical(p_end, j), scale_to_classical(ref, j)
+        # (re, im) of the field and of the spin separation, as one real 4-vector
+        sep = np.array([end.z_field - start.z_field, end.z_spin - start.z_spin]).view(float)
         dist = float(np.linalg.norm(sep))
         if dist == 0.0:
             raise IntegrationError("perturbed trajectory collapsed onto the reference")

@@ -12,7 +12,7 @@ import difflib
 import json
 import math
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -66,7 +66,13 @@ _TOP_KEYS = {
     "lyapunov",
 }
 _MODEL_KEYS = {"epsilon", "omega", "g", "g_prime", "j"}
-_LYAP_KEYS = {"delta0", "window", "t_total"}
+_LYAP_KEYS = ("delta0", "window", "t_total")
+# Top-level numbers whose defaults are those of ExperimentConfig.
+_NUMBER_KEYS = ("t_final", "sampling_dt", "rel_tol", "abs_tol")
+
+# project_to_energy scans shifts in [-_SCAN_SPAN, _SCAN_SPAN] at _SCAN_SAMPLES points.
+_SCAN_SPAN = 8.0
+_SCAN_SAMPLES = 161
 
 _ROOT2 = math.sqrt(2.0)
 
@@ -124,8 +130,8 @@ def expand_preset(name: str) -> dict:
     }
 
 
-def _check_keys(given, allowed: set, prefix: str = "") -> None:
-    unknown = sorted(set(given) - allowed)
+def _check_keys(given, allowed: Collection[str], prefix: str = "") -> None:
+    unknown = sorted(set(given).difference(allowed))
     if not unknown:
         return
     parts = []
@@ -201,18 +207,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if energy_target is not None:
         energy_target = _require_number(energy_target, "energy_target")
 
+    # only the numbers given are passed on; ExperimentConfig holds the defaults
+    numbers = {k: _require_number(data[k], k) for k in _NUMBER_KEYS if k in data}
+    numbers.update(
+        (f"lyapunov_{k}", _require_number(lyap_raw[k], f"lyapunov.{k}")) for k in _LYAP_KEYS if k in lyap_raw
+    )
     cfg = ExperimentConfig(
-        model=model,
-        states=tuple(states),
-        t_final=_require_number(data.get("t_final", 25.0), "t_final"),
-        sampling_dt=_require_number(data.get("sampling_dt", 0.05), "sampling_dt"),
-        energy_target=energy_target,
-        n_max=n_max,
-        rel_tol=_require_number(data.get("rel_tol", 1e-10), "rel_tol"),
-        abs_tol=_require_number(data.get("abs_tol", 1e-12), "abs_tol"),
-        lyapunov_delta0=_require_number(lyap_raw.get("delta0", 1e-6), "lyapunov.delta0"),
-        lyapunov_window=_require_number(lyap_raw.get("window", 1.0), "lyapunov.window"),
-        lyapunov_t_total=_require_number(lyap_raw.get("t_total", 300.0), "lyapunov.t_total"),
+        model=model, states=tuple(states), energy_target=energy_target, n_max=n_max, **numbers
     )
     _checked("tolerances", IntegratorConfig, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     return cfg
@@ -288,8 +289,6 @@ def project_to_energy(
     h: BilinearHamiltonian,
     target: float,
     direction: str = "im_x",
-    span: float = 8.0,
-    samples: int = 161,
 ) -> ProductState:
     """Shift one real coordinate of the field label onto the target energy shell.
 
@@ -314,7 +313,7 @@ def project_to_energy(
     g0 = gap(0.0)
     if abs(g0) <= 1e-12 * max(1.0, abs(target)):
         return s
-    us = np.linspace(-span, span, samples)
+    us = np.linspace(-_SCAN_SPAN, _SCAN_SPAN, _SCAN_SAMPLES)
     vals = np.array([gap(u) for u in us])
     best = None
     for i in range(len(us) - 1):
@@ -324,7 +323,7 @@ def project_to_energy(
                 best = (center, us[i], us[i + 1])
     if best is None:
         raise EnergyProjectionError(
-            f"no {direction} shift in [{-span}, {span}] reaches energy {target}: "
+            f"no {direction} shift in [{-_SCAN_SPAN}, {_SCAN_SPAN}] reaches energy {target}: "
             f"attained range [{vals.min() + target:.6g}, {vals.max() + target:.6g}]"
         )
     root = brentq(gap, best[1], best[2], xtol=1e-14, rtol=8.9e-16)

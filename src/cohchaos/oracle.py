@@ -33,13 +33,15 @@ from .dynamics import ProductState
 from .model import BilinearHamiltonian
 
 _DENSE_LIMIT = 3000
+# Largest product-space dimension a HilbertConfig accepts.
+_DIMENSION_CAP = 20000
 # Complex entries in one dense-path chunk of evolved states (1 MiB); a
 # chunk this small keeps the grid from adding to the peak memory.
 _GRID_CHUNK = 1 << 16
 
 
 class DimensionError(CohChaosError):
-    """Requested Hilbert space exceeds the configured cap."""
+    """Requested Hilbert space exceeds the dimension cap."""
 
 
 @dataclass(frozen=True)
@@ -48,21 +50,19 @@ class HilbertConfig:
 
     n_max: int
     j: float
-    dimension_cap: int = 20000
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        spin(self.j)
-        if self.dim > self.dimension_cap:
+        if self.dim > _DIMENSION_CAP:  # dim reads spin(j), which rejects a bad j
             raise DimensionError(
-                f"dimension {self.dim} exceeds cap {self.dimension_cap} "
+                f"dimension {self.dim} exceeds cap {_DIMENSION_CAP} "
                 f"(n_max = {self.n_max}, j = {self.j})"
             )
 
     @property
     def spin_dim(self) -> int:
-        return round(2.0 * self.j) + 1
+        return spin(self.j).dim
 
     @property
     def dim(self) -> int:
@@ -75,7 +75,7 @@ def recommended_n_max(x: complex) -> int:
     return int(math.ceil(r * r + 8.0 * r + 20.0))
 
 
-def hilbert_for_labels(labels, j: float, dimension_cap: int = 20000, n_max: int | None = None) -> HilbertConfig:
+def hilbert_for_labels(labels, j: float, n_max: int | None = None) -> HilbertConfig:
     """Config sized for the given field labels; raises a requested n_max with a warning if low."""
     need = max(recommended_n_max(x) for x in labels)
     if n_max is None:
@@ -83,7 +83,7 @@ def hilbert_for_labels(labels, j: float, dimension_cap: int = 20000, n_max: int 
     elif n_max < need:
         warnings.warn(f"n_max raised from {n_max} to {need} to fit the field labels", stacklevel=2)
         n_max = need
-    return HilbertConfig(n_max=n_max, j=j, dimension_cap=dimension_cap)
+    return HilbertConfig(n_max=n_max, j=j)
 
 
 @dataclass(frozen=True)
@@ -257,14 +257,12 @@ def doorway_vector(s: ProductState, cfg: HilbertConfig) -> OracleState:
     return OracleState(amplitudes=amps, config=cfg, truncation_deficit=field.norm_deficit)
 
 
-def reduced_linear_entropy(state: OracleState, which: str = "field") -> float:
-    """Linear entropy 1 - Tr(rho^2) of one side's reduced density matrix.
+def reduced_linear_entropy(state: OracleState) -> float:
+    """Linear entropy 1 - Tr(rho^2) of the field's reduced density matrix.
 
-    Both reductions are computed and must agree to 1e-10 (a pure joint
-    state has symmetric Schmidt spectrum); the requested side is returned.
+    The spin's reduction is computed too and its purity must agree to 1e-10
+    (a pure joint state has the same Schmidt spectrum on both sides).
     """
-    if which not in ("field", "spin"):
-        raise ValueError("which must be 'field' or 'spin'")
     m = state.amplitudes.reshape(state.config.n_max + 1, state.config.spin_dim)
     rho_f = m @ m.conj().T
     rho_s = m.T @ m.conj()
@@ -272,8 +270,7 @@ def reduced_linear_entropy(state: OracleState, which: str = "field") -> float:
     purity_s = float(np.sum(np.abs(rho_s) ** 2))
     if abs(purity_f - purity_s) > 1e-10:
         raise CohChaosError(f"reduced purities disagree: {purity_f!r} vs {purity_s!r}")
-    purity = purity_f if which == "field" else purity_s
-    return float(1.0 - purity)
+    return float(1.0 - purity_f)
 
 
 def exact_overlap_pair(s1: OracleState, s2: OracleState) -> complex:

@@ -19,7 +19,6 @@ from cohchaos.algebra import (
     group_relation_coeffs,
     overlap_modulus_sq,
     spin,
-    spin_matrices,
 )
 from cohchaos.corrections import build_kernel, entropy_series, linear_entropy_2nd
 from cohchaos.dynamics import (
@@ -94,10 +93,10 @@ def test_criterion_02_displacement_relation_identity(rng):
             z = complex(*rng.uniform(-1.0, 1.0, 2))
             z /= max(1.0, abs(z))  # oscillator truncation policy wants |z| <= 1
             d = displacement_matrix(group, z, truncation=trunc)
+            g, k = group_relation_coeffs(group, z)
             for index in (Gen.ZERO, Gen.PLUS, Gen.MINUS):
-                row = group_relation_coeffs(group, index, z)
                 lhs = mats[index] @ d
-                rhs = d @ (sum(g * m for g, m in zip(row.g, mats)) + row.k * eye)
+                rhs = d @ (sum(c * m for c, m in zip(g[index], mats)) + k[index] * eye)
                 worst = max(worst, float(np.linalg.norm((lhs - rhs)[:keep, :keep], 2)))
     report(2, f"displacement relation residual {worst:.1e} <= 1e-8 for both groups, "
               "3 indices, 20 labels each", worst <= 1e-8)
@@ -182,7 +181,7 @@ def test_criterion_07_large_j_convergence():
         cfg = hilbert_for_labels([s0.x], jj)
         evolver = ExactEvolver(build_hamiltonian_matrix(maser_hamiltonian(p), cfg))
         psi0 = product_coherent_vector(s0.x, s0.y, cfg)
-        jz_d, _, jm_d = spin_matrices(jj)
+        jz_d, _, jm_d = generator_matrices(spin(jj))
         eye_f = sp.identity(cfg.n_max + 1, format="csr")
         jm_full = sp.kron(eye_f, sp.csr_matrix(jm_d), format="csr")
         jz_full = sp.kron(eye_f, sp.csr_matrix(jz_d), format="csr")

@@ -10,7 +10,6 @@ from cohchaos.algebra import (
     Gen,
     GroupKind,
     TruncationError,
-    boson_operators,
     displaced_basis_vector,
     displacement_matrix,
     expectations,
@@ -20,7 +19,6 @@ from cohchaos.algebra import (
     overlap_modulus_sq,
     raising_matrix_element,
     spin,
-    spin_matrices,
 )
 
 DIM = 40
@@ -135,9 +133,9 @@ def relation_residual(group, index, z, dim=80, keep=40):
     trunc = None if group.is_spin else dim
     mats = generator_matrices(group, truncation=trunc)
     d = displacement_matrix(group, z, truncation=trunc)
-    row = group_relation_coeffs(group, index, z)
+    g, k = group_relation_coeffs(group, z)
     lhs = mats[index] @ d
-    rhs = d @ (sum(g * m for g, m in zip(row.g, mats)) + row.k * np.eye(d.shape[0]))
+    rhs = d @ (sum(c * m for c, m in zip(g[index], mats)) + k[index] * np.eye(d.shape[0]))
     if group.is_spin:
         return float(np.abs(lhs - rhs).max())
     return float(np.abs((lhs - rhs)[:keep, :keep]).max())
@@ -153,19 +151,18 @@ def test_group_relation_rows(rng):
 
 def test_relation_scalar_parts():
     z = 0.4 - 0.9j
-    row0 = group_relation_coeffs(HEISENBERG, Gen.ZERO, z)
-    assert row0.g == (1.0 + 0j, z, np.conj(z)) and abs(row0.k - abs(z) ** 2) < 1e-15
-    assert group_relation_coeffs(HEISENBERG, Gen.PLUS, z).k == np.conj(z)
-    assert group_relation_coeffs(HEISENBERG, Gen.MINUS, z).k == z
-    for index in (Gen.ZERO, Gen.PLUS, Gen.MINUS):
-        assert group_relation_coeffs(spin(2.0), index, z).k == 0j
+    g, k = group_relation_coeffs(HEISENBERG, z)
+    assert tuple(g[Gen.ZERO]) == (1.0 + 0j, z, np.conj(z)) and abs(k[Gen.ZERO] - abs(z) ** 2) < 1e-15
+    assert k[Gen.PLUS] == np.conj(z)
+    assert k[Gen.MINUS] == z
+    assert np.all(group_relation_coeffs(spin(2.0), z)[1] == 0j)
 
 
 def test_raising_matrix_element():
     assert raising_matrix_element(HEISENBERG) == 1.0
     for j in (0.5, 1.0, 4.5):
         g = spin(j)
-        _, jp, _ = spin_matrices(j)
+        _, jp, _ = generator_matrices(g)
         assert abs(raising_matrix_element(g) - jp[1, 0].real) < 1e-12
         assert abs(raising_matrix_element(g) - math.sqrt(2 * j)) < 1e-15
 
@@ -196,7 +193,7 @@ def test_displaced_vector_errors():
 
 
 def test_boson_operator_commutator():
-    a, ad, n = boson_operators(12)
+    n, ad, a = generator_matrices(HEISENBERG, truncation=12)
     comm = a @ ad - ad @ a
     # truncation corrupts only the top corner
     assert np.abs(comm[:11, :11] - np.eye(12)[:11, :11]).max() < 1e-12
@@ -204,7 +201,7 @@ def test_boson_operator_commutator():
 
 
 def test_spin_matrix_commutators():
-    jz, jp, jm = spin_matrices(1.5)
+    jz, jp, jm = generator_matrices(spin(1.5))
     assert np.abs(jz @ jp - jp @ jz - jp).max() < 1e-12
     assert np.abs(jp @ jm - jm @ jp - 2 * jz).max() < 1e-12
     assert np.abs(jp - jm.conj().T).max() == 0.0

@@ -191,8 +191,12 @@ def test_fig1_pairs_start_close(fig1_states, fig1_h):
         assert 0.9 < m2 < 1.0
 
 
-def test_label_distances_match_overlap(rng):
-    g_a, g_b = HEISENBERG, spin(2.5)
+@pytest.mark.parametrize(
+    "g_a, g_b",
+    [(HEISENBERG, spin(2.5)), (spin(1.5), spin(4.5)), (spin(3.5), HEISENBERG)],
+    ids=["field-spin", "spin-spin", "spin-field"],
+)
+def test_label_distances_match_overlap(rng, g_a, g_b):
     for _ in range(20):
         vals = rng.uniform(-1, 1, 8)
         s1 = ProductState(x=complex(vals[0], vals[1]), y=complex(vals[2], vals[3]))
