@@ -134,15 +134,22 @@ def overlap(group: GroupKind, z1: complex, z2: complex) -> complex:
 def overlap_exponent(group: GroupKind, z1: complex, z2: complex) -> float:
     """Distance exponent -log |<z1|z2>|^2 of two coherent labels on one degree.
 
-    Oscillator: |z1-z2|^2.  Spin: -2j log of the base
-    1 - |z1-z2|^2 / [(1+|z1|^2)(1+|z2|^2)], and inf once rounding takes
-    the base to zero or below (antipodal labels).
+    Oscillator: |z1-z2|^2.  Spin: -2j log(1 - q) with
+    q = |z1-z2|^2 / [(1+|z1|^2)(1+|z2|^2)], taken as -2j log1p(-q) while
+    q <= 1/2, so neighbouring labels keep their digits, and as -2j log of
+    the base |1 + conj(z1) z2|^2 / [(1+|z1|^2)(1+|z2|^2)] beyond, so
+    labels next to antipodal keep theirs.  Exactly antipodal labels give
+    inf.
     """
     d2 = abs(z1 - z2) ** 2
     if not group.is_spin:
         return d2
-    base = 1.0 - d2 / ((1.0 + abs(z1) ** 2) * (1.0 + abs(z2) ** 2))
-    return math.inf if base <= 0.0 else -2.0 * group.j * math.log(base)
+    norms = (1.0 + abs(z1) ** 2) * (1.0 + abs(z2) ** 2)
+    q = d2 / norms
+    if q <= 0.5:
+        return -2.0 * group.j * math.log1p(-q)
+    base = abs(1.0 + z1.conjugate() * z2) ** 2 / norms
+    return math.inf if base == 0.0 else -2.0 * group.j * math.log(base)
 
 
 def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:

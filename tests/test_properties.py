@@ -1,7 +1,9 @@
 """Property-based checks of the coherent-state closed forms over random groups and labels."""
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,20 +14,35 @@ from cohchaos.algebra import HEISENBERG, group_relation_coeffs, overlap, overlap
 GROUPS = st.one_of(st.just(HEISENBERG), st.integers(1, 20).map(lambda two_j: spin(two_j / 2)))
 LABELS = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 BOUNDED = settings(max_examples=50, deadline=None)
-ULPS = 4 * np.finfo(float).eps
+EPS = np.finfo(float).eps
+ULPS = 4 * EPS
+SPINS = st.integers(1, 20).map(lambda two_j: spin(two_j / 2))
+# |z2 - z1| (or the distance from the antipode) drawn log-uniform in [1e-8, 1]
+OFFSETS = st.tuples(st.floats(-8.0, 0.0), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda p: 10.0 ** p[0] * cmath.exp(1j * p[1])
+)
 
 
 def rounding_bound(group, ov_sq: float) -> float:
     """Relative difference allowed between exp(-overlap_exponent) and |overlap|^2.
 
-    The spin base 1 - |z1-z2|^2 / ((1+|z1|^2)(1+|z2|^2)) is rounded to a few
-    ulp absolutely, and the power 2j turns that into a relative error of
-    about 2j ulp / base: large only next to antipodal labels.
+    The spin base |<z1|z2>|^(1/j) is rounded to a few ulp relative to the
+    larger of itself and |conj(z1) z2| / ((1+|z1|^2)(1+|z2|^2)), and the
+    power 2j turns that into a relative error of about 2j ulp / base: large
+    only next to antipodal labels.
     """
     if not group.is_spin:
         return 1e-12
     base = ov_sq ** (1.0 / (2.0 * group.j))
-    return 1e-12 + 2.0 * group.j * 1e-14 / base
+    return 2.0 * group.j * 64 * EPS / base
+
+
+def exponent_50_digits(group, z1: complex, z2: complex) -> mpmath.mpf:
+    """-2j log(1 - |z1-z2|^2 / ((1+|z1|^2)(1+|z2|^2))) at 50 digits from the exact doubles."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(z1), mpmath.mpc(z2)
+        q = abs(a - b) ** 2 / ((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+        return -2 * mpmath.mpf(group.j) * mpmath.log(1 - q)
 
 
 @BOUNDED
@@ -35,6 +52,47 @@ def test_overlap_exponent_is_minus_log_overlap_sq(group, z1, z2):
     if ov_sq > 1e-200:
         e = overlap_exponent(group, z1, z2)
         assert math.exp(-e) == pytest.approx(ov_sq, rel=rounding_bound(group, ov_sq))
+
+
+@BOUNDED
+@given(SPINS, LABELS, OFFSETS)
+def test_spin_exponent_of_neighbouring_labels_matches_50_digits(group, z1, dz):
+    z2 = z1 + dz
+    if z2 == z1:
+        return
+    exact = exponent_50_digits(group, z1, z2)
+    assert float(abs(overlap_exponent(group, z1, z2) - exact) / exact) <= 16 * EPS
+
+
+@BOUNDED
+@given(SPINS, LABELS.filter(lambda z: abs(z) >= 1e-3), OFFSETS)
+def test_spin_exponent_next_to_antipodal_labels_matches_50_digits(group, z1, dz):
+    anti = -1.0 / z1.conjugate()
+    z2 = anti + abs(anti) * dz
+    exact = exponent_50_digits(group, z1, z2)
+    d = overlap_exponent(group, z1, z2)
+    assert math.isfinite(d)
+    # 1 + conj(z1) z2 cancels here: the product's rounding, eps (1 + |z1 z2|),
+    # is the input error, relative to |1 + conj(z1) z2|, and the log divides
+    # it by |log base| = exact / 2j
+    w = abs(1.0 + z1.conjugate() * z2)
+    cond = (1.0 + abs(z1) * abs(z2)) / w * 2.0 * group.j / float(exact)
+    assert float(abs(d - exact) / exact) <= 16 * EPS * max(1.0, cond)
+
+
+@pytest.mark.parametrize("two_j", [1, 9, 20])
+def test_exponent_per_squared_step_reaches_the_fubini_study_metric(two_j):
+    # d_field / |dx|^2 = 1 and d_spin / |dy|^2 -> 2j / (1+|y|^2)^2, the metric
+    # of the coherent-state manifold; the spin correction is O(|dy| |y|)
+    group = spin(two_j / 2)
+    for z in (0.0, 0.3 - 0.8j, 2.0 + 1.5j):
+        metric = 2.0 * group.j / (1.0 + abs(z) ** 2) ** 2
+        for step in (1e-2, 1e-4, 1e-6, 1e-8):
+            w = z + step * cmath.exp(0.7j)
+            dz2 = abs(w - z) ** 2  # the step the rounded w realizes
+            assert overlap_exponent(HEISENBERG, z, w) / dz2 == pytest.approx(1.0, rel=4 * EPS)
+            ratio = overlap_exponent(group, z, w) / dz2
+            assert ratio / metric == pytest.approx(1.0, rel=4.0 * step * (1.0 + abs(z)) + 1e-13)
 
 
 @BOUNDED
