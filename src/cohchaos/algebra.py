@@ -21,7 +21,7 @@ Conventions (see docs/conventions.md, version CONVENTIONS_VERSION):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -61,8 +61,11 @@ class GroupKind:
 
     kind: str
     j: float | None = None
+    # a stored flag, not a property: the flow's right-hand side reads it six times per call
+    is_spin: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "is_spin", self.kind == "spin")
         if self.kind not in ("heisenberg", "spin"):
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind == "heisenberg":
@@ -74,10 +77,6 @@ class GroupKind:
             two_j = 2.0 * self.j
             if self.j <= 0 or abs(two_j - round(two_j)) > 1e-12:
                 raise ValueError(f"spin magnitude must be positive half-integer, got {self.j}")
-
-    @property
-    def is_spin(self) -> bool:
-        return self.kind == "spin"
 
     @property
     def dim(self) -> int:
@@ -157,22 +156,26 @@ def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:
     return math.exp(-overlap_exponent(group, _check_label(z1), _check_label(z2)))
 
 
-def expectations(group: GroupKind, z: complex) -> np.ndarray:
+def expectations(group: GroupKind, z: complex) -> tuple[complex, complex, complex]:
     """Coherent expectation values of the generators, ordered (ZERO, PLUS, MINUS).
 
     Oscillator: <a^dag a> = |z|^2, <a^dag> = conj(z), <a> = z.
     Spin: <J_z> = -j (1-|z|^2)/(1+|z|^2), <J_+> = 2j conj(z)/(1+|z|^2),
     <J_-> = 2j z/(1+|z|^2).  The induced Bloch vector has length j exactly.
-    The label is not range-checked: the flow checks it on entry and exit.
+    Python complex scalars, because the flow's right-hand side calls this
+    twice per evaluation.  The label is not range-checked: the flow checks
+    it on entry and exit.
     """
     z = complex(z)
+    zc = z.conjugate()
+    r2 = abs(z) ** 2
     if not group.is_spin:
-        return np.array([abs(z) ** 2, np.conj(z), z], dtype=complex)
+        return complex(r2), zc, z
     j = group.j
-    den = 1.0 + abs(z) ** 2
-    return np.array(
-        [-j * (1.0 - abs(z) ** 2) / den, 2.0 * j * np.conj(z) / den, 2.0 * j * z / den], dtype=complex
-    )
+    den = 1.0 + r2
+    # <J_+> scales by 1/den and <J_-> divides by it: the roundings of the
+    # numpy form this replaced, which keeps the recorded fig1 labels unchanged
+    return complex(-j * (1.0 - r2) / den), 2.0 * j * zc * (1.0 / den), 2.0 * j * z / den
 
 
 def group_relation_coeffs(group: GroupKind, z) -> tuple[np.ndarray, np.ndarray]:

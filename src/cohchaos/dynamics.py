@@ -21,6 +21,15 @@ Their closed forms are
 both validated against numerically differentiated matrix elements in the
 tests.
 
+The right-hand side is written in Python complex scalars: the
+expectations, the mean-field coefficients (from the flat coefficient tuple
+BilinearHamiltonian.scalars), the label velocities, the phase rates and
+the coupling counterterm are all plain numbers, and the 9-vector handed
+back to the integrator is the only array it builds.  It stays general over
+the bilinear class: either degree may be an oscillator or a spin, and every
+alpha, beta and gamma entry enters.  It keeps two guards: the mean-field
+zero components must stay real, and so must the coupling energy.
+
 Labels are validated where they enter and leave the flow, not in the RHS:
 ProductState requires them finite with |z| <= 1e6, and integrate raises
 IntegrationError at the first sample time where a label breaks that.
@@ -118,30 +127,29 @@ class Trajectory:
         )
 
 
-def _one_label_rhs(group: GroupKind, z: complex, coeffs: np.ndarray) -> complex:
-    c0 = coeffs[Gen.ZERO]
-    cp = coeffs[Gen.PLUS]
+def _one_label_rhs(group: GroupKind, z: complex, coeffs: tuple[complex, ...]) -> complex:
+    c0, cp, _ = coeffs
     if not group.is_spin:
         return -1j * (c0 * z + cp)
-    return -1j * cp - 1j * c0 * z + 1j * np.conj(cp) * z * z
+    return -1j * cp - 1j * c0 * z + 1j * cp.conjugate() * z * z
 
 
-def action_rate(group: GroupKind, z: complex, dz: complex, coeffs: np.ndarray) -> tuple[float, float]:
+def action_rate(group: GroupKind, z: complex, dz: complex, coeffs: tuple[complex, ...]) -> tuple[float, float]:
     """Rates (deta, ds1) of the fiducial and first-excited phases.
 
     coeffs are the one-body coefficients (c_0, c_+, c_-) acting on this
     degree.  Both rates are real; see the module docstring for the forms.
     """
-    c0, cp, cm = coeffs[Gen.ZERO], coeffs[Gen.PLUS], coeffs[Gen.MINUS]
-    geom = -(dz * np.conj(z)).imag
+    c0, cp, cm = coeffs
+    zc = z.conjugate()
+    r2 = abs(z) ** 2
+    geom = -(dz * zc).imag
     if not group.is_spin:
-        energy = (c0 * abs(z) ** 2 + cp * np.conj(z) + cm * z).real
-        eta_rate = geom - energy
-        return float(eta_rate), float(eta_rate - c0.real)
+        eta_rate = geom - (c0 * r2 + cp * zc + cm * z).real
+        return eta_rate, eta_rate - c0.real
     j = group.j
-    den = 1.0 + abs(z) ** 2
-    eta_rate = (2.0 * j * geom + j * (c0 * (1.0 - abs(z) ** 2) - 2.0 * cp * np.conj(z) - 2.0 * cm * z).real) / den
-    return float(eta_rate), float(eta_rate * (j - 1.0) / j)
+    eta_rate = (2.0 * j * geom + j * (c0 * (1.0 - r2) - 2.0 * cp * zc - 2.0 * cm * z).real) / (1.0 + r2)
+    return eta_rate, eta_rate * (j - 1.0) / j
 
 
 def _pack(s: ProductState) -> np.ndarray:
@@ -149,8 +157,10 @@ def _pack(s: ProductState) -> np.ndarray:
 
 
 def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
-    x = complex(v[0], v[1])
-    y = complex(v[2], v[3])
+    # Python scalars throughout: the returned vector is the only array built
+    xr, xi, yr, yi = v.tolist()[:4]
+    x = complex(xr, xi)
+    y = complex(yr, yi)
     ev_a = expectations(h.group_a, x)
     ev_b = expectations(h.group_b, y)
     a, b = mean_field_coeffs(h, ev_a, ev_b)

@@ -13,7 +13,7 @@ for product coherent states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,9 @@ class BilinearHamiltonian:
     couples A_i to B_j.  Construction rejects any violation of hermiticity:
     alpha_0, beta_0 real, alpha_- = conj(alpha_+) (same for beta), and
     gamma[dag(i), dag(j)] = conj(gamma[i, j]) where dag swaps PLUS and MINUS.
+    The arrays serve the exact oracle and classical_energy.  The mean-field
+    right-hand side reads `scalars` instead: alpha, beta and gamma
+    (row-major) as one flat tuple of Python complex numbers, built once here.
     """
 
     group_a: GroupKind
@@ -42,6 +45,7 @@ class BilinearHamiltonian:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
+    scalars: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -68,6 +72,7 @@ class BilinearHamiltonian:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "scalars", tuple(np.concatenate([alpha, beta, gamma.ravel()]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -115,22 +120,32 @@ def maser_hamiltonian(p: MaserParams) -> BilinearHamiltonian:
     )
 
 
-def mean_field_coeffs(h: BilinearHamiltonian, ev_a: np.ndarray, ev_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mean_field_coeffs(
+    h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]
+) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Coefficients a_i = alpha_i + sum_j gamma_ij <B_j> and the mirrored b_j.
 
     ev_a and ev_b are the two sides' algebra.expectations.  The zero
     components stay real and the raising/lowering components stay
     conjugate because the partner expectations are themselves conjugate
-    pairs on a hermitian model.
+    pairs on a hermitian model.  Python complex arithmetic on h.scalars,
+    with the 3x3 sums written out: numpy's set-up cost on 3-vectors would
+    be most of the flow's right-hand side.
     """
-    a = h.alpha + h.gamma @ ev_b
-    b = h.beta + h.gamma.T @ ev_a
+    a0, ap, am, b0, bp, bm, g00, g0p, g0m, gp0, gpp, gpm, gm0, gmp, gmm = h.scalars
+    ea0, eap, eam = ev_a
+    eb0, ebp, ebm = ev_b
+    c0 = a0 + g00 * eb0 + g0p * ebp + g0m * ebm
+    d0 = b0 + g00 * ea0 + gp0 * eap + gm0 * eam
     # hermiticity of h guarantees these analytically; guard against drift
-    for vec in (a, b):
-        if abs(vec[Gen.ZERO].imag) > 1e-10 * max(1.0, abs(vec[Gen.ZERO])):
+    # beyond 1e-10 max(1, |c|), testing the cheap half of the bound first
+    for z in (c0, d0):
+        if abs(z.imag) > 1e-10 and abs(z.imag) > 1e-10 * abs(z):
             raise HermiticityError("mean-field zero component acquired an imaginary part")
-        vec[Gen.ZERO] = vec[Gen.ZERO].real
-    return a, b
+    return (
+        (c0.real, ap + gp0 * eb0 + gpp * ebp + gpm * ebm, am + gm0 * eb0 + gmp * ebp + gmm * ebm),
+        (d0.real, bp + g0p * ea0 + gpp * eap + gmp * eam, bm + g0m * ea0 + gpm * eap + gmm * eam),
+    )
 
 
 def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
@@ -141,19 +156,31 @@ def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     """
     ev_a = expectations(h.group_a, x)
     ev_b = expectations(h.group_b, y)
-    return _real(h.alpha @ ev_a + h.beta @ ev_b + ev_a @ h.gamma @ ev_b, "energy")
+    return _real(h.alpha @ ev_a + h.beta @ ev_b + _coupling(h, ev_a, ev_b), "energy")
 
 
-def interaction_energy(h: BilinearHamiltonian, ev_a: np.ndarray, ev_b: np.ndarray) -> float:
+def interaction_energy(h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]) -> float:
     """Coherent expectation of the coupling term alone, sum_ij gamma_ij <A_i><B_j>.
 
     This is the c-number the decoupled single-factor Hamiltonians count
     twice; the exact-state phase carries it back as a counterterm.
     """
-    return _real(ev_a @ h.gamma @ ev_b, "interaction energy")
+    return _real(_coupling(h, ev_a, ev_b), "interaction energy")
+
+
+def _coupling(h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]) -> complex:
+    _, _, _, _, _, _, g00, g0p, g0m, gp0, gpp, gpm, gm0, gmp, gmm = h.scalars
+    ea0, eap, eam = ev_a
+    eb0, ebp, ebm = ev_b
+    return (
+        (ea0 * g00 + eap * gp0 + eam * gm0) * eb0
+        + (ea0 * g0p + eap * gpp + eam * gmp) * ebp
+        + (ea0 * g0m + eap * gpm + eam * gmm) * ebm
+    )
 
 
 def _real(e: complex, what: str) -> float:
-    if abs(e.imag) > 1e-12 * max(1.0, abs(e)):
+    # the bound is 1e-12 max(1, |e|), its cheap half tested first
+    if abs(e.imag) > 1e-12 and abs(e.imag) > 1e-12 * abs(e):
         raise HermiticityError(f"{what} has imaginary residue {e.imag:.3e}; hermiticity bug")
     return float(e.real)

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohchaos.algebra import HEISENBERG, group_relation_coeffs, overlap, overlap_exponent, spin
+from cohchaos.dynamics import _rhs
+from cohchaos.model import BilinearHamiltonian
+from reference import rhs as numpy_rhs
 
 GROUPS = st.one_of(st.just(HEISENBERG), st.integers(1, 20).map(lambda two_j: spin(two_j / 2)))
 LABELS = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -106,3 +109,52 @@ def test_relation_rows_array_call_matches_scalar_calls(group, zs):
         g1, k1 = group_relation_coeffs(group, z)
         np.testing.assert_allclose(g[..., n], g1, rtol=ULPS, atol=ULPS)
         np.testing.assert_allclose(k[..., n], k1, rtol=ULPS, atol=ULPS)
+
+
+# A coefficient is exactly 0 or of size [0.1, 2]: the scalar and numpy sums
+# round in a different order, and a coefficient far below the others would
+# leave only that reordering in a phase rate whose terms cancel.
+SIZES = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+PHASES = st.floats(0.0, 2.0 * math.pi)
+COEFFS = st.tuples(SIZES, PHASES).map(lambda p: p[0] * cmath.exp(1j * p[1]))
+REALS = st.tuples(SIZES, st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
+FLOW_LABELS = st.one_of(
+    st.just(0j),
+    st.tuples(st.floats(-3.0, 3.0), PHASES).map(lambda p: 10.0 ** p[0] * cmath.exp(1j * p[1])),
+)
+# oscillator-spin, spin-spin and spin-oscillator; the oscillator on the right
+# is a legal model of the flow even though the exact oracle never builds it
+GROUP_PAIRS = st.one_of(
+    st.tuples(st.just(HEISENBERG), SPINS), st.tuples(SPINS, SPINS), st.tuples(SPINS, st.just(HEISENBERG))
+)
+
+
+@st.composite
+def bilinear_models(draw):
+    """A hermitian BilinearHamiltonian with every alpha, beta and gamma entry free."""
+    group_a, group_b = draw(GROUP_PAIRS)
+    dag = (0, 2, 1)
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[0, 0] = draw(REALS)
+    for i, k in ((0, 1), (1, 0), (1, 1), (1, 2)):  # each with its conjugate partner
+        gamma[i, k] = draw(COEFFS)
+        gamma[dag[i], dag[k]] = np.conj(gamma[i, k])
+    drive_a, drive_b = draw(COEFFS), draw(COEFFS)
+    return BilinearHamiltonian(
+        group_a=group_a,
+        group_b=group_b,
+        alpha=np.array([draw(REALS), drive_a, np.conj(drive_a)]),
+        beta=np.array([draw(REALS), drive_b, np.conj(drive_b)]),
+        gamma=gamma,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(bilinear_models(), FLOW_LABELS, FLOW_LABELS, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_scalar_rhs_equals_the_numpy_reference(h, x, y, eta_x, eta_y):
+    v = np.array([x.real, x.imag, y.real, y.imag, eta_x, eta_y, 0.0, 0.0, 0.0])
+    got, want = _rhs(0.0, v, h), numpy_rhs(0.0, v, h)
+    assert type(got) is np.ndarray and got.dtype == float and got.shape == (9,)
+    # relative to the largest component: a phase rate is a difference of
+    # terms of up to that size (the oscillator's c_0 |x|^2 cancels in deta_x)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
