@@ -103,7 +103,8 @@ class Trajectory:
     one-body Hamiltonians.  s0 and s1 are the physical phases of the
     zero- and one-excitation components of the evolving state: the factor
     phases plus the coupling-energy counterterm, both zero at the first
-    sample.  Their difference s0 - s1 is counterterm-free.
+    sample.  Their difference s0 - s1 is counterterm-free.  rhs_evals is
+    the number of right-hand-side evaluations the integrator spent.
     """
 
     times: np.ndarray
@@ -113,6 +114,7 @@ class Trajectory:
     eta_y: np.ndarray
     s0: np.ndarray
     s1: np.ndarray
+    rhs_evals: int
 
     def state_at(self, i: int) -> ProductState:
         """Sampled state with the coupling counterterm folded into eta_x.
@@ -230,6 +232,7 @@ def integrate(
         eta_y=eta_y,
         s0=(eta_x - eta_x[0]) + (eta_y - eta_y[0]) + phi,
         s1=v[6] + v[7] + phi,
+        rhs_evals=int(sol.nfev),
     )
 
 
@@ -285,10 +288,12 @@ def window_count(t_total: float, window: float) -> int:
 
 
 class LyapunovSeries(NamedTuple):
-    """Renormalization-window ends and the running exponent estimate."""
+    """Renormalization-window ends, the running exponent estimate, and the
+    right-hand-side evaluations of both trajectories over all windows."""
 
     window_ends: np.ndarray
     running: np.ndarray
+    rhs_evals: int
 
 
 def lyapunov_series(
@@ -316,11 +321,13 @@ def lyapunov_series(
     ref = ProductState(x=s0.x, y=s0.y)
     pert = ProductState(x=s0.x + delta0 * root, y=s0.y)
     log_sum = 0.0
+    rhs_evals = 0
     ends = np.empty(n_windows)
     running = np.empty(n_windows)
     for w in range(n_windows):
         tr = integrate(h, ref, renorm_interval, window_cfg)
         tp = integrate(h, pert, renorm_interval, window_cfg)
+        rhs_evals += tr.rhs_evals + tp.rhs_evals
         ref = tr.state_at(-1)
         p_end = tp.state_at(-1)
         end, start = scale_to_classical(p_end, j), scale_to_classical(ref, j)
@@ -337,5 +344,5 @@ def lyapunov_series(
             x=ref.x + complex(sep[0], sep[1]) * root,
             y=ref.y + complex(sep[2], sep[3]),
         )
-    return LyapunovSeries(window_ends=ends, running=running)
+    return LyapunovSeries(window_ends=ends, running=running, rhs_evals=rhs_evals)
 

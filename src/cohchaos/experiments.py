@@ -1,8 +1,10 @@
 """Configured experiment runs: JSON config, energy-shell projection, CSV output.
 
 Every run writes its data files plus a run_manifest.json with the fully
-expanded configuration, achieved energies, and the conventions version, so
-a result directory is self-describing and byte-reproducible.
+expanded configuration, achieved energies, the conventions version, and
+(for every verb that integrates the flow) the right-hand-side evaluations
+of each trajectory, so a result directory is self-describing and
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .corrections import build_kernel, entropy_series, save_kernel_csv
 from .dynamics import (
     IntegratorConfig,
     ProductState,
+    Trajectory,
     integrate,
     label_distances,
     lyapunov_series,
@@ -379,11 +382,17 @@ class _Run:
         _write_csv(self.out / name, header, rows)
         self.manifest["outputs"].append(name)
 
+    def integrate(self, s: ProductState) -> Trajectory:
+        """The flow from s to t_final, its RHS evaluations listed in the manifest."""
+        traj = integrate(self.h, s, self.cfg.t_final, self.icfg)
+        self.manifest.setdefault("rhs_evals", []).append(traj.rhs_evals)
+        return traj
+
 
 def _pair_rows(run: _Run, s1, s2):
     h = run.h
-    t1 = integrate(h, s1, run.cfg.t_final, run.icfg)
-    t2 = integrate(h, s2, run.cfg.t_final, run.icfg)
+    t1 = run.integrate(s1)
+    t2 = run.integrate(s2)
     rows = []
     for i, t in enumerate(t1.times):
         a, b = t1.state_at(i), t2.state_at(i)
@@ -416,7 +425,7 @@ def _trajectory(run: _Run) -> None:
     """integrate the mean-field flow for each initial state"""
     drifts = []
     for i, s in enumerate(run.states):
-        traj = integrate(run.h, s, run.cfg.t_final, run.icfg)
+        traj = run.integrate(s)
         energy = trajectory_energy(run.h, traj)
         drifts.append(float(np.max(np.abs(energy - energy[0]))))
         run.emit(
@@ -439,7 +448,7 @@ def _overlap_pair(run: _Run) -> None:
 
 def _entropy(run: _Run) -> None:
     """correction kernel and second-order linear entropy for one state"""
-    traj = integrate(run.h, run.states[0], run.cfg.t_final, run.icfg)
+    traj = run.integrate(run.states[0])
     kernel = build_kernel(traj, run.h)
     delta2 = entropy_series(kernel)
     save_kernel_csv(kernel, run.out / "kernel.csv")
@@ -455,6 +464,7 @@ def _lyapunov(run: _Run) -> None:
     """two-trajectory largest-Lyapunov estimate for each state"""
     cfg = run.cfg
     estimates = []
+    rhs_evals = run.manifest["rhs_evals"] = []
     for i, s in enumerate(run.states):
         series = lyapunov_series(
             run.h, s,
@@ -464,6 +474,7 @@ def _lyapunov(run: _Run) -> None:
             cfg=run.icfg,
         )
         estimates.append(float(series.running[-1]))
+        rhs_evals.append(series.rhs_evals)
         run.emit(f"lyapunov_{i}.csv", ["window_end", "running_exponent"], zip(series.window_ends, series.running))
     run.manifest["lyapunov_estimates"] = estimates
 
@@ -473,7 +484,7 @@ def _oracle_compare(run: _Run) -> None:
     if len(run.states) < 2:
         raise ConfigError("oracle-compare needs two initial states")
     h, pair = run.h, run.states[:2]
-    trajs = [integrate(h, s, run.cfg.t_final, run.icfg) for s in pair]
+    trajs = [run.integrate(s) for s in pair]
     rows = []
     for i, (a, b) in enumerate(_exact_runs(run, pair, trajs[0].times)):
         ov_mf = abs(mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), h.group_a, h.group_b))

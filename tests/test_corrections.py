@@ -48,6 +48,7 @@ def synthetic_trajectory(y0: complex, n: int = 41,
         eta_y=zeros.copy(),
         s0=zeros.copy() if s0 is None else np.asarray(s0, dtype=float),
         s1=zeros.copy() if s1 is None else np.asarray(s1, dtype=float),
+        rhs_evals=0,
     )
 
 

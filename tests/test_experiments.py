@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cohchaos.dynamics import ProductState
+from cohchaos.dynamics import IntegratorConfig, ProductState, integrate, lyapunov_series
 from cohchaos.experiments import (
     ConfigError,
     EnergyProjectionError,
@@ -361,6 +361,30 @@ def test_oracle_verbs_record_top_fock_population(tmp_path, verb):
     assert 0.0 <= top < 1e-8
     # rounded to three significant figures, so reruns write the same manifest
     assert float(f"{top:.3g}") == top
+
+
+@pytest.mark.parametrize(
+    "verb, states",
+    [("trajectory", 2), ("overlap-pair", 2), ("entropy", 1), ("lyapunov", 2), ("oracle-compare", 2)],
+)
+def test_integrating_verbs_record_rhs_evals_per_trajectory(tmp_path, verb, states):
+    raw = {
+        "model": {"j": 1.0},
+        "pairs": [[0.4, 0.0, 0.2, 0.1], [0.45, 0.0, 0.2, 0.1]],
+        "t_final": 0.3,
+        "n_max": 30,
+        "lyapunov": {"t_total": 1.0, "window": 0.5},
+    }
+    cfg = config_from_dict(raw)
+    counts = run_experiment(verb, cfg, tmp_path)["rhs_evals"]
+    assert len(counts) == states and all(isinstance(n, int) and n > 0 for n in counts)
+    h = maser_hamiltonian(cfg.model)
+    if verb == "lyapunov":
+        series = lyapunov_series(h, cfg.states[1], t_total=1.0, renorm_interval=0.5, cfg=IntegratorConfig())
+        assert counts[1] == series.rhs_evals
+    else:
+        icfg = IntegratorConfig(dense_output_dt=cfg.sampling_dt)
+        assert counts[-1] == integrate(h, cfg.states[states - 1], cfg.t_final, icfg).rhs_evals
 
 
 def test_run_fig1_writes_pair_files(tmp_path):
