@@ -26,7 +26,6 @@ from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln
 
 CONVENTIONS_VERSION = "1.0"
@@ -94,7 +93,7 @@ def spin(j: float) -> GroupKind:
 
 
 class DisplacedVector(NamedTuple):
-    """Truncated-basis representation of D(z)|fiducial_index> plus its norm deficit."""
+    """Truncated-basis representation of D(z)|fiducial> plus its norm deficit."""
 
     vector: np.ndarray
     norm_deficit: float
@@ -149,11 +148,6 @@ def overlap_exponent(group: GroupKind, z1: complex, z2: complex) -> float:
         return -2.0 * group.j * math.log1p(-q)
     base = abs(1.0 + z1.conjugate() * z2) ** 2 / norms
     return math.inf if base == 0.0 else -2.0 * group.j * math.log(base)
-
-
-def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:
-    """Squared modulus of the coherent overlap, exp(-overlap_exponent)."""
-    return math.exp(-overlap_exponent(group, _check_label(z1), _check_label(z2)))
 
 
 def expectations(group: GroupKind, z: complex) -> tuple[complex, complex, complex]:
@@ -215,9 +209,9 @@ def raising_matrix_element(group: GroupKind) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Truncated-basis matrix representations.  These are the slow, literal
-# objects the closed forms above are validated against, and the oracle's
-# building blocks.
+# Truncated-basis representations: the generator matrices and the coherent
+# vectors the oracle is built from, against which the tests also check the
+# closed forms above.
 
 
 def generator_matrices(group: GroupKind, truncation: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,18 +234,6 @@ def generator_matrices(group: GroupKind, truncation: int | None = None) -> tuple
     ns = np.arange(1, truncation)
     a[ns - 1, ns] = np.sqrt(ns)
     return np.diag(np.arange(truncation, dtype=float)).astype(complex), a.conj().T, a
-
-
-def displacement_matrix(group: GroupKind, z: complex, truncation: int | None = None) -> np.ndarray:
-    """Matrix of D(z), exact for spins, truncated for the oscillator."""
-    z = _check_label(z)
-    _, ap, am = generator_matrices(group, truncation)
-    xi = z
-    if group.is_spin:
-        r = abs(z)
-        # xi = z * atan(r)/r with the smooth r -> 0 limit
-        xi = z * (1.0 - r * r / 3.0) if r < 1e-8 else z * math.atan(r) / r
-    return expm(xi * ap - np.conj(xi) * am)
 
 
 def _field_coherent_amplitudes(z: complex, dim: int) -> np.ndarray:
@@ -285,46 +267,22 @@ def _spin_coherent_amplitudes(j: float, z: complex, dim: int) -> np.ndarray:
 def displaced_basis_vector(
     group: GroupKind,
     z: complex,
-    fiducial_index: int = 0,
     truncation: int | None = None,
     deficit_tol: float = 1e-10,
 ) -> DisplacedVector:
-    """Truncated-basis vector D(z)|fiducial_index> with its norm deficit.
+    """Truncated-basis coherent state D(z)|fiducial> with its norm deficit.
 
-    Spin vectors are exact (deficit 0).  Oscillator vectors for fiducial
-    index 0 and 1 use closed forms; higher fiducials fall back to the
-    truncated matrix exponential.  The vector is returned unnormalized, so
-    its norm shortfall reports the truncation loss; a deficit above
-    `deficit_tol` raises TruncationError.
+    Spin vectors are exact (deficit 0).  The oscillator vector is returned
+    unnormalized, so its norm shortfall reports the truncation loss; a
+    deficit above `deficit_tol` raises TruncationError.
     """
     z = _check_label(z)
-    if fiducial_index < 0:
-        raise ValueError("fiducial index must be nonnegative")
     if group.is_spin:
-        dim = group.dim
-        if fiducial_index >= dim:
-            raise ValueError(f"fiducial index {fiducial_index} outside spin dimension {dim}")
-        if fiducial_index == 0:
-            vec = _spin_coherent_amplitudes(group.j, z, dim)
-        else:
-            vec = displacement_matrix(group, z)[:, fiducial_index].copy()
-        return DisplacedVector(vector=vec, norm_deficit=0.0)
-
+        return DisplacedVector(vector=_spin_coherent_amplitudes(group.j, z, group.dim), norm_deficit=0.0)
     if truncation is None or truncation < 1:
         raise ValueError("oscillator vectors need a positive truncation")
     dim = int(truncation)
-    if fiducial_index >= dim:
-        raise ValueError(f"fiducial index {fiducial_index} outside truncation {dim}")
-    if fiducial_index == 0:
-        vec = _field_coherent_amplitudes(z, dim)
-    elif fiducial_index == 1:
-        # D(z)|1> = (a^dag - conj(z)) D(z)|0>
-        coh = _field_coherent_amplitudes(z, dim)
-        vec = np.zeros(dim, dtype=complex)
-        vec[1:] = np.sqrt(np.arange(1, dim)) * coh[:-1]
-        vec -= np.conj(z) * coh
-    else:
-        vec = displacement_matrix(group, z, truncation=dim)[:, fiducial_index].copy()
+    vec = _field_coherent_amplitudes(z, dim)
     deficit = max(0.0, 1.0 - float(np.vdot(vec, vec).real))
     if deficit > deficit_tol:
         raise TruncationError(

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.integrate import cumulative_trapezoid
 
-from .algebra import CohChaosError, Gen, group_relation_coeffs, raising_matrix_element
+from .algebra import Gen, group_relation_coeffs, raising_matrix_element
 from .dynamics import Trajectory
 from .model import BilinearHamiltonian
 
@@ -48,70 +48,6 @@ def build_kernel(traj: Trajectory, h: BilinearHamiltonian) -> CorrectionKernel:
     c = sigma * np.exp(1j * (traj.s0 - traj.s1)) * quad
     cum = cumulative_trapezoid(c, traj.times, initial=0.0)
     return CorrectionKernel(times=traj.times, c=c, cum=cum)
-
-
-def _refine(base: np.ndarray, level: int) -> np.ndarray:
-    """Split every interval of base into 2**level equal parts, keeping knots."""
-    if level == 0:
-        return base
-    steps = 1 << level
-    parts = [base[:1]]
-    for a, b in zip(base[:-1], base[1:]):
-        parts.append(np.linspace(a, b, steps + 1)[1:])
-    return np.concatenate(parts)
-
-
-def linear_entropy_2nd(kernel: CorrectionKernel, t: float, tol: float = 1e-8) -> float:
-    """Second-order linear entropy 4 Re int_0^t dt1 int_0^t1 dt2 conj(c(t1)) c(t2).
-
-    The double integral is evaluated by nested trapezoid quadrature on the
-    piecewise-linear kernel interpolant, halving the step (knots kept so
-    grid values stay exact) until successive values agree within tol. Two
-    consistency checks guard the result: the stored running integral must
-    match the refined one at the last kernel knot, and the nested value
-    must reproduce the closed identity 2|C(t)|^2. Violation of either
-    raises instead of returning a bad entropy.
-    """
-    t0, t1 = float(kernel.times[0]), float(kernel.times[-1])
-    if not t0 - 1e-12 <= t <= t1 + 1e-12:
-        raise ValueError(f"time {t} outside kernel range [{t0}, {t1}]")
-    if t <= t0:
-        return 0.0
-    k_last = int(np.searchsorted(kernel.times, t * (1.0 + 1e-15) + 1e-15)) - 1
-    base = kernel.times[: k_last + 1]
-    if t > base[-1]:
-        base = np.append(base, t)
-    nested = prev = None
-    cums = np.zeros(1, dtype=complex)
-    steps = 1
-    for level in range(11):
-        steps = 1 << level
-        grid = _refine(base, level)
-        cs = np.interp(grid, kernel.times, kernel.c.real) + 1j * np.interp(
-            grid, kernel.times, kernel.c.imag
-        )
-        cums = cumulative_trapezoid(cs, grid, initial=0.0)
-        nested = 4.0 * float(trapezoid(np.real(np.conj(cs) * cums), grid))
-        if prev is not None and abs(nested - prev) <= 0.25 * tol:
-            break
-        prev = nested
-    else:
-        raise CohChaosError(
-            f"nested entropy quadrature did not converge to {tol} at t = {t}"
-        )
-    stored = complex(kernel.cum[k_last])
-    refined_at_knot = complex(cums[k_last * steps])
-    if abs(refined_at_knot - stored) > tol * max(1.0, abs(stored)):
-        raise CohChaosError(
-            f"running integral {stored!r} inconsistent with kernel samples "
-            f"({refined_at_knot!r} at t = {float(kernel.times[k_last])})"
-        )
-    direct = 2.0 * abs(complex(cums[-1])) ** 2
-    if abs(nested - direct) > tol * max(1.0, direct):
-        raise CohChaosError(
-            f"double-integral identity failed at t = {t}: nested {nested!r} vs 2|C|^2 {direct!r}"
-        )
-    return nested
 
 
 def entropy_series(kernel: CorrectionKernel) -> np.ndarray:

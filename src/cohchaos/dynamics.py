@@ -273,12 +273,6 @@ def scale_to_classical(s: ProductState, j: float) -> ScaledState:
     return ScaledState(z_field=s.x / root, z_spin=s.y)
 
 
-def from_classical(scaled: ScaledState, j: float, eta_x: float = 0.0, eta_y: float = 0.0) -> ProductState:
-    """Inverse of scale_to_classical; recovers the bare labels exactly."""
-    root = math.sqrt(4.0 * j)
-    return ProductState(x=scaled.z_field * root, y=scaled.z_spin, eta_x=eta_x, eta_y=eta_y)
-
-
 def window_count(t_total: float, window: float) -> int:
     """Number of windows of length window in t_total, which must be a whole number."""
     q = t_total / window

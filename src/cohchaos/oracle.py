@@ -29,7 +29,6 @@ from .algebra import (
     generator_matrices,
     spin,
 )
-from .dynamics import ProductState
 from .model import BilinearHamiltonian
 
 _DENSE_LIMIT = 3000
@@ -241,20 +240,11 @@ def product_coherent_vector(x: complex, y: complex, cfg: HilbertConfig) -> Oracl
             f"field truncation deficit {deficit:.3e} at n_max = {cfg.n_max} for |x| = {abs(x):.3f}; "
             f"policy recommends n_max >= {recommended_n_max(x)}"
         )
-    field = displaced_basis_vector(HEISENBERG, x, 0, truncation=cfg.n_max + 1, deficit_tol=1e-8).vector
-    spin_part = displaced_basis_vector(spin(cfg.j), y, 0).vector
+    field = displaced_basis_vector(HEISENBERG, x, truncation=cfg.n_max + 1, deficit_tol=1e-8).vector
+    spin_part = displaced_basis_vector(spin(cfg.j), y).vector
     amps = np.kron(field, spin_part)
     amps = amps / np.linalg.norm(amps)
     return OracleState(amplitudes=amps, config=cfg, truncation_deficit=deficit)
-
-
-def doorway_vector(s: ProductState, cfg: HilbertConfig) -> OracleState:
-    """Product of first-excited displaced states D(x)|1> (x) D(y)|j,-j+1>."""
-    field = displaced_basis_vector(HEISENBERG, s.x, 1, truncation=cfg.n_max + 1, deficit_tol=1e-8)
-    spin_part = displaced_basis_vector(spin(cfg.j), s.y, 1)
-    amps = np.kron(field.vector, spin_part.vector)
-    amps = amps / np.linalg.norm(amps)
-    return OracleState(amplitudes=amps, config=cfg, truncation_deficit=field.norm_deficit)
 
 
 def reduced_linear_entropy(state: OracleState) -> float:
@@ -292,8 +282,3 @@ def top_fock_population(state: OracleState) -> float:
     """Population of the highest kept Fock level n = n_max: the truncation edge."""
     top = state.amplitudes[-state.config.spin_dim:]
     return float(np.vdot(top, top).real)
-
-
-def operator_expectation(state: OracleState, op: sp.spmatrix) -> complex:
-    return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
-

@@ -8,10 +8,19 @@ exponentials, excited fiducials, nested quadrature).
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from cohchaos.algebra import Gen, GroupKind
+import numpy as np
+import scipy.sparse as sp
+from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.linalg import expm
+
+from cohchaos import algebra
+from cohchaos.algebra import HEISENBERG, CohChaosError, DisplacedVector, Gen, GroupKind, TruncationError, spin
+from cohchaos.corrections import CorrectionKernel
+from cohchaos.dynamics import ProductState, ScaledState
 from cohchaos.model import BilinearHamiltonian, HermiticityError
+from cohchaos.oracle import HilbertConfig, OracleState
 
 
 # ---------------------------------------------------------------------------
@@ -83,3 +92,152 @@ def rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     deta_y, ds1_y = action_rate(h.group_b, y, dy, b)
     dphi = interaction_energy(h, ev_a, ev_b)
     return np.array([dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi])
+
+
+# ---------------------------------------------------------------------------
+# Coherent states beyond the fiducial, and the exact-state helpers built on
+# them.
+
+
+def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:
+    """Squared modulus of the coherent overlap, exp(-overlap_exponent)."""
+    return math.exp(-algebra.overlap_exponent(group, complex(z1), complex(z2)))
+
+
+def displacement_matrix(group: GroupKind, z: complex, truncation: int | None = None) -> np.ndarray:
+    """Matrix of D(z), exact for spins, truncated for the oscillator."""
+    _, ap, am = algebra.generator_matrices(group, truncation)
+    xi = complex(z)
+    if group.is_spin:
+        r = abs(xi)
+        # xi = z * atan(r)/r with the smooth r -> 0 limit
+        xi = xi * (1.0 - r * r / 3.0) if r < 1e-8 else xi * math.atan(r) / r
+    return expm(xi * ap - np.conj(xi) * am)
+
+
+def displaced_basis_vector(
+    group: GroupKind,
+    z: complex,
+    fiducial_index: int = 0,
+    truncation: int | None = None,
+    deficit_tol: float = 1e-10,
+) -> DisplacedVector:
+    """Truncated-basis vector D(z)|fiducial_index> with its norm deficit.
+
+    Index 0 is the library's coherent vector. The oscillator's index 1 is
+    the closed form (a^dag - conj(z)) D(z)|0>; any other index is a column
+    of displacement_matrix. A deficit above deficit_tol raises
+    TruncationError.
+    """
+    if fiducial_index == 0:
+        return algebra.displaced_basis_vector(group, z, truncation, deficit_tol)
+    if fiducial_index < 0:
+        raise ValueError("fiducial index must be nonnegative")
+    if group.is_spin:
+        if fiducial_index >= group.dim:
+            raise ValueError(f"fiducial index {fiducial_index} outside spin dimension {group.dim}")
+        return DisplacedVector(vector=displacement_matrix(group, z)[:, fiducial_index].copy(), norm_deficit=0.0)
+    if truncation is None or truncation < 1:
+        raise ValueError("oscillator vectors need a positive truncation")
+    dim = int(truncation)
+    if fiducial_index >= dim:
+        raise ValueError(f"fiducial index {fiducial_index} outside truncation {dim}")
+    if fiducial_index == 1:
+        coh = algebra.displaced_basis_vector(HEISENBERG, z, dim, deficit_tol=1.0).vector
+        vec = np.zeros(dim, dtype=complex)
+        vec[1:] = np.sqrt(np.arange(1, dim)) * coh[:-1]
+        vec -= np.conj(z) * coh
+    else:
+        vec = displacement_matrix(group, z, truncation=dim)[:, fiducial_index].copy()
+    deficit = max(0.0, 1.0 - float(np.vdot(vec, vec).real))
+    if deficit > deficit_tol:
+        raise TruncationError(f"norm deficit {deficit:.3e} exceeds {deficit_tol:.1e} at truncation {dim}")
+    return DisplacedVector(vector=vec, norm_deficit=deficit)
+
+
+def doorway_vector(s: ProductState, cfg: HilbertConfig) -> OracleState:
+    """Product of first-excited displaced states D(x)|1> (x) D(y)|j,-j+1>."""
+    field = displaced_basis_vector(HEISENBERG, s.x, 1, truncation=cfg.n_max + 1, deficit_tol=1e-8)
+    spin_part = displaced_basis_vector(spin(cfg.j), s.y, 1)
+    amps = np.kron(field.vector, spin_part.vector)
+    amps = amps / np.linalg.norm(amps)
+    return OracleState(amplitudes=amps, config=cfg, truncation_deficit=field.norm_deficit)
+
+
+def operator_expectation(state: OracleState, op: sp.spmatrix) -> complex:
+    return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
+
+
+def from_classical(scaled: ScaledState, j: float, eta_x: float = 0.0, eta_y: float = 0.0) -> ProductState:
+    """Inverse of dynamics.scale_to_classical; recovers the bare labels exactly."""
+    root = math.sqrt(4.0 * j)
+    return ProductState(x=scaled.z_field * root, y=scaled.z_spin, eta_x=eta_x, eta_y=eta_y)
+
+
+# ---------------------------------------------------------------------------
+# The second-order linear entropy as the nested double integral, which the
+# library's 2|C|^2 closes in one line.
+
+
+def _refine(base: np.ndarray, level: int) -> np.ndarray:
+    """Split every interval of base into 2**level equal parts, keeping knots."""
+    if level == 0:
+        return base
+    steps = 1 << level
+    parts = [base[:1]]
+    for a, b in zip(base[:-1], base[1:]):
+        parts.append(np.linspace(a, b, steps + 1)[1:])
+    return np.concatenate(parts)
+
+
+def linear_entropy_2nd(kernel: CorrectionKernel, t: float, tol: float = 1e-8) -> float:
+    """Second-order linear entropy 4 Re int_0^t dt1 int_0^t1 dt2 conj(c(t1)) c(t2).
+
+    The double integral is evaluated by nested trapezoid quadrature on the
+    piecewise-linear kernel interpolant, halving the step (knots kept so
+    grid values stay exact) until successive values agree within tol. Two
+    consistency checks guard the result: the stored running integral must
+    match the refined one at the last kernel knot, and the nested value
+    must reproduce the closed identity 2|C(t)|^2. Violation of either
+    raises instead of returning a bad entropy.
+    """
+    t0, t1 = float(kernel.times[0]), float(kernel.times[-1])
+    if not t0 - 1e-12 <= t <= t1 + 1e-12:
+        raise ValueError(f"time {t} outside kernel range [{t0}, {t1}]")
+    if t <= t0:
+        return 0.0
+    k_last = int(np.searchsorted(kernel.times, t * (1.0 + 1e-15) + 1e-15)) - 1
+    base = kernel.times[: k_last + 1]
+    if t > base[-1]:
+        base = np.append(base, t)
+    nested = prev = None
+    cums = np.zeros(1, dtype=complex)
+    steps = 1
+    for level in range(11):
+        steps = 1 << level
+        grid = _refine(base, level)
+        cs = np.interp(grid, kernel.times, kernel.c.real) + 1j * np.interp(
+            grid, kernel.times, kernel.c.imag
+        )
+        cums = cumulative_trapezoid(cs, grid, initial=0.0)
+        nested = 4.0 * float(trapezoid(np.real(np.conj(cs) * cums), grid))
+        if prev is not None and abs(nested - prev) <= 0.25 * tol:
+            break
+        prev = nested
+    else:
+        raise CohChaosError(
+            f"nested entropy quadrature did not converge to {tol} at t = {t}"
+        )
+    stored = complex(kernel.cum[k_last])
+    refined_at_knot = complex(cums[k_last * steps])
+    if abs(refined_at_knot - stored) > tol * max(1.0, abs(stored)):
+        raise CohChaosError(
+            f"running integral {stored!r} inconsistent with kernel samples "
+            f"({refined_at_knot!r} at t = {float(kernel.times[k_last])})"
+        )
+    direct = 2.0 * abs(complex(cums[-1])) ** 2
+    if abs(nested - direct) > tol * max(1.0, direct):
+        raise CohChaosError(
+            f"double-integral identity failed at t = {t}: nested {nested!r} vs 2|C|^2 {direct!r}"
+        )
+    return nested

@@ -11,21 +11,12 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from cohchaos.algebra import (
-    HEISENBERG,
-    Gen,
-    displacement_matrix,
-    generator_matrices,
-    group_relation_coeffs,
-    overlap_modulus_sq,
-    spin,
-)
-from cohchaos.corrections import build_kernel, entropy_series, linear_entropy_2nd
+from cohchaos.algebra import HEISENBERG, Gen, generator_matrices, group_relation_coeffs, spin
+from cohchaos.corrections import build_kernel, entropy_series
 from cohchaos.dynamics import (
     IntegratorConfig,
     ProductState,
     ScaledState,
-    from_classical,
     integrate,
     lyapunov_series,
     mf_overlap,
@@ -40,9 +31,15 @@ from cohchaos.oracle import (
     exact_overlap_pair,
     field_annihilation_expectation,
     hilbert_for_labels,
-    operator_expectation,
     product_coherent_vector,
     reduced_linear_entropy,
+)
+from reference import (
+    displacement_matrix,
+    from_classical,
+    linear_entropy_2nd,
+    operator_expectation,
+    overlap_modulus_sq,
 )
 
 ROOT2 = math.sqrt(2.0)

@@ -5,16 +5,11 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from cohchaos.algebra import CohChaosError
-from cohchaos.corrections import (
-    CorrectionKernel,
-    build_kernel,
-    entropy_series,
-    linear_entropy_2nd,
-    save_kernel_csv,
-)
+from cohchaos.corrections import CorrectionKernel, build_kernel, entropy_series, save_kernel_csv
 from cohchaos.dynamics import IntegratorConfig, ProductState, Trajectory, integrate
 from cohchaos.model import MaserParams, maser_hamiltonian
-from cohchaos.oracle import doorway_vector, exact_overlap_pair, product_coherent_vector
+from cohchaos.oracle import exact_overlap_pair, product_coherent_vector
+from reference import doorway_vector, linear_entropy_2nd
 
 
 @pytest.fixture(scope="module")

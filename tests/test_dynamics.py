@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cohchaos.algebra import (
-    HEISENBERG,
-    Gen,
-    displaced_basis_vector,
-    expectations,
-    generator_matrices,
-    spin,
-)
+from cohchaos.algebra import HEISENBERG, Gen, expectations, generator_matrices, spin
 from cohchaos.dynamics import (
     IntegrationError,
     IntegratorConfig,
@@ -21,7 +14,6 @@ from cohchaos.dynamics import (
     _pack,
     _rhs,
     action_rate,
-    from_classical,
     integrate,
     label_distances,
     lyapunov_series,
@@ -30,6 +22,7 @@ from cohchaos.dynamics import (
     trajectory_energy,
 )
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
+from reference import displaced_basis_vector, from_classical
 
 DECOUPLED = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.0, g_prime=0.0, j=1.5))
 

@@ -19,15 +19,14 @@ from cohchaos.oracle import (
     HilbertConfig,
     OracleState,
     build_hamiltonian_matrix,
-    doorway_vector,
     exact_overlap_pair,
     field_annihilation_expectation,
     hilbert_for_labels,
-    operator_expectation,
     product_coherent_vector,
     recommended_n_max,
     reduced_linear_entropy,
 )
+from reference import doorway_vector, operator_expectation
 
 SMALL = HilbertConfig(n_max=8, j=0.5)
 
