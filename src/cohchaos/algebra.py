@@ -167,8 +167,8 @@ def expectations(group: GroupKind, z: complex) -> tuple[complex, complex, comple
         return complex(r2), zc, z
     j = group.j
     den = 1.0 + r2
-    # <J_+> scales by 1/den and <J_-> divides by it: the roundings of the
-    # numpy form this replaced, which keeps the recorded fig1 labels unchanged
+    # <J_+> scales by 1/den and <J_-> divides by it: the roundings that the
+    # recorded reference outputs of the fig1 labels were made with
     return complex(-j * (1.0 - r2) / den), 2.0 * j * zc * (1.0 / den), 2.0 * j * z / den
 
 

@@ -156,7 +156,7 @@ def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     """
     ev_a = expectations(h.group_a, x)
     ev_b = expectations(h.group_b, y)
-    return _real(h.alpha @ ev_a + h.beta @ ev_b + _coupling(h, ev_a, ev_b), "energy")
+    return _real(h.alpha @ ev_a + h.beta @ ev_b, "energy") + interaction_energy(h, ev_a, ev_b)
 
 
 def interaction_energy(h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]) -> float:
@@ -165,18 +165,15 @@ def interaction_energy(h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: 
     This is the c-number the decoupled single-factor Hamiltonians count
     twice; the exact-state phase carries it back as a counterterm.
     """
-    return _real(_coupling(h, ev_a, ev_b), "interaction energy")
-
-
-def _coupling(h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]) -> complex:
     _, _, _, _, _, _, g00, g0p, g0m, gp0, gpp, gpm, gm0, gmp, gmm = h.scalars
     ea0, eap, eam = ev_a
     eb0, ebp, ebm = ev_b
-    return (
+    e = (
         (ea0 * g00 + eap * gp0 + eam * gm0) * eb0
         + (ea0 * g0p + eap * gpp + eam * gmp) * ebp
         + (ea0 * g0m + eap * gpm + eam * gmm) * ebm
     )
+    return _real(e, "interaction energy")
 
 
 def _real(e: complex, what: str) -> float:
