@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import _LABEL_BOUND, Gen, GroupKind, CohChaosError, _check_label, expectations, overlap, overlap_exponent
+from .algebra import _LABEL_BOUND, GroupKind, CohChaosError, _check_label, expectations, overlap, overlap_exponent
 from .model import (
     BilinearHamiltonian,
     classical_energy,
