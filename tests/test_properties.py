@@ -14,12 +14,12 @@ from cohchaos.dynamics import _rhs
 from cohchaos.model import BilinearHamiltonian
 from reference import rhs as numpy_rhs
 
-GROUPS = st.one_of(st.just(HEISENBERG), st.integers(1, 20).map(lambda two_j: spin(two_j / 2)))
+SPINS = st.integers(1, 20).map(lambda two_j: spin(two_j / 2))
+GROUPS = st.one_of(st.just(HEISENBERG), SPINS)
 LABELS = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 BOUNDED = settings(max_examples=50, deadline=None)
 EPS = np.finfo(float).eps
 ULPS = 4 * EPS
-SPINS = st.integers(1, 20).map(lambda two_j: spin(two_j / 2))
 # |z2 - z1| (or the distance from the antipode) drawn log-uniform in [1e-8, 1]
 OFFSETS = st.tuples(st.floats(-8.0, 0.0), st.floats(0.0, 2.0 * math.pi)).map(
     lambda p: 10.0 ** p[0] * cmath.exp(1j * p[1])
@@ -29,10 +29,9 @@ OFFSETS = st.tuples(st.floats(-8.0, 0.0), st.floats(0.0, 2.0 * math.pi)).map(
 def rounding_bound(group, ov_sq: float) -> float:
     """Relative difference allowed between exp(-overlap_exponent) and |overlap|^2.
 
-    The spin base |<z1|z2>|^(1/j) is rounded to a few ulp relative to the
-    larger of itself and |conj(z1) z2| / ((1+|z1|^2)(1+|z2|^2)), and the
-    power 2j turns that into a relative error of about 2j ulp / base: large
-    only next to antipodal labels.
+    Both sides round the spin base |<z1|z2>|^(1/j) by a few ulp absolutely,
+    and the power 2j turns that into a relative error of about 2j ulp / base:
+    large only next to antipodal labels. The bound allows 64 ulp.
     """
     if not group.is_spin:
         return 1e-12
