@@ -153,10 +153,15 @@ def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
 
     E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>.
     The imaginary residue is asserted tiny (hermiticity) and discarded.
+    Python complex arithmetic on h.scalars, like the flow's right-hand side.
     """
     ev_a = expectations(h.group_a, x)
     ev_b = expectations(h.group_b, y)
-    return _real(h.alpha @ ev_a + h.beta @ ev_b, "energy") + interaction_energy(h, ev_a, ev_b)
+    a0, ap, am, b0, bp, bm = h.scalars[:6]
+    ea0, eap, eam = ev_a
+    eb0, ebp, ebm = ev_b
+    e = a0 * ea0 + ap * eap + am * eam + b0 * eb0 + bp * ebp + bm * ebm
+    return _real(e, "energy") + interaction_energy(h, ev_a, ev_b)
 
 
 def interaction_energy(h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]) -> float:
