@@ -136,8 +136,9 @@ def overlap_exponent(group: GroupKind, z1: complex, z2: complex) -> float:
     q = |z1-z2|^2 / [(1+|z1|^2)(1+|z2|^2)], taken as -2j log1p(-q) while
     q <= 1/2, so neighbouring labels keep their digits, and as -2j log of
     the base |1 + conj(z1) z2|^2 / [(1+|z1|^2)(1+|z2|^2)] beyond, so
-    labels next to antipodal keep theirs.  Exactly antipodal labels give
-    inf.
+    labels next to antipodal keep theirs.  There 1 + conj(z1) z2 cancels,
+    so it is summed from error-free products and rounded once.  Exactly
+    antipodal labels give inf.
     """
     d2 = abs(z1 - z2) ** 2
     if not group.is_spin:
@@ -146,8 +147,30 @@ def overlap_exponent(group: GroupKind, z1: complex, z2: complex) -> float:
     q = d2 / norms
     if q <= 0.5:
         return -2.0 * group.j * math.log1p(-q)
-    base = abs(1.0 + z1.conjugate() * z2) ** 2 / norms
+    a, b, c, d = z1.real, z1.imag, z2.real, z2.imag
+    re = math.fsum((1.0, *_two_product(a, c), *_two_product(b, d)))
+    im = math.fsum((*_two_product(a, d), *_two_product(-b, c)))
+    base = (re * re + im * im) / norms
     return math.inf if base == 0.0 else -2.0 * group.j * math.log(base)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """Dekker's error-free product: a*b rounded, and its exact rounding error.
+
+    Exact while no partial product overflows or underflows, which holds for
+    labels within _LABEL_BOUND (up to underflow of terms far below 1).
+    """
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _split(a: float) -> tuple[float, float]:
+    # Veltkamp's split into two halves of 26 significant bits each
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def expectations(group: GroupKind, z: complex) -> tuple[complex, complex, complex]:

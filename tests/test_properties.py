@@ -74,12 +74,9 @@ def test_spin_exponent_next_to_antipodal_labels_matches_50_digits(group, z1, dz)
     exact = exponent_50_digits(group, z1, z2)
     d = overlap_exponent(group, z1, z2)
     assert math.isfinite(d)
-    # 1 + conj(z1) z2 cancels here: the product's rounding, eps (1 + |z1 z2|),
-    # is the input error, relative to |1 + conj(z1) z2|, and the log divides
-    # it by |log base| = exact / 2j
-    w = abs(1.0 + z1.conjugate() * z2)
-    cond = (1.0 + abs(z1) * abs(z2)) / w * 2.0 * group.j / float(exact)
-    assert float(abs(d - exact) / exact) <= 16 * EPS * max(1.0, cond)
+    # 1 + conj(z1) z2 cancels here, but is summed from error-free products, so
+    # only the final roundings remain (1.5 eps was the worst of 20 000 pairs)
+    assert float(abs(d - exact) / exact) <= 4 * EPS
 
 
 @pytest.mark.parametrize("two_j", [1, 9, 20])
