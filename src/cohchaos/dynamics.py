@@ -33,16 +33,31 @@ zero components must stay real, and so must the coupling energy.
 Labels are validated where they enter and leave the flow, not in the RHS:
 ProductState requires them finite with |z| <= 1e6, and integrate raises
 IntegrationError at the first sample time where a label breaks that.
+
+The integrator is the variable-order Adams method of VODE (Brown, Byrne &
+Hindmarsh, SIAM J. Sci. Stat. Comput. 10, 1038, 1989) as scipy's
+integrate.ode ships it, with functional iteration and no Jacobian: the
+flow is not stiff, and VODE's stepping loop runs in compiled code, where
+scipy's Runge-Kutta loop costs more than the RHS itself.  The RHS must
+not raise inside VODE: scipy's C VODE loses an exception raised in its
+callback, keeps stepping, and a SystemError later surfaces as an
+unrelated ValueError.  The model guards (HermiticityError) do run inside
+the RHS, so _solve catches the first exception, returns NaNs until VODE
+stops, and raises that exception again once VODE has returned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+# solve_ivp is not called here; it stays importable from this module only
+# because perfbench/trace.py wraps dynamics.solve_ivp as a trace target
+from scipy.integrate import ode, solve_ivp  # noqa: F401
 
 from .algebra import _LABEL_BOUND, GroupKind, CohChaosError, _check_label, expectations, overlap, overlap_exponent
 from .model import (
@@ -80,19 +95,24 @@ class ProductState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive Runge-Kutta settings; dense_output_dt fixes the sample grid."""
+    """Local error tolerances of the Adams integrator, and the sample spacing.
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    dense_output_dt: float = 0.05
+    rel_tol and abs_tol bound VODE's local error estimate per step, relative
+    to each component and absolute; sample_dt fixes the grid on which
+    integrate reports the trajectory.
+    """
+
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
+    sample_dt: float = 0.05
 
     def __post_init__(self) -> None:
         for name, bound in (("rel_tol", 1e-2), ("abs_tol", 1e-2)):
             v = getattr(self, name)
             if not 0.0 < v <= bound:
                 raise ValueError(f"{name} must lie in (0, {bound}]")
-        if not self.dense_output_dt > 0.0:
-            raise ValueError("dense_output_dt must be positive")
+        if not self.sample_dt > 0.0:
+            raise ValueError("sample_dt must be positive")
 
 
 @dataclass
@@ -104,7 +124,7 @@ class Trajectory:
     zero- and one-excitation components of the evolving state: the factor
     phases plus the coupling-energy counterterm, both zero at the first
     sample.  Their difference s0 - s1 is counterterm-free.  rhs_evals is
-    the number of right-hand-side evaluations the integrator spent.
+    the number of right-hand-side evaluations the integrator made.
     """
 
     times: np.ndarray
@@ -176,6 +196,72 @@ def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     return np.array([dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi])
 
 
+def _pair_rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
+    # two independent states stacked, so that one step-size and order
+    # sequence serves both and their errors largely cancel in the difference
+    return np.concatenate((_rhs(t, v[:9], h), _rhs(t, v[9:], h)))
+
+
+# A step below _MIN_STEP ends VODE's call; this is what stops it within
+# about a hundred evaluations once the guarded RHS returns NaNs.  Without
+# it VODE accepts NaN steps until _MAX_STEPS, which bounds the steps of
+# one sample interval: the fig1 states take 50 to 110 per unit time at
+# the default tolerances.
+_MIN_STEP = 1e-12
+_MAX_STEPS = 10**6
+
+
+def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: BilinearHamiltonian):
+    """Integrate dv/dt = rhs(t, v, h) from v0 at times[0]; return (samples, evaluations).
+
+    samples[:, i] is the state at times[i].  VODE's Adams method runs once
+    per sample time and ends before this returns, so no two VODE instances
+    ever interleave (older scipy builds of VODE are not re-entrant).  The
+    first exception the RHS raises is raised again, unchanged, after VODE's
+    call returns; a VODE failure raises IntegrationError with the time.
+    """
+    caught: list[BaseException] = []
+    evals = 0
+    nan = np.full(len(v0), np.nan)
+
+    def guarded(t: float, v: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += 1
+        if not caught:
+            # every exception, interrupts included: VODE would lose it
+            try:
+                return rhs(t, v, h)
+            except BaseException as exc:
+                caught.append(exc)
+        return nan
+
+    solver = ode(guarded).set_integrator(
+        "vode", method="adams", rtol=cfg.rel_tol, atol=cfg.abs_tol, nsteps=_MAX_STEPS, min_step=_MIN_STEP
+    )
+    solver.set_initial_value(v0, times[0])
+    out = np.empty((len(v0), len(times)))
+    out[:, 0] = v0
+    # a failed call warns before it returns; the failure is raised instead
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        for i in range(1, len(times)):
+            out[:, i] = solver.integrate(times[i])
+            if caught:
+                raise caught[0]
+            if not solver.successful():
+                reason = warned[-1].message if warned else f"VODE return code {solver.get_return_code()}"
+                raise IntegrationError(f"integration failed at t = {solver.t:.6g}: {reason}")
+    return out, evals
+
+
+def _check_labels(times: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise IntegrationError at the first sample time where a label is non-finite or out of range."""
+    bad = ~((np.abs(x) <= _LABEL_BOUND) & (np.abs(y) <= _LABEL_BOUND))  # NaN compares false
+    if bad.any():
+        t_bad = times[np.argmax(bad)]
+        raise IntegrationError(f"label non-finite or beyond |z| = {_LABEL_BOUND:.0e} at t = {t_bad:.6g}")
+
+
 def _sample_grid(t_final: float, dt: float) -> np.ndarray:
     n = int(math.floor(t_final / dt + 1e-9))
     times = dt * np.arange(n + 1)
@@ -192,47 +278,33 @@ def integrate(
     t_final: float,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate the mean-field flow from s0 to t_final on the dense grid.
+    """Integrate the mean-field flow from s0 to t_final on the sample grid.
 
-    Uses an adaptive high-order embedded Runge-Kutta pair. A failed step (a
-    label running into the coordinate singularity, typically) or a sampled
-    label out of range raises IntegrationError with the time.
+    Uses VODE's variable-order Adams method (see the module docstring). A
+    failed step (a label running into the coordinate singularity,
+    typically) or a sampled label out of range raises IntegrationError
+    with the time; an exception from the model guards in the RHS is raised
+    as it is.
     """
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")
-    times = _sample_grid(t_final, cfg.dense_output_dt)
-    sol = solve_ivp(
-        _rhs,
-        (0.0, t_final),
-        _pack(s0),
-        method="DOP853",
-        t_eval=times,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        args=(h,),
-    )
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else 0.0
-        raise IntegrationError(f"integration failed at t = {reached:.6g}: {sol.message}")
-    v = sol.y
+    times = _sample_grid(t_final, cfg.sample_dt)
+    v, rhs_evals = _solve(_rhs, _pack(s0), times, cfg, h)
     x = v[0] + 1j * v[1]
     y = v[2] + 1j * v[3]
-    bad = ~((np.abs(x) <= _LABEL_BOUND) & (np.abs(y) <= _LABEL_BOUND))  # NaN compares false
-    if bad.any():
-        t_bad = sol.t[np.argmax(bad)]
-        raise IntegrationError(f"label non-finite or beyond |z| = {_LABEL_BOUND:.0e} at t = {t_bad:.6g}")
+    _check_labels(times, x, y)
     eta_x = v[4]
     eta_y = v[5]
     phi = v[8]
     return Trajectory(
-        times=sol.t,
+        times=times,
         x=x,
         y=y,
         eta_x=eta_x,
         eta_y=eta_y,
         s0=(eta_x - eta_x[0]) + (eta_y - eta_y[0]) + phi,
         s1=v[6] + v[7] + phi,
-        rhs_evals=int(sol.nfev),
+        rhs_evals=rhs_evals,
     )
 
 
@@ -301,8 +373,9 @@ def lyapunov_series(
     """Two-trajectory largest-Lyapunov estimate in scaled classical coordinates.
 
     A partner trajectory offset by delta0 along the scaled real field
-    direction is integrated alongside the reference; after every window the
-    log stretch of the scaled separation is accumulated and the partner is
+    direction is integrated alongside the reference, both as one stacked
+    system so that they share every step; after every window the log
+    stretch of the scaled separation is accumulated and the partner is
     pulled back to distance delta0 along the current separation direction.
     t_total must be a whole number of windows.
     """
@@ -310,7 +383,6 @@ def lyapunov_series(
         raise ValueError("need delta0 > 0, t_total > 0, 0 < renorm_interval <= t_total")
     j = h.group_b.j if h.group_b.is_spin else (h.group_a.j if h.group_a.is_spin else 0.25)
     root = math.sqrt(4.0 * j)
-    window_cfg = replace(cfg, dense_output_dt=renorm_interval)
     n_windows = window_count(t_total, renorm_interval)
     ref = ProductState(x=s0.x, y=s0.y)
     pert = ProductState(x=s0.x + delta0 * root, y=s0.y)
@@ -319,11 +391,14 @@ def lyapunov_series(
     ends = np.empty(n_windows)
     running = np.empty(n_windows)
     for w in range(n_windows):
-        tr = integrate(h, ref, renorm_interval, window_cfg)
-        tp = integrate(h, pert, renorm_interval, window_cfg)
-        rhs_evals += tr.rhs_evals + tp.rhs_evals
-        ref = tr.state_at(-1)
-        p_end = tp.state_at(-1)
+        times = renorm_interval * np.array([w, w + 1.0])
+        v, evals = _solve(_pair_rhs, np.concatenate((_pack(ref), _pack(pert))), times, cfg, h)
+        rhs_evals += 2 * evals  # one evaluation per state, as mean_field_coeffs counts them
+        x = v[[0, 9], 1] + 1j * v[[1, 10], 1]
+        y = v[[2, 11], 1] + 1j * v[[3, 12], 1]
+        _check_labels(np.repeat(times[1], 2), x, y)
+        ref = ProductState(x=x[0], y=y[0])
+        p_end = ProductState(x=x[1], y=y[1])
         end, start = scale_to_classical(p_end, j), scale_to_classical(ref, j)
         # (re, im) of the field and of the spin separation, as one real 4-vector
         sep = np.array([end.z_field - start.z_field, end.z_spin - start.z_spin]).view(float)

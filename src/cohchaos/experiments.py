@@ -99,11 +99,11 @@ class ExperimentConfig:
     model: MaserParams
     states: tuple[ProductState, ...]
     t_final: float = 25.0
-    sampling_dt: float = 0.05
+    sampling_dt: float = IntegratorConfig.sample_dt
     energy_target: float | None = None
     n_max: int | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = IntegratorConfig.rel_tol
+    abs_tol: float = IntegratorConfig.abs_tol
     lyapunov_delta0: float = 1e-6
     lyapunov_window: float = 1.0
     lyapunov_t_total: float = 300.0
@@ -520,7 +520,7 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = maser_hamiltonian(cfg.model)
-    icfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, dense_output_dt=cfg.sampling_dt)
+    icfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, sample_dt=cfg.sampling_dt)
 
     states = list(cfg.states)
     manifest: dict = {

@@ -17,7 +17,7 @@ def maser_setup():
     p = MaserParams(j=4.5)
     h = maser_hamiltonian(p)
     s = ProductState(x=complex(0.9, 0.3), y=complex(0.35, -0.2))
-    traj = integrate(h, s, 3.0, IntegratorConfig(dense_output_dt=0.05))
+    traj = integrate(h, s, 3.0, IntegratorConfig(sample_dt=0.05))
     return p, h, traj
 
 
@@ -198,7 +198,7 @@ def test_doorway_amplitude_matches_exact_projection(fig1_h, fig1_states, fig1_hi
     -i C(t) while the correction is still perturbative.
     """
     state = fig1_states[0]
-    traj = integrate(fig1_h, state, 0.5, IntegratorConfig(dense_output_dt=0.05))
+    traj = integrate(fig1_h, state, 0.5, IntegratorConfig(sample_dt=0.05))
     kernel = build_kernel(traj, fig1_h)
 
     psi0 = product_coherent_vector(state.x, state.y, fig1_hilbert)

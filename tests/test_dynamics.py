@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cohchaos import dynamics
 from cohchaos.algebra import HEISENBERG, Gen, expectations, generator_matrices, spin
 from cohchaos.dynamics import (
     IntegrationError,
@@ -21,7 +22,7 @@ from cohchaos.dynamics import (
     scale_to_classical,
     trajectory_energy,
 )
-from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
+from cohchaos.model import BilinearHamiltonian, HermiticityError, MaserParams, maser_hamiltonian, mean_field_coeffs
 from reference import displaced_basis_vector, from_classical
 
 DECOUPLED = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.0, g_prime=0.0, j=1.5))
@@ -109,7 +110,7 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(dense_output_dt=-0.1)
+        IntegratorConfig(sample_dt=-0.1)
 
 
 def test_integrate_validation():
@@ -119,7 +120,7 @@ def test_integrate_validation():
 
 def test_decoupled_period_return():
     s = ProductState(x=1.2 - 0.4j, y=0.5 + 0.3j)
-    traj = integrate(DECOUPLED, s, 2.0 * math.pi, IntegratorConfig(dense_output_dt=0.1))
+    traj = integrate(DECOUPLED, s, 2.0 * math.pi, IntegratorConfig(sample_dt=0.1))
     assert abs(traj.x[-1] - s.x) < 1e-8
     assert abs(traj.y[-1] - s.y) < 1e-8
     assert traj.s0[0] == 0.0 and traj.s1[0] == 0.0
@@ -128,7 +129,7 @@ def test_decoupled_period_return():
 
 def test_decoupled_rotation_closed_form():
     s = ProductState(x=0.9 + 0.2j, y=-0.3 + 0.6j)
-    traj = integrate(DECOUPLED, s, 3.0, IntegratorConfig(dense_output_dt=0.25))
+    traj = integrate(DECOUPLED, s, 3.0, IntegratorConfig(sample_dt=0.25))
     expect_x = s.x * np.exp(-1j * traj.times)
     expect_y = s.y * np.exp(-1j * traj.times)
     assert np.abs(traj.x - expect_x).max() < 1e-9
@@ -150,7 +151,7 @@ def test_energy_conservation_short(fig1_h, fig1_states):
 
 def test_bloch_vector_stays_on_sphere(fig1_h, fig1_states):
     g = fig1_h.group_b
-    traj = integrate(fig1_h, fig1_states[0], 5.0, IntegratorConfig(dense_output_dt=0.5))
+    traj = integrate(fig1_h, fig1_states[0], 5.0, IntegratorConfig(sample_dt=0.5))
     for y in traj.y:
         jz = expectations(g, y)[Gen.ZERO].real
         jp = expectations(g, y)[Gen.PLUS]
@@ -159,7 +160,7 @@ def test_bloch_vector_stays_on_sphere(fig1_h, fig1_states):
 
 
 def test_state_at_carries_physical_phase(fig1_h, fig1_states):
-    traj = integrate(fig1_h, fig1_states[0], 2.0, IntegratorConfig(dense_output_dt=0.5))
+    traj = integrate(fig1_h, fig1_states[0], 2.0, IntegratorConfig(sample_dt=0.5))
     for i in range(len(traj.times)):
         assert traj.state_at(i).eta_total == pytest.approx(traj.s0[i], abs=1e-12)
 
@@ -215,7 +216,7 @@ def test_scaled_flow_independent_of_magnitude():
     # not depend on j at all; doubling j twice must reproduce the same
     # scaled trajectory in real time
     scaled0 = ScaledState(z_field=0.45 + 0.15j, z_spin=0.35 - 0.2j)
-    icfg = IntegratorConfig(dense_output_dt=0.25)
+    icfg = IntegratorConfig(sample_dt=0.25)
     curves = []
     for j in (4.5, 18.0):
         p = MaserParams(epsilon=1.0, omega=1.0, g=0.5 / math.sqrt(2), g_prime=0.2 / math.sqrt(2), j=j)
@@ -263,6 +264,91 @@ def test_label_leaving_the_valid_range_raises_integration_error():
     )
     with pytest.raises(IntegrationError, match=r"at t = 10\.05"):
         integrate(driven, ProductState(x=0.0, y=0.0), 20.0)
+
+
+@pytest.mark.parametrize("t_fail", [-1.0, 1.0], ids=["first-call", "after-t-1"])
+def test_model_guard_raised_inside_the_integrator_is_raised_after_it(fig1_h, fig1_states, monkeypatch, t_fail):
+    # VODE loses an exception raised in its callback; integrate must raise
+    # the guard's own error, with VODE stopped soon after the guard fired
+    evals = 0
+    at_failure = []
+    now = 0.0
+    message = "mean-field zero component acquired an imaginary part"
+    vode = dynamics.ode
+
+    def counting_ode(f):
+        def counted(t, v):
+            nonlocal evals
+            evals += 1
+            return f(t, v)
+
+        return vode(counted)
+
+    def timed_rhs(t, v, h):
+        nonlocal now
+        now = t
+        return _rhs(t, v, h)
+
+    def failing_coeffs(h, ev_a, ev_b):
+        if now > t_fail:
+            at_failure.append(evals)
+            raise HermiticityError(message)
+        return mean_field_coeffs(h, ev_a, ev_b)
+
+    monkeypatch.setattr(dynamics, "ode", counting_ode)
+    monkeypatch.setattr(dynamics, "_rhs", timed_rhs)
+    monkeypatch.setattr(dynamics, "mean_field_coeffs", failing_coeffs)
+    with pytest.raises(HermiticityError, match=f"^{message}$"):
+        integrate(fig1_h, fig1_states[0], 5.0)
+    assert len(at_failure) == 1
+    assert evals - at_failure[0] <= 1000  # about 100 measured
+    monkeypatch.undo()
+    traj = integrate(fig1_h, fig1_states[0], 2.0)
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.y))
+
+
+def test_one_long_sample_interval(fig1_h, fig1_states):
+    # one sample interval of 100 takes about 10 000 steps
+    traj = integrate(fig1_h, fig1_states[0], 100.0, IntegratorConfig(sample_dt=100.0))
+    assert traj.times.tolist() == [0.0, 100.0]
+    energy = trajectory_energy(fig1_h, traj)
+    assert abs(energy[1] - energy[0]) < 1e-8 * abs(energy[0])
+
+
+def test_integrator_failure_raises_integration_error_with_the_time():
+    # a spin-1/2 rotated about J_x from the south pole: y = -i tan(t) has a
+    # pole at t = pi/2, which no step sequence can pass
+    rotated = BilinearHamiltonian(
+        group_a=HEISENBERG,
+        group_b=spin(0.5),
+        alpha=np.zeros(3),
+        beta=np.array([0.0, 1.0, 1.0]),
+        gamma=np.zeros((3, 3)),
+    )
+    with pytest.raises(IntegrationError, match=r"integration failed at t = 1\.5708"):
+        integrate(rotated, ProductState(x=0.0, y=0.0), 3.0)
+
+
+def test_lyapunov_rhs_evals_count_both_states(fig1_h, fig1_states, monkeypatch):
+    calls = 0
+
+    def counted(h, ev_a, ev_b):
+        nonlocal calls
+        calls += 1
+        return mean_field_coeffs(h, ev_a, ev_b)
+
+    monkeypatch.setattr(dynamics, "mean_field_coeffs", counted)
+    series = lyapunov_series(fig1_h, fig1_states[0], t_total=2.0)
+    assert series.rhs_evals == calls > 0
+
+
+def test_energy_drift_at_default_tolerances_strong_coupling(rng):
+    # criterion 06's bound, on random states of a strongly coupled model
+    h = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=1.0, g_prime=1.0, j=4.5))
+    for _ in range(3):
+        x, y = (complex(*rng.normal(0.0, scale, 2)) for scale in (2.0, 1.0))
+        energy = trajectory_energy(h, integrate(h, ProductState(x=x, y=y), 30.0))
+        assert np.max(np.abs(energy - energy[0])) < 1e-8 * max(1.0, abs(energy[0]))
 
 
 def test_product_state_validation():

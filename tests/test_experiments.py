@@ -383,7 +383,7 @@ def test_integrating_verbs_record_rhs_evals_per_trajectory(tmp_path, verb, state
         series = lyapunov_series(h, cfg.states[1], t_total=1.0, renorm_interval=0.5, cfg=IntegratorConfig())
         assert counts[1] == series.rhs_evals
     else:
-        icfg = IntegratorConfig(dense_output_dt=cfg.sampling_dt)
+        icfg = IntegratorConfig(sample_dt=cfg.sampling_dt)
         assert counts[-1] == integrate(h, cfg.states[states - 1], cfg.t_final, icfg).rhs_evals
 
 
