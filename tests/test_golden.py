@@ -6,6 +6,11 @@ directory and compares bytes, so a refactor of the flow, the kernel or the
 writers that moves any printed digit fails here. To re-record after an
 intended change, run the same command with --out tests/golden/<verb>.
 
+The bytes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+The flow runs on scipy's compiled VODE, and another scipy build of it may
+round differently, so a mismatch under another scipy is a difference of
+builds to confirm against these versions before it is taken for a bug.
+
 The exact-oracle verbs (oracle-compare, and entropy with n_max set) are
 left out: LAPACK eigh results may differ in the last bits between BLAS
 builds.
