@@ -124,7 +124,7 @@ class Trajectory:
     zero- and one-excitation components of the evolving state: the factor
     phases plus the coupling-energy counterterm, both zero at the first
     sample.  Their difference s0 - s1 is counterterm-free.  rhs_evals is
-    the number of right-hand-side evaluations the integrator made.
+    the number of right-hand-side evaluations the integrator spent.
     """
 
     times: np.ndarray
