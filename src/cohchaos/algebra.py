@@ -20,10 +20,10 @@ Conventions (see docs/conventions.md, version CONVENTIONS_VERSION):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -92,13 +92,6 @@ def spin(j: float) -> GroupKind:
     return GroupKind("spin", float(j))
 
 
-class DisplacedVector(NamedTuple):
-    """Truncated-basis representation of D(z)|fiducial> plus its norm deficit."""
-
-    vector: np.ndarray
-    norm_deficit: float
-
-
 def _check_label(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -112,21 +105,17 @@ def overlap(group: GroupKind, z1: complex, z2: complex) -> complex:
     """Complex overlap <z1|z2> of two normalized coherent states.
 
     Oscillator: exp(-|z1|^2/2 - |z2|^2/2 + conj(z1) z2).
-    Spin: (1 + conj(z1) z2)^(2j) / [(1+|z1|^2)(1+|z2|^2)]^j, evaluated in
-    log space; the exponent 2j is an integer so no branch ambiguity arises.
+    Spin: (1 + conj(z1) z2)^(2j) / [(1+|z1|^2)(1+|z2|^2)]^j.
+    The modulus is exp(-overlap_exponent / 2); only the phase is formed
+    here: Im(conj(z1) z2) for the oscillator, 2j arg(1 + conj(z1) z2) for
+    a spin (2j is an integer, so no branch ambiguity arises).
     """
     z1 = _check_label(z1)
     z2 = _check_label(z2)
-    if z1 == z2:
-        return 1.0 + 0.0j
-    if not group.is_spin:
-        return complex(np.exp(-0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2 + np.conj(z1) * z2))
-    j = group.j
-    w = 1.0 + np.conj(z1) * z2
-    if w == 0:
-        return 0.0 + 0.0j
-    log_den = j * (math.log1p(abs(z1) ** 2) + math.log1p(abs(z2) ** 2))
-    return complex(np.exp(2.0 * j * np.log(w) - log_den))
+    w = z1.conjugate() * z2
+    # math.atan2, not cmath.phase, which raises when the angle underflows
+    phase = 2.0 * group.j * math.atan2(w.imag, 1.0 + w.real) if group.is_spin else w.imag
+    return cmath.exp(complex(-0.5 * overlap_exponent(group, z1, z2), phase))
 
 
 def overlap_exponent(group: GroupKind, z1: complex, z2: complex) -> float:
@@ -285,31 +274,3 @@ def _spin_coherent_amplitudes(j: float, z: complex, dim: int) -> np.ndarray:
     logmag = -j * math.log1p(r * r) + 0.5 * log_binom + k * math.log(r)
     phase = k * math.atan2(z.imag, z.real)
     return np.exp(logmag + 1j * phase)
-
-
-def displaced_basis_vector(
-    group: GroupKind,
-    z: complex,
-    truncation: int | None = None,
-    deficit_tol: float = 1e-10,
-) -> DisplacedVector:
-    """Truncated-basis coherent state D(z)|fiducial> with its norm deficit.
-
-    Spin vectors are exact (deficit 0).  The oscillator vector is returned
-    unnormalized, so its norm shortfall reports the truncation loss; a
-    deficit above `deficit_tol` raises TruncationError.
-    """
-    z = _check_label(z)
-    if group.is_spin:
-        return DisplacedVector(vector=_spin_coherent_amplitudes(group.j, z, group.dim), norm_deficit=0.0)
-    if truncation is None or truncation < 1:
-        raise ValueError("oscillator vectors need a positive truncation")
-    dim = int(truncation)
-    vec = _field_coherent_amplitudes(z, dim)
-    deficit = max(0.0, 1.0 - float(np.vdot(vec, vec).real))
-    if deficit > deficit_tol:
-        raise TruncationError(
-            f"norm deficit {deficit:.3e} exceeds {deficit_tol:.1e}; "
-            f"raise the truncation (currently {dim}) for |z| = {abs(z):.3f}"
-        )
-    return DisplacedVector(vector=vec, norm_deficit=deficit)

@@ -118,6 +118,7 @@ class ExperimentConfig:
         if not 0.0 < self.lyapunov_window <= self.lyapunov_t_total:
             raise ConfigError("'lyapunov.window' must lie in (0, lyapunov.t_total]")
         _checked("'lyapunov.t_total'", window_count, t_total=self.lyapunov_t_total, window=self.lyapunov_window)
+        _checked("tolerances", IntegratorConfig, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
 def expand_preset(name: str) -> dict:
@@ -215,11 +216,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     numbers.update(
         (f"lyapunov_{k}", _require_number(lyap_raw[k], f"lyapunov.{k}")) for k in _LYAP_KEYS if k in lyap_raw
     )
-    cfg = ExperimentConfig(
-        model=model, states=tuple(states), energy_target=energy_target, n_max=n_max, **numbers
-    )
-    _checked("tolerances", IntegratorConfig, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
-    return cfg
+    return ExperimentConfig(model=model, states=tuple(states), energy_target=energy_target, n_max=n_max, **numbers)
 
 
 def load_raw(path) -> dict:
@@ -236,10 +233,6 @@ def load_raw(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config root in {path} must be an object, got {type(data).__name__}")
     return data
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(load_raw(path))
 
 
 def apply_overrides(data: dict, overrides) -> dict:
@@ -301,17 +294,14 @@ def project_to_energy(
     are reported.
     """
     if direction == "im_x":
-        def shifted(u: float) -> ProductState:
-            return replace(s, x=s.x + 1j * u)
+        step = 1j
     elif direction == "re_x":
-        def shifted(u: float) -> ProductState:
-            return replace(s, x=s.x + u)
+        step = 1.0
     else:
         raise ValueError(f"direction must be 'im_x' or 're_x', got {direction!r}")
 
     def gap(u: float) -> float:
-        cand = shifted(u)
-        return classical_energy(h, cand.x, cand.y) - target
+        return classical_energy(h, s.x + step * u, s.y) - target
 
     g0 = gap(0.0)
     if abs(g0) <= 1e-12 * max(1.0, abs(target)):
@@ -330,7 +320,7 @@ def project_to_energy(
             f"attained range [{vals.min() + target:.6g}, {vals.max() + target:.6g}]"
         )
     root = brentq(gap, best[1], best[2], xtol=1e-14, rtol=8.9e-16)
-    return shifted(float(root))
+    return replace(s, x=s.x + step * float(root))
 
 
 def project_with_fallback(
@@ -390,15 +380,14 @@ class _Run:
 
 
 def _pair_rows(run: _Run, s1, s2):
+    """(t, overlap_sq, d_field, d_spin) per sample; overlap_sq is exp(-(d_field + d_spin))."""
     h = run.h
     t1 = run.integrate(s1)
     t2 = run.integrate(s2)
     rows = []
     for i, t in enumerate(t1.times):
-        a, b = t1.state_at(i), t2.state_at(i)
-        ov = abs(mf_overlap(a, b, h.group_a, h.group_b)) ** 2
-        d_f, d_s = label_distances(a, b, h.group_a, h.group_b)
-        rows.append((t, ov, d_f, d_s))
+        d_f, d_s = label_distances(t1.state_at(i), t2.state_at(i), h.group_a, h.group_b)
+        rows.append((t, math.exp(-(d_f + d_s)), d_f, d_s))
     return rows
 
 

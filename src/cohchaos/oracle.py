@@ -25,12 +25,15 @@ from .algebra import (
     HEISENBERG,
     CohChaosError,
     TruncationError,
-    displaced_basis_vector,
+    _check_label,
+    _field_coherent_amplitudes,
+    _spin_coherent_amplitudes,
     generator_matrices,
     spin,
 )
 from .model import BilinearHamiltonian
 
+# Largest dimension ExactEvolver diagonalizes; above it, Krylov steps.
 _DENSE_LIMIT = 3000
 # Largest product-space dimension a HilbertConfig accepts.
 _DIMENSION_CAP = 20000
@@ -175,16 +178,16 @@ def _block_eigensystems(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, 
 class ExactEvolver:
     """Reusable propagator for one Hamiltonian matrix.
 
-    Up to dense_limit dimensions the decoupled blocks of the matrix are
+    Up to _DENSE_LIMIT dimensions the decoupled blocks of the matrix are
     diagonalized once, and a whole time grid is then evolved with one phase
     matrix and two matrix products per block. Above it the sparse matrix
     exponential acts on the state once per step between consecutive times.
     """
 
-    def __init__(self, h_matrix: sp.spmatrix, dense_limit: int = _DENSE_LIMIT):
+    def __init__(self, h_matrix: sp.spmatrix):
         self._h = h_matrix.tocsr()
         self._dim = self._h.shape[0]
-        self._blocks = _block_eigensystems(self._h) if self._dim <= dense_limit else None
+        self._blocks = _block_eigensystems(self._h) if self._dim <= _DENSE_LIMIT else None
 
     def _dense_grid(self, amplitudes: np.ndarray, times: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
         # c = V^H psi per block, then psi(t) = V (exp(-i E t) c) for a chunk of times at once
@@ -231,17 +234,19 @@ def _field_truncation_deficit(x: complex, n_max: int) -> float:
 def product_coherent_vector(x: complex, y: complex, cfg: HilbertConfig) -> OracleState:
     """Normalized product coherent state D(x)|0> (x) D(y)|j,-j> on the basis.
 
-    The field truncation loss must stay below 1e-8; it is recorded on the
+    Both labels are range-checked first. The field truncation loss, the
+    Poisson tail beyond n_max, must stay below 1e-8; it is recorded on the
     returned state after renormalization.
     """
+    x, y = _check_label(x), _check_label(y)
     deficit = _field_truncation_deficit(x, cfg.n_max)
     if deficit > 1e-8:
         raise TruncationError(
             f"field truncation deficit {deficit:.3e} at n_max = {cfg.n_max} for |x| = {abs(x):.3f}; "
             f"policy recommends n_max >= {recommended_n_max(x)}"
         )
-    field = displaced_basis_vector(HEISENBERG, x, truncation=cfg.n_max + 1, deficit_tol=1e-8).vector
-    spin_part = displaced_basis_vector(spin(cfg.j), y).vector
+    field = _field_coherent_amplitudes(x, cfg.n_max + 1)
+    spin_part = _spin_coherent_amplitudes(cfg.j, y, cfg.spin_dim)
     amps = np.kron(field, spin_part)
     amps = amps / np.linalg.norm(amps)
     return OracleState(amplitudes=amps, config=cfg, truncation_deficit=deficit)

@@ -2,13 +2,15 @@
 
 Nothing here is imported by the library. Each object is either an earlier
 form of a library closed form kept verbatim (the numpy mean-field
-right-hand side) or a slow construction that only the tests need (matrix
-exponentials, excited fiducials, nested quadrature).
+right-hand side) or a construction that only the tests need (single-degree
+coherent vectors with their norm deficit, matrix exponentials, excited
+fiducials, nested quadrature).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,7 +18,7 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.linalg import expm
 
 from cohchaos import algebra
-from cohchaos.algebra import HEISENBERG, CohChaosError, DisplacedVector, Gen, GroupKind, TruncationError, spin
+from cohchaos.algebra import HEISENBERG, CohChaosError, Gen, GroupKind, TruncationError, spin
 from cohchaos.corrections import CorrectionKernel
 from cohchaos.dynamics import ProductState, ScaledState
 from cohchaos.model import BilinearHamiltonian, HermiticityError
@@ -115,6 +117,13 @@ def displacement_matrix(group: GroupKind, z: complex, truncation: int | None = N
     return expm(xi * ap - np.conj(xi) * am)
 
 
+class DisplacedVector(NamedTuple):
+    """Truncated-basis representation of D(z)|fiducial> plus its norm deficit."""
+
+    vector: np.ndarray
+    norm_deficit: float
+
+
 def displaced_basis_vector(
     group: GroupKind,
     z: complex,
@@ -124,26 +133,33 @@ def displaced_basis_vector(
 ) -> DisplacedVector:
     """Truncated-basis vector D(z)|fiducial_index> with its norm deficit.
 
-    Index 0 is the library's coherent vector. The oscillator's index 1 is
-    the closed form (a^dag - conj(z)) D(z)|0>; any other index is a column
-    of displacement_matrix. A deficit above deficit_tol raises
-    TruncationError.
+    Index 0 is the coherent vector the oracle's product vectors are built
+    from. The oscillator's index 1 is the closed form
+    (a^dag - conj(z)) D(z)|0>; any other index is a column of
+    displacement_matrix. Spin vectors are exact (deficit 0); an oscillator
+    vector is returned unnormalized, so its norm shortfall reports the
+    truncation loss, and a deficit above deficit_tol raises TruncationError.
     """
-    if fiducial_index == 0:
-        return algebra.displaced_basis_vector(group, z, truncation, deficit_tol)
+    z = algebra._check_label(z)
     if fiducial_index < 0:
         raise ValueError("fiducial index must be nonnegative")
     if group.is_spin:
         if fiducial_index >= group.dim:
             raise ValueError(f"fiducial index {fiducial_index} outside spin dimension {group.dim}")
-        return DisplacedVector(vector=displacement_matrix(group, z)[:, fiducial_index].copy(), norm_deficit=0.0)
+        if fiducial_index == 0:
+            vec = algebra._spin_coherent_amplitudes(group.j, z, group.dim)
+        else:
+            vec = displacement_matrix(group, z)[:, fiducial_index].copy()
+        return DisplacedVector(vector=vec, norm_deficit=0.0)
     if truncation is None or truncation < 1:
         raise ValueError("oscillator vectors need a positive truncation")
     dim = int(truncation)
     if fiducial_index >= dim:
         raise ValueError(f"fiducial index {fiducial_index} outside truncation {dim}")
-    if fiducial_index == 1:
-        coh = algebra.displaced_basis_vector(HEISENBERG, z, dim, deficit_tol=1.0).vector
+    if fiducial_index == 0:
+        vec = algebra._field_coherent_amplitudes(z, dim)
+    elif fiducial_index == 1:
+        coh = algebra._field_coherent_amplitudes(z, dim)
         vec = np.zeros(dim, dtype=complex)
         vec[1:] = np.sqrt(np.arange(1, dim)) * coh[:-1]
         vec -= np.conj(z) * coh
@@ -151,7 +167,10 @@ def displaced_basis_vector(
         vec = displacement_matrix(group, z, truncation=dim)[:, fiducial_index].copy()
     deficit = max(0.0, 1.0 - float(np.vdot(vec, vec).real))
     if deficit > deficit_tol:
-        raise TruncationError(f"norm deficit {deficit:.3e} exceeds {deficit_tol:.1e} at truncation {dim}")
+        raise TruncationError(
+            f"norm deficit {deficit:.3e} exceeds {deficit_tol:.1e}; "
+            f"raise the truncation (currently {dim}) for |z| = {abs(z):.3f}"
+        )
     return DisplacedVector(vector=vec, norm_deficit=deficit)
 
 

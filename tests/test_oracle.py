@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from cohchaos.algebra import CohChaosError, TruncationError, generator_matrices, overlap
 from cohchaos.algebra import HEISENBERG, spin as spin_group
 from cohchaos.dynamics import ProductState, integrate
+from cohchaos import oracle
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian
 from cohchaos.oracle import (
     DimensionError,
@@ -176,13 +177,20 @@ def test_eigenvector_acquires_pure_phase():
         assert np.abs(out.amplitudes - np.exp(-1j * evals[3] * t) * v).max() < 1e-10
 
 
+def krylov_evolver(h):
+    """An ExactEvolver forced onto the Krylov path, whatever the dimension."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_DENSE_LIMIT", 1)
+        return ExactEvolver(h)
+
+
 @pytest.mark.parametrize("g_prime", [0.1, 0.0])
 def test_dense_and_sparse_paths_agree(g_prime):
     h = build_hamiltonian_matrix(small_model(g_prime), SMALL)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     expected = sla.expm(-1j * 0.7 * h.toarray()) @ st.amplitudes
     dense = ExactEvolver(h).evolve(st, 0.7)
-    sparse = ExactEvolver(h, dense_limit=1).evolve(st, 0.7)
+    sparse = krylov_evolver(h).evolve(st, 0.7)
     assert np.abs(dense.amplitudes - expected).max() < 1e-10
     assert np.abs(sparse.amplitudes - expected).max() < 1e-10
 
@@ -202,8 +210,9 @@ def test_dense_path_on_complex_interleaved_blocks(rng):
 
 
 @pytest.mark.parametrize("dense_limit", [SMALL.dim, 1], ids=["dense", "krylov"])
-def test_evolve_grid_matches_per_time_evolve(dense_limit):
-    ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL), dense_limit=dense_limit)
+def test_evolve_grid_matches_per_time_evolve(dense_limit, monkeypatch):
+    monkeypatch.setattr(oracle, "_DENSE_LIMIT", dense_limit)
+    ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     # a repeated time, and a short last step as on a t_final = 0.73, dt = 0.1 grid
     times = [0.0, 0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.73]
@@ -219,13 +228,13 @@ def test_evolver_rejects_norm_drift():
     st = OracleState(amplitudes=0.5 * np.eye(SMALL.dim, dtype=complex)[0], config=SMALL)
     with pytest.raises(CohChaosError, match="norm drift"):
         ExactEvolver(h).evolve(st, 0.1)
-    for ev in (ExactEvolver(h), ExactEvolver(h, dense_limit=1)):
+    for ev in (ExactEvolver(h), krylov_evolver(h)):
         with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.1$"):
             list(ev.evolve_grid(st, [0.1, 0.2]))
     # a weak decay loses norm as exp(-1e-8 t): within 1e-9 up to t = 0.1 only
     lossy = h - 1e-8j * sp.identity(SMALL.dim, format="csr")
     good = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
-    grid = ExactEvolver(lossy, dense_limit=1).evolve_grid(good, [0.0, 0.05, 0.2, 0.3])
+    grid = krylov_evolver(lossy).evolve_grid(good, [0.0, 0.05, 0.2, 0.3])
     assert [next(grid).norm for _ in range(2)] == pytest.approx([1.0, 1.0], abs=1e-9)
     with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.2$"):
         next(grid)
@@ -259,6 +268,16 @@ def test_product_vector_expectations():
 def test_product_vector_truncation_error():
     with pytest.raises(TruncationError, match="policy recommends"):
         product_coherent_vector(5.0, 0.0, HilbertConfig(n_max=10, j=0.5))
+
+
+@pytest.mark.parametrize("bad", [complex("inf"), complex("nan"), 2e6, 2e6j])
+@pytest.mark.parametrize("degree", ["field", "spin"])
+def test_product_vector_rejects_out_of_range_labels(bad, degree):
+    # checked before the truncation deficit, whose error text would size
+    # n_max for the label (overflowing at inf)
+    x, y = (bad, 0.0) if degree == "field" else (0.0, bad)
+    with pytest.raises(ValueError, match="coherent label"):
+        product_coherent_vector(x, y, SMALL)
 
 
 def test_doorway_vector_properties():

@@ -27,11 +27,13 @@ OFFSETS = st.tuples(st.floats(-8.0, 0.0), st.floats(0.0, 2.0 * math.pi)).map(
 
 
 def rounding_bound(group, ov_sq: float) -> float:
-    """Relative difference allowed between exp(-overlap_exponent) and |overlap|^2.
+    """Relative error allowed in |overlap|^2, and absolute error in its phase.
 
-    Both sides round the spin base |<z1|z2>|^(1/j) by a few ulp absolutely,
-    and the power 2j turns that into a relative error of about 2j ulp / base:
-    large only next to antipodal labels. The bound allows 64 ulp.
+    The spin base |<z1|z2>|^(1/j) is rounded by a few ulp absolutely, and
+    the power 2j turns that into a relative error of about 2j ulp / base:
+    large only next to antipodal labels. The phase 2j arg(1 + conj(z1) z2)
+    errs by about 2j ulp / sqrt(base), which this also bounds. The bound
+    allows 64 ulp.
     """
     if not group.is_spin:
         return 1e-12
@@ -47,13 +49,27 @@ def exponent_50_digits(group, z1: complex, z2: complex) -> mpmath.mpf:
         return -2 * mpmath.mpf(group.j) * mpmath.log(1 - q)
 
 
+def overlap_50_digits(group, z1: complex, z2: complex) -> mpmath.mpc:
+    """<z1|z2> from the closed forms of docs/conventions.md at 50 digits, from the exact doubles."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(z1), mpmath.mpc(z2)
+        if not group.is_spin:
+            return mpmath.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + mpmath.conj(a) * b)
+        two_j = round(2 * group.j)
+        return (1 + mpmath.conj(a) * b) ** two_j / ((1 + abs(a) ** 2) * (1 + abs(b) ** 2)) ** (mpmath.mpf(two_j) / 2)
+
+
 @BOUNDED
 @given(GROUPS, LABELS, LABELS)
-def test_overlap_exponent_is_minus_log_overlap_sq(group, z1, z2):
-    ov_sq = abs(overlap(group, z1, z2)) ** 2
+def test_overlap_matches_50_digit_closed_forms(group, z1, z2):
+    exact = overlap_50_digits(group, z1, z2)
+    ov = overlap(group, z1, z2)
+    ov_sq = abs(ov) ** 2
     if ov_sq > 1e-200:
-        e = overlap_exponent(group, z1, z2)
-        assert math.exp(-e) == pytest.approx(ov_sq, rel=rounding_bound(group, ov_sq))
+        bound = rounding_bound(group, ov_sq)
+        with mpmath.workdps(50):
+            assert float(abs(ov_sq / abs(exact) ** 2 - 1)) <= bound
+            assert float(abs(mpmath.arg(ov / exact))) <= bound
 
 
 @BOUNDED
