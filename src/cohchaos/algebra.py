@@ -112,9 +112,12 @@ def overlap(group: GroupKind, z1: complex, z2: complex) -> complex:
     """
     z1 = _check_label(z1)
     z2 = _check_label(z2)
-    w = z1.conjugate() * z2
-    # math.atan2, not cmath.phase, which raises when the angle underflows
-    phase = 2.0 * group.j * math.atan2(w.imag, 1.0 + w.real) if group.is_spin else w.imag
+    if group.is_spin:
+        w = _one_plus_conj_product(z1, z2)
+        # math.atan2, not cmath.phase, which raises when the angle underflows
+        phase = 2.0 * group.j * math.atan2(w.imag, w.real)
+    else:
+        phase = (z1.conjugate() * z2).imag
     return cmath.exp(complex(-0.5 * overlap_exponent(group, z1, z2), phase))
 
 
@@ -136,11 +139,21 @@ def overlap_exponent(group: GroupKind, z1: complex, z2: complex) -> float:
     q = d2 / norms
     if q <= 0.5:
         return -2.0 * group.j * math.log1p(-q)
+    w = _one_plus_conj_product(z1, z2)
+    base = (w.real * w.real + w.imag * w.imag) / norms
+    return math.inf if base == 0.0 else -2.0 * group.j * math.log(base)
+
+
+def _one_plus_conj_product(z1: complex, z2: complex) -> complex:
+    """1 + conj(z1) z2, each part summed from error-free products and rounded once.
+
+    Next to antipodal labels the sum cancels; this keeps its relative
+    accuracy, which the spin overlap's modulus and phase both need.
+    """
     a, b, c, d = z1.real, z1.imag, z2.real, z2.imag
     re = math.fsum((1.0, *_two_product(a, c), *_two_product(b, d)))
     im = math.fsum((*_two_product(a, d), *_two_product(-b, c)))
-    base = (re * re + im * im) / norms
-    return math.inf if base == 0.0 else -2.0 * group.j * math.log(base)
+    return complex(re, im)
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from .experiments import (
     run_experiment,
 )
 
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohchaos",

@@ -404,7 +404,7 @@ def _exact_runs(run: _Run, states, times) -> Iterator[tuple[OracleState, ...]]:
     psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states]
     run.manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
     top = 0.0
-    for evolved in zip(*(evolver.evolve_grid(p, times) for p in psi0)):
+    for evolved in evolver.evolve_grid(psi0, times):
         top = max(top, *(top_fock_population(p) for p in evolved))
         yield evolved
     hilbert["top_fock_population"] = _sig3(top)

@@ -96,6 +96,56 @@ def rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     return np.array([dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi])
 
 
+def rhs_term_magnitudes(v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
+    """rhs with every input replaced by its magnitude and every difference by a sum.
+
+    Component by component, this is the size of the terms that rhs sums
+    (a complex component bounds both its parts), so a small multiple of eps
+    times it bounds the rounding error of any evaluation order: the
+    componentwise forward-error bound. Where no component cancels it equals
+    |rhs|.
+    """
+    x = abs(complex(v[0], v[1]))
+    y = abs(complex(v[2], v[3]))
+    ev_a = _expectation_magnitudes(h.group_a, x)
+    ev_b = _expectation_magnitudes(h.group_b, y)
+    alpha, beta, gamma = np.abs(h.alpha), np.abs(h.beta), np.abs(h.gamma)
+    a = alpha + gamma @ ev_b
+    b = beta + gamma.T @ ev_a
+    dx = _one_label_magnitude(h.group_a, x, a)
+    dy = _one_label_magnitude(h.group_b, y, b)
+    deta_x, ds1_x = _action_rate_magnitudes(h.group_a, x, dx, a)
+    deta_y, ds1_y = _action_rate_magnitudes(h.group_b, y, dy, b)
+    dphi = ev_a @ gamma @ ev_b
+    return np.array([dx, dx, dy, dy, deta_x, deta_y, ds1_x, ds1_y, dphi])
+
+
+def _expectation_magnitudes(group: GroupKind, r: float) -> np.ndarray:
+    if not group.is_spin:
+        return np.array([r * r, r, r])
+    # the terms of -j (1 - r^2) / (1 + r^2) add up to j
+    den = 1.0 + r * r
+    return group.j * np.array([1.0, 2.0 * r / den, 2.0 * r / den])
+
+
+def _one_label_magnitude(group: GroupKind, r: float, coeffs: np.ndarray) -> float:
+    c0, cp, _ = coeffs
+    if not group.is_spin:
+        return c0 * r + cp
+    return cp + c0 * r + cp * r * r
+
+
+def _action_rate_magnitudes(group: GroupKind, r: float, dz: float, coeffs: np.ndarray) -> tuple[float, float]:
+    c0, cp, cm = coeffs
+    geom = dz * r
+    if not group.is_spin:
+        eta_rate = geom + c0 * r * r + cp * r + cm * r
+        return eta_rate, eta_rate + c0
+    j = group.j
+    eta_rate = (2.0 * j * geom + j * (c0 * (1.0 + r * r) + 2.0 * cp * r + 2.0 * cm * r)) / (1.0 + r * r)
+    return eta_rate, eta_rate * abs(j - 1.0) / j
+
+
 # ---------------------------------------------------------------------------
 # Coherent states beyond the fiducial, and the exact-state helpers built on
 # them.

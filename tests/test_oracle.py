@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.sparse.csgraph import connected_components
 
 from cohchaos.algebra import CohChaosError, TruncationError, generator_matrices, overlap
@@ -142,9 +144,9 @@ def test_driven_field_follows_mean_field():
     cfg = HilbertConfig(n_max=40, j=1.5)
     traj = integrate(h, s, 5.0)
     grid = ExactEvolver(build_hamiltonian_matrix(h, cfg)).evolve_grid(
-        product_coherent_vector(s.x, s.y, cfg), traj.times
+        [product_coherent_vector(s.x, s.y, cfg)], traj.times
     )
-    field = np.array([field_annihilation_expectation(psi) for psi in grid])
+    field = np.array([field_annihilation_expectation(psi) for (psi,) in grid])
     assert np.abs(field - traj.x).max() < 1e-8
 
 
@@ -205,7 +207,7 @@ def test_dense_path_on_complex_interleaved_blocks(rng):
     psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
     st = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
     ev = ExactEvolver(sp.csr_matrix(a))
-    for t, out in zip((0.3, 1.7), ev.evolve_grid(st, (0.3, 1.7))):
+    for t, (out,) in zip((0.3, 1.7), ev.evolve_grid([st], (0.3, 1.7))):
         assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ st.amplitudes).max() < 1e-10
 
 
@@ -216,11 +218,87 @@ def test_evolve_grid_matches_per_time_evolve(dense_limit, monkeypatch):
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     # a repeated time, and a short last step as on a t_final = 0.73, dt = 0.1 grid
     times = [0.0, 0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.73]
-    grid = list(ev.evolve_grid(st, times))
+    grid = list(ev.evolve_grid([st], times))
     assert len(grid) == len(times)
-    for t, out in zip(times, grid):
+    for t, (out,) in zip(times, grid):
         assert out.config == st.config
         assert np.abs(out.amplitudes - ev.evolve(st, t).amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize("dense_limit", [SMALL.dim, 1], ids=["dense", "krylov"])
+def test_states_evolved_together_equal_each_alone(dense_limit, monkeypatch):
+    monkeypatch.setattr(oracle, "_DENSE_LIMIT", dense_limit)
+    # dense chunks of three times for the pair, six for a single state
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", 6 * SMALL.dim)
+    ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
+    pair = [
+        product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL),
+        product_coherent_vector(-0.3 + 0.2j, 0.1 - 0.4j, SMALL),
+    ]
+    times = [0.0, 0.1, 0.7, 2.5, 2.5, 3.0, 4.0]
+    together = list(ev.evolve_grid(pair, times))
+    assert len(together) == len(times)
+    for i, st in enumerate(pair):
+        for both, (alone,) in zip(together, ev.evolve_grid([st], times), strict=True):
+            assert len(both) == 2 and both[i].config == st.config
+            assert np.abs(both[i].amplitudes - alone.amplitudes).max() < 1e-12
+
+
+def test_chebyshev_steps_match_expm():
+    h = build_hamiltonian_matrix(small_model(), SMALL)
+    st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
+    ev = krylov_evolver(h)
+
+    def exact(t):
+        return sla.expm(-1j * t * h.toarray()) @ st.amplitudes
+
+    # one long step: R dt is about 120, a series of 177 terms
+    assert np.abs(ev.evolve(st, 25.0).amplitudes - exact(25.0)).max() < 1e-10
+    # steps back in time, a repeated time and negative times
+    times = [0.3, 1.2, 0.5, -0.8, -0.8, 4.0]
+    for t, (out,) in zip(times, ev.evolve_grid([st], times), strict=True):
+        assert np.abs(out.amplitudes - exact(t)).max() < 1e-10
+
+
+def test_chebyshev_path_on_a_complex_driven_model():
+    # a field drive and a complex co-rotating coupling: H is complex Hermitian
+    f, c = 0.3 - 0.2j, 0.2 + 0.15j
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[1, 2], gamma[2, 1] = c, np.conj(c)
+    h_model = BilinearHamiltonian(
+        group_a=HEISENBERG, group_b=spin_group(1.5),
+        alpha=np.array([1.0, f, np.conj(f)]), beta=np.array([0.7, 0.0, 0.0]), gamma=gamma,
+    )
+    cfg = HilbertConfig(n_max=30, j=1.5)
+    h = build_hamiltonian_matrix(h_model, cfg)
+    assert np.any(h.data.imag)
+    st = product_coherent_vector(0.5 + 0.1j, 0.2 - 0.3j, cfg)
+    times = [0.4, 1.0, 3.0]
+    for t, (out,) in zip(times, krylov_evolver(h).evolve_grid([st], times), strict=True):
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * h.toarray()) @ st.amplitudes).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.integers(1, 4), hs.integers(1, 3), hs.integers(0, 2**32 - 1), hs.floats(-30.0, 30.0))
+def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, seed, dt):
+    cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=(cfg.dim, cfg.dim)) + 1j * gen.normal(size=(cfg.dim, cfg.dim))
+    a = 0.5 * (a + a.conj().T)
+    psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
+    state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
+    out = krylov_evolver(sp.csr_matrix(a)).evolve(state, dt)
+    assert np.abs(out.amplitudes - sla.expm(-1j * dt * a) @ state.amplitudes).max() < 1e-10
+
+
+def test_evolve_grid_rejects_a_state_of_another_dimension():
+    ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
+    good = product_coherent_vector(0.5, 0.3, SMALL)
+    other = product_coherent_vector(0.5, 0.3, HilbertConfig(n_max=9, j=0.5))
+    with pytest.raises(ValueError, match="dimension 20 does not match the matrix dimension 18"):
+        next(ev.evolve_grid([good, other], [0.1]))
+    with pytest.raises(ValueError, match="at least one state"):
+        next(ev.evolve_grid([], [0.1]))
 
 
 def test_evolver_rejects_norm_drift():
@@ -230,14 +308,21 @@ def test_evolver_rejects_norm_drift():
         ExactEvolver(h).evolve(st, 0.1)
     for ev in (ExactEvolver(h), krylov_evolver(h)):
         with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.1$"):
-            list(ev.evolve_grid(st, [0.1, 0.2]))
+            list(ev.evolve_grid([st], [0.1, 0.2]))
     # a weak decay loses norm as exp(-1e-8 t): within 1e-9 up to t = 0.1 only
     lossy = h - 1e-8j * sp.identity(SMALL.dim, format="csr")
     good = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
-    grid = krylov_evolver(lossy).evolve_grid(good, [0.0, 0.05, 0.2, 0.3])
-    assert [next(grid).norm for _ in range(2)] == pytest.approx([1.0, 1.0], abs=1e-9)
+    grid = krylov_evolver(lossy).evolve_grid([good], [0.0, 0.05, 0.2, 0.3])
+    assert [next(grid)[0].norm for _ in range(2)] == pytest.approx([1.0, 1.0], abs=1e-9)
     with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.2$"):
         next(grid)
+    # a step too long for one series raises before it evaluates the series
+    with pytest.raises(CohChaosError, match="needs more than 100000 orders"):
+        krylov_evolver(h).evolve(good, 1e9)
+    # a time that is not a number fails on both paths, never yields NaNs
+    for ev in (ExactEvolver(h), krylov_evolver(h)):
+        with pytest.raises(CohChaosError, match="norm drift|not finite"):
+            next(ev.evolve_grid([good], [math.nan]))
 
 
 def test_energy_expectation_drift(fig1_h_matrix, fig1_evolver, fig1_pair_vectors):
