@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one initial state in 'pairs'")
         if not (self.t_final > 0.0 and self.sampling_dt > 0.0):
             raise ConfigError("t_final and sampling_dt must be positive")
+        if self.n_max is not None and self.n_max < 1:
+            raise ConfigError(f"'n_max' must be at least 1, got {self.n_max}")
         if not self.lyapunov_delta0 > 0.0:
             raise ConfigError("'lyapunov.delta0' must be positive")
         if not 0.0 < self.lyapunov_window <= self.lyapunov_t_total:

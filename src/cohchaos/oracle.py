@@ -6,17 +6,19 @@ object the mean-field flow integrates: states live on the product basis
 |n> (x) |j,-j+k> with the spin index fastest, the Hamiltonian is assembled
 sparsely from the generator matrices, and evolution uses a dense
 eigendecomposition of its decoupled blocks below a dimension threshold and
-a Chebyshev expansion of exp(-i H dt) above it (Tal-Ezer and Kosloff, J.
+a Chebyshev expansion of exp(-i H t) above it (Tal-Ezer and Kosloff, J.
 Chem. Phys. 81, 3967 (1984)): H is scaled once into [-1, 1] by its
-Gershgorin interval, and each step sums Bessel-weighted Chebyshev
-polynomials of the scaled sparse matrix, truncated where the neglected
-coefficients add up to machine epsilon. Both paths evolve all states of a
-run together and check their norms as they go.
+Gershgorin interval, and each chunk of consecutive sample times is
+expanded about the previous chunk's last time. The vectors T_k(H_s) psi of
+one recurrence are shared by every time of the chunk; only their Bessel
+weights, from Miller's backward recurrence, depend on the time. The series
+is truncated where the neglected coefficients of every time add up to
+machine epsilon. Both paths evolve all states of a run together and check
+their norms as they go.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
@@ -27,7 +29,7 @@ import scipy.sparse as sp
 # Unused here: the benchmark's trace wraps oracle.expm_multiply, as it does
 # dynamics.solve_ivp, and needs the name to exist.
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
-from scipy.special import gammainc, jv
+from scipy.special import gammainc, gammaln
 
 from .algebra import (
     HEISENBERG,
@@ -41,20 +43,25 @@ from .algebra import (
 )
 from .model import BilinearHamiltonian
 
-# Largest dimension ExactEvolver diagonalizes; above it, Chebyshev steps
+# Largest dimension ExactEvolver diagonalizes; above it, Chebyshev series
 # (the "Krylov path": polynomials of the sparse matrix acting on the states).
 _DENSE_LIMIT = 3000
 # Largest product-space dimension a HilbertConfig accepts.
 _DIMENSION_CAP = 20000
-# Complex entries in one dense-path chunk of evolved states, summed over
-# all states (1 MiB); a chunk this small keeps the grid from adding to the
-# peak memory.
+# Complex entries in one chunk of evolved states, summed over all states
+# (1 MiB); a chunk this small keeps the grid from adding to the peak memory.
+# The dense path fills it with the states of consecutive times; the Chebyshev
+# path gives half to those states and half to a block of as many T_k vectors.
 _GRID_CHUNK = 1 << 16
 # Truncation of the Chebyshev series: the neglected tail of its coefficients.
 _EPS = float(np.finfo(float).eps)
-# Most Chebyshev orders one step may take (a sparse product each); a longer
-# step raises instead of allocating a coefficient table without bound.
+# Most Chebyshev orders one chunk may take (a sparse product each); a longer
+# chunk raises instead of allocating a coefficient table without bound.
 _MAX_CHEBYSHEV_ORDERS = 100_000
+# Bessel arguments below this are taken as 0 (J_0 = 1, the rest 0): above it
+# every multiplier 2k/x of Miller's recurrence up to the order cap is finite,
+# and below it J_1(x) = x/2 is under 1e-303.
+_SMALLEST_ARGUMENT = 2.0 * _MAX_CHEBYSHEV_ORDERS / float(np.finfo(float).max)
 # (-i)^k for k mod 4, exact.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
@@ -198,8 +205,9 @@ class ExactEvolver:
     Up to _DENSE_LIMIT dimensions the decoupled blocks of the matrix are
     diagonalized once, and a whole time grid is then evolved with one phase
     table and two matrix products per block, shared by every state. Above
-    it a Chebyshev expansion of exp(-i H dt) acts on all states at once,
-    once per step between consecutive times.
+    it a Chebyshev expansion of exp(-i H t) acts on all states at once, one
+    series per chunk of consecutive times, expanded about the last time of
+    the chunk before.
     """
 
     def __init__(self, h_matrix: sp.spmatrix):
@@ -230,35 +238,56 @@ class ExactEvolver:
             yield chunk, out
 
     def _chebyshev_grid(self, amplitudes: np.ndarray, times: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        t_prev, psi = 0.0, np.ascontiguousarray(amplitudes.T)
-        for t in times:
-            if t != t_prev:
-                psi = self._chebyshev_step(psi, float(t - t_prev))
-                t_prev = t
-            yield np.array([t]), psi.T[None]
+        # one series per chunk of times, expanded about the last time of the
+        # chunk before; the chunk's states and its block of T_k vectors take
+        # half of _GRID_CHUNK each
+        n_states = amplitudes.shape[0]
+        rows = max(1, _GRID_CHUNK // (2 * self._dim * n_states))
+        t0, psi = 0.0, np.ascontiguousarray(amplitudes.T)
+        for first in range(0, times.size, rows):
+            chunk = times[first:first + rows]
+            out = self._chebyshev_chunk(psi, chunk - t0, rows)
+            t0, psi = chunk[-1], out[-1]
+            yield chunk, out.transpose(0, 2, 1)
 
-    def _chebyshev_step(self, psi: np.ndarray, dt: float) -> np.ndarray:
-        """exp(-i H dt) psi for a (dim, states) block, by the Chebyshev series."""
-        coeffs = _chebyshev_coefficients(self._half_width * dt)
+    def _chebyshev_chunk(self, psi: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray:
+        """exp(-i H tau_m) psi for a (dim, states) psi and each tau_m, shaped (times, dim, states).
+
+        All times share one recurrence: psi(tau) = exp(-i centre tau)
+        sum_k c_k(R tau) (-i)^k T_k(h) psi. Its vectors, times (-i)^k, go
+        through a block of `rows` of them, and each full block is added into
+        every time's state by one real matrix product with the weights.
+        """
+        weights = _chebyshev_coefficients(self._half_width * tau)
         h = self._h_scaled
-        prev, cur = psi, h @ psi
-        out = coeffs[0] * prev + coeffs[1] * cur
-        for c in coeffs[2:]:
-            # T_{k+1} = 2 h T_k - T_{k-1}
-            nxt = h @ cur
-            nxt *= 2.0
-            nxt -= prev
-            prev, cur = cur, nxt
-            out += c * cur
-        out *= cmath.exp(-1j * self._centre * dt)
-        return out
+        block = np.empty((rows, psi.size), dtype=complex)
+        out = np.zeros((tau.size, psi.size), dtype=complex)
+        flat = out.view(float)
+        prev, cur = None, psi
+        for k in range(len(weights)):
+            if k == 1:
+                prev, cur = cur, h @ cur
+            elif k > 1:
+                # T_{k+1} = 2 h T_k - T_{k-1}
+                nxt = h @ cur
+                nxt *= 2.0
+                nxt -= prev
+                prev, cur = cur, nxt
+            np.multiply(cur.reshape(-1), _MINUS_I_POWERS[k % 4], out=block[k % rows])
+            if k % rows == rows - 1 or k == len(weights) - 1:
+                n = k % rows + 1
+                flat += weights[k + 1 - n:k + 1].T @ block[:n].view(float)
+        out *= np.exp(-1j * self._centre * tau)[:, None]
+        return out.reshape((tau.size,) + psi.shape)
 
     def evolve_grid(self, states: Sequence[OracleState], times: Iterable[float]) -> Iterator[tuple[OracleState, ...]]:
         """Yield, for each of times in order, the states evolved from t = 0 to it.
 
         There must be at least one state, each of the matrix's dimension
         (else ValueError). Each yielded state must keep unit norm to 1e-9;
-        the first time at which one does not raises CohChaosError.
+        the first time at which one does not raises CohChaosError, after
+        the times before it are yielded. A time that is not finite raises
+        CohChaosError before its chunk of times is evaluated.
         """
         states = tuple(states)
         if not states:
@@ -272,13 +301,13 @@ class ExactEvolver:
         for chunk, out in grid(amplitudes, times):
             drift = np.abs(np.linalg.norm(out, axis=-1) - 1.0).max(axis=1)
             bad = np.flatnonzero(~(drift <= 1e-9))  # a NaN drift fails too
-            if bad.size:
-                raise CohChaosError(f"evolution norm drift {drift[bad[0]]:.3e} at t = {float(chunk[bad[0]])}")
-            for row in out:
+            for row in out[:bad[0] if bad.size else len(out)]:
                 yield tuple(
                     OracleState(amplitudes=amps, config=st.config, truncation_deficit=st.truncation_deficit)
                     for amps, st in zip(row, states)
                 )
+            if bad.size:
+                raise CohChaosError(f"evolution norm drift {drift[bad[0]]:.3e} at t = {float(chunk[bad[0]])}")
 
     def evolve(self, state: OracleState, t: float) -> OracleState:
         return next(self.evolve_grid([state], [t]))[0]
@@ -297,32 +326,62 @@ def _gershgorin_interval(h: sp.csr_matrix) -> tuple[float, float]:
     return 0.5 * (low + high), 0.5 * (high - low) or 1.0
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
-    """Coefficients (2 - delta_k0) (-i)^k J_k(x) of exp(-i x cos(theta)) = sum_k c_k cos(k theta).
+def _chebyshev_coefficients(x: np.ndarray) -> np.ndarray:
+    """Weights (2 - delta_k0) J_k(x_m) of exp(-i x_m cos(theta)) = sum_k (-i)^k c_km cos(k theta).
 
-    Truncated at the first order K whose tail 2 sum_{k>=K} |J_k(x)| is at
-    most machine epsilon. The orders searched reach |x| + 10 |x|^(1/3) + 40,
-    well past the turning point |x| beyond which J_k decays faster than
-    exponentially. A step whose search range exceeds _MAX_CHEBYSHEV_ORDERS,
-    or whose tail stays above epsilon in it, raises CohChaosError.
+    One column per argument x_m, truncated at the first order K at which
+    the tail 2 sum_{k>=K} |J_k(x_m)| of every column is at most machine
+    epsilon. The orders searched reach max|x| + 10 max|x|^(1/3) + 40, well
+    past the turning point beyond which J_k decays faster than
+    exponentially. A non-finite argument, a search range beyond
+    _MAX_CHEBYSHEV_ORDERS (checked before any Bessel value is formed), or a
+    tail that stays above epsilon in it raises CohChaosError.
     """
-    if not math.isfinite(x):
-        raise CohChaosError(f"Chebyshev step R dt = {x!r} is not finite")
-    size = int(abs(x) + 10.0 * abs(x) ** (1.0 / 3.0)) + 41
+    if not np.isfinite(x).all():
+        raise CohChaosError(f"Chebyshev argument R tau = {x[~np.isfinite(x)][0]!r} is not finite")
+    largest = float(np.abs(x).max())
+    size = int(largest + 10.0 * largest ** (1.0 / 3.0)) + 41
     if size > _MAX_CHEBYSHEV_ORDERS:
         raise CohChaosError(
-            f"Chebyshev step R dt = {x!r} needs more than {_MAX_CHEBYSHEV_ORDERS} orders; add intermediate times"
+            f"Chebyshev step R tau = {largest!r} needs more than {_MAX_CHEBYSHEV_ORDERS} orders; add intermediate times"
         )
-    orders = np.arange(size)
-    bessel = jv(orders, x)
-    tail = 2.0 * np.cumsum(np.abs(bessel[::-1]))[::-1]
-    within = np.flatnonzero(tail <= _EPS)
+    bessel = _bessel_table(x, size)
+    tail = 2.0 * np.cumsum(np.abs(bessel[::-1]), axis=0)[::-1]
+    within = np.flatnonzero((tail <= _EPS).all(axis=1))
     if within.size == 0:
-        raise CohChaosError(f"Chebyshev series for R dt = {x!r} does not converge within {size} orders")
-    keep = max(int(within[0]), 2)
-    coeffs = 2.0 * _MINUS_I_POWERS[orders[:keep] % 4] * bessel[:keep]
-    coeffs[0] *= 0.5
-    return coeffs
+        raise CohChaosError(f"Chebyshev series for R tau = {largest!r} does not converge within {size} orders")
+    weights = 2.0 * bessel[:int(within[0])]
+    weights[0] *= 0.5
+    return weights
+
+
+def _bessel_table(x: np.ndarray, size: int) -> np.ndarray:
+    """J_k(x_m) for the orders k < size, one column per argument, by Miller's algorithm.
+
+    The backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} starts from 1 at
+    the first order n (at most size) whose bound |J_n(x)| <= (|x|/2)^n / n!
+    is below eps^2: what it neglects is below eps^2, and for small x the
+    values it passes through stay finite. Each column is then normalised by
+    the Neumann sum J_0 + 2 sum_k J_2k = 1; it costs O(size), not the O(k)
+    per value of a direct evaluation. A negative argument uses
+    J_k(-x) = (-1)^k J_k(x); one below _SMALLEST_ARGUMENT gives J_0 = 1.
+    """
+    zero = np.abs(x) < _SMALLEST_ARGUMENT
+    a = np.where(zero, 1.0, np.abs(x))
+    orders = np.arange(1, size + 1)
+    bound = orders[:, None] * np.log(0.5 * a) - gammaln(orders + 1.0)[:, None]
+    below = bound <= 2.0 * math.log(_EPS)
+    start = np.where(below.any(axis=0), below.argmax(axis=0) + 1, size)
+    table = np.zeros((size + 2, a.size))
+    table[start, np.arange(a.size)] = 1.0
+    ratio = orders[:, None] * (2.0 / a)
+    for k in range(size, 0, -1):
+        table[k - 1] += ratio[k - 1] * table[k] - table[k + 1]
+    table = table[:size] / (table[0] + 2.0 * table[2::2].sum(axis=0))
+    table[1::2, x < 0] *= -1.0
+    table[:, zero] = 0.0
+    table[0, zero] = 1.0
+    return table
 
 
 def _field_truncation_deficit(x: complex, n_max: int) -> float:

@@ -87,7 +87,8 @@ def test_bad_config_key_reports_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", ["model.j=1.3", "rel_tol=0", "model.g=1e400", "lyapunov.window=0", "t_final=Infinity"]
+    "override",
+    ["model.j=1.3", "rel_tol=0", "model.g=1e400", "lyapunov.window=0", "t_final=Infinity", "n_max=0", "n_max=-3"],
 )
 def test_bad_config_value_reports_error(tmp_path, capsys, override):
     cfg = write_config(tmp_path)

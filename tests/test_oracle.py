@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -279,16 +280,76 @@ def test_chebyshev_path_on_a_complex_driven_model():
 
 
 @settings(max_examples=40, deadline=None)
-@given(hs.integers(1, 4), hs.integers(1, 3), hs.integers(0, 2**32 - 1), hs.floats(-30.0, 30.0))
-def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, seed, dt):
+@given(
+    hs.integers(1, 4), hs.integers(1, 3), hs.integers(0, 2**32 - 1),
+    hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=5), hs.floats(-1e-150, 1e-150), hs.integers(1, 3),
+)
+def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, seed, drawn, tiny, rows):
     cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
     gen = np.random.default_rng(seed)
     a = gen.normal(size=(cfg.dim, cfg.dim)) + 1j * gen.normal(size=(cfg.dim, cfg.dim))
     a = 0.5 * (a + a.conj().T)
     psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
     state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
-    out = krylov_evolver(sp.csr_matrix(a)).evolve(state, dt)
-    assert np.abs(out.amplitudes - sla.expm(-1j * dt * a) @ state.amplitudes).max() < 1e-10
+    # a first step far below any rounding of 1, then unsorted times (negative
+    # ones too) and a repeat, over chunks of `rows` times each
+    times = [tiny, *drawn, drawn[0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_GRID_CHUNK", 2 * cfg.dim * rows)
+        grid = list(krylov_evolver(sp.csr_matrix(a)).evolve_grid([state], times))
+    for t, (out,) in zip(times, grid, strict=True):
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hs.integers(1, 4), hs.integers(1, 3), hs.integers(1, 4), hs.booleans(), hs.integers(0, 2**32 - 1),
+    hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=4),
+)
+def test_dense_path_matches_expm_on_random_hermitian_blocks(n_max, two_j, n_blocks, complex_entries, seed, times):
+    cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
+    gen = np.random.default_rng(seed)
+    # decoupled blocks whose basis positions interleave at random
+    labels = gen.integers(0, n_blocks, size=cfg.dim)
+    a = gen.normal(size=(cfg.dim, cfg.dim))
+    if complex_entries:
+        a = a + 1j * gen.normal(size=(cfg.dim, cfg.dim))
+    a = 0.5 * (a + a.conj().T) * (labels[:, None] == labels[None, :])
+    psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
+    state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
+    ev = ExactEvolver(sp.csr_matrix(a))
+    assert ev._blocks is not None
+    for t, (out,) in zip(times, ev.evolve_grid([state], times), strict=True):
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-10
+
+
+def miller_size(x: float) -> int:
+    """The order range _chebyshev_coefficients searches for an argument x."""
+    return int(abs(x) + 10.0 * abs(x) ** (1.0 / 3.0)) + 41
+
+
+@pytest.mark.parametrize("x", [1e-300, 3.3e-153, 1e-8, 0.5, 4.3, 87.0, 2168.0, 1e4])
+def test_bessel_table_matches_mpmath(x):
+    eps = np.finfo(float).eps
+    size = miller_size(x)
+    table = oracle._bessel_table(np.array([x, -x, 0.0]), size)
+    assert np.isfinite(table).all()
+    # below x = 1 the leading orders are good to a few eps relative, the
+    # rest (under eps) absolutely to eps^2; above it every order to 32 eps
+    for k in sorted({0, 1, 2, 7, size // 3, int(x), size - 1} & set(range(size))):
+        ref = float(mpmath.besselj(k, x, maxprec=30000))
+        scale = 1.0 if x > 1.0 else max(abs(ref), eps)
+        assert abs(table[k, 0] - ref) <= 32 * eps * scale, k
+    # J_k(-x) = (-1)^k J_k(x), and J_k(0) is 1 at k = 0 only
+    assert np.array_equal(table[:, 1], table[:, 0] * (-1.0) ** np.arange(size))
+    assert table[0, 2] == 1.0 and not table[1:, 2].any()
+
+
+def test_bessel_table_keeps_the_neumann_identity():
+    # J_0 + 2 sum_k J_2k = 1; scipy's jv is off by 3.2e-14 at x = 2168
+    x = np.concatenate([np.geomspace(1e-300, 1e4, 60), -np.geomspace(1e-8, 3e3, 7)])
+    table = oracle._bessel_table(x, miller_size(1e4))
+    assert np.abs(table[0] + 2.0 * table[2::2].sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def test_evolve_grid_rejects_a_state_of_another_dimension():
