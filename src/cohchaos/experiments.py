@@ -396,13 +396,18 @@ def _pair_rows(run: _Run, s1, s2):
 def _exact_runs(run: _Run, states, times) -> Iterator[tuple[OracleState, ...]]:
     """Yield, per time, the exact evolutions of the product vectors of states.
 
-    The basis is sized for the states' field labels. It, the truncation
-    deficits, and (once the times are exhausted) the largest top-Fock
-    population over every yielded state go into the manifest.
+    The basis is sized for the states' field labels. It, the spectral
+    interval the evolution is scaled by, the truncation deficits, and (once
+    the times are exhausted) the largest top-Fock population over every
+    yielded state and the sparse products the evolution took go into the
+    manifest.
     """
     hcfg = hilbert_for_labels([s.x for s in states], run.cfg.model.j, n_max=run.cfg.n_max)
-    hilbert = run.manifest["hilbert"] = {"n_max": hcfg.n_max, "j": hcfg.j, "dim": hcfg.dim}
     evolver = ExactEvolver(build_hamiltonian_matrix(run.h, hcfg))
+    hilbert = run.manifest["hilbert"] = {
+        "n_max": hcfg.n_max, "j": hcfg.j, "dim": hcfg.dim,
+        "spectral_interval": [_sig3(end) for end in evolver.spectral_interval],
+    }
     psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states]
     run.manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
     top = 0.0
@@ -410,6 +415,7 @@ def _exact_runs(run: _Run, states, times) -> Iterator[tuple[OracleState, ...]]:
         top = max(top, *(top_fock_population(p) for p in evolved))
         yield evolved
     hilbert["top_fock_population"] = _sig3(top)
+    hilbert["chebyshev_orders"] = evolver.chebyshev_orders
 
 
 def _trajectory(run: _Run) -> None:

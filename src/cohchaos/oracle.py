@@ -4,17 +4,16 @@ This is the ground truth the mean-field machinery is checked against. It
 covers every BilinearHamiltonian of an oscillator and a spin, the same
 object the mean-field flow integrates: states live on the product basis
 |n> (x) |j,-j+k> with the spin index fastest, the Hamiltonian is assembled
-sparsely from the generator matrices, and evolution uses a dense
-eigendecomposition of its decoupled blocks below a dimension threshold and
-a Chebyshev expansion of exp(-i H t) above it (Tal-Ezer and Kosloff, J.
+sparsely from the generator matrices, and evolution is a Chebyshev
+expansion of exp(-i H t) at every dimension (Tal-Ezer and Kosloff, J.
 Chem. Phys. 81, 3967 (1984)): H is scaled once into [-1, 1] by its
 Gershgorin interval, and each chunk of consecutive sample times is
 expanded about the previous chunk's last time. The vectors T_k(H_s) psi of
 one recurrence are shared by every time of the chunk; only their Bessel
 weights, from Miller's backward recurrence, depend on the time. The series
 is truncated where the neglected coefficients of every time add up to
-machine epsilon. Both paths evolve all states of a run together and check
-their norms as they go.
+machine epsilon. All states of a run evolve together, and their norms are
+checked as they go.
 """
 
 from __future__ import annotations
@@ -43,15 +42,12 @@ from .algebra import (
 )
 from .model import BilinearHamiltonian
 
-# Largest dimension ExactEvolver diagonalizes; above it, Chebyshev series
-# (the "Krylov path": polynomials of the sparse matrix acting on the states).
-_DENSE_LIMIT = 3000
 # Largest product-space dimension a HilbertConfig accepts.
 _DIMENSION_CAP = 20000
 # Complex entries in one chunk of evolved states, summed over all states
 # (1 MiB); a chunk this small keeps the grid from adding to the peak memory.
-# The dense path fills it with the states of consecutive times; the Chebyshev
-# path gives half to those states and half to a block of as many T_k vectors.
+# Half goes to the states of consecutive times, half to a block of as many
+# T_k vectors.
 _GRID_CHUNK = 1 << 16
 # Truncation of the Chebyshev series: the neglected tail of its coefficients.
 _EPS = float(np.finfo(float).eps)
@@ -155,8 +151,8 @@ def build_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.c
         if coeff != 0:
             mat = mat + coeff * sp.kron(a, b, format="csr")
     # Terms that cancel, such as omega n + epsilon m = 0 on the diagonal,
-    # leave explicit zeros that would cost every matvec and merge decoupled
-    # blocks.
+    # leave explicit zeros that would cost every matvec and widen the
+    # Gershgorin interval.
     mat.eliminate_zeros()
     residual = abs(mat - mat.getH()).max()
     scale = max(1.0, abs(mat).max())
@@ -165,77 +161,26 @@ def build_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.c
     return mat
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for complex a, without promoting a real b to complex."""
-    if np.iscomplexobj(b):
-        return a @ b
-    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=complex)
-    out.real = np.ascontiguousarray(a.real) @ b
-    out.imag = np.ascontiguousarray(a.imag) @ b
-    return out
-
-
-def _block_eigensystems(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigendecompose the decoupled blocks of a Hermitian matrix.
-
-    The blocks are the connected components of the sparsity graph, so they
-    are exact by construction (the parity (-1)^(n+k) splits the fig1 model
-    in two; with g' = 0 every excitation manifold is its own block). Each
-    block gives one (index, evals, evecs) triple, where index lists its
-    basis positions. A matrix with no imaginary entries is diagonalized in
-    real arithmetic.
-    """
-    # Imported here: csgraph adds about 1 MiB at import that only this path needs.
-    from scipy.sparse.csgraph import connected_components
-
-    if not np.any(h.data.imag):
-        h = h.real
-    n_blocks, labels = connected_components(abs(h), directed=False)
-    systems = []
-    for b in range(n_blocks):
-        index = np.flatnonzero(labels == b)
-        evals, evecs = np.linalg.eigh(h[index][:, index].toarray())
-        systems.append((index, evals, evecs))
-    return systems
-
-
 class ExactEvolver:
     """Reusable propagator for one Hamiltonian matrix.
 
-    Up to _DENSE_LIMIT dimensions the decoupled blocks of the matrix are
-    diagonalized once, and a whole time grid is then evolved with one phase
-    table and two matrix products per block, shared by every state. Above
-    it a Chebyshev expansion of exp(-i H t) acts on all states at once, one
+    A Chebyshev expansion of exp(-i H t) acts on all states at once, one
     series per chunk of consecutive times, expanded about the last time of
-    the chunk before.
+    the chunk before. spectral_interval is the Gershgorin interval the
+    matrix is scaled by; chebyshev_orders counts the sparse products taken
+    so far.
     """
 
     def __init__(self, h_matrix: sp.spmatrix):
         h = h_matrix.tocsr()
         self._dim = h.shape[0]
-        if self._dim <= _DENSE_LIMIT:
-            self._blocks = _block_eigensystems(h)
-            return
-        self._blocks = None
-        # H = centre + half_width * h_scaled, the spectrum of h_scaled in [-1, 1]
-        self._centre, self._half_width = _gershgorin_interval(h)
+        self.spectral_interval = low, high = _gershgorin_interval(h)
+        self.chebyshev_orders = 0
+        # H = centre + half_width * h_scaled, the spectrum of h_scaled in [-1, 1];
+        # a multiple of the identity gets half-width 1, so the scaling stays defined
+        self._centre, self._half_width = 0.5 * (low + high), 0.5 * (high - low) or 1.0
         identity = sp.identity(self._dim, dtype=complex, format="csr")
         self._h_scaled = (h.astype(complex) - self._centre * identity) / self._half_width
-
-    def _dense_grid(self, amplitudes: np.ndarray, times: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # C = psi V^* per block, one row per state, then psi(t) = (exp(-i E t) C) V^T
-        # for a chunk of times at once, one phase table shared by all states
-        n_states = amplitudes.shape[0]
-        coeffs = [amplitudes[:, index] @ evecs.conj() for index, _, evecs in self._blocks]
-        rows = max(1, _GRID_CHUNK // (self._dim * n_states))
-        for first in range(0, times.size, rows):
-            chunk = times[first:first + rows]
-            out = np.empty((chunk.size, n_states, self._dim), dtype=complex)
-            for (index, evals, evecs), c in zip(self._blocks, coeffs):
-                phases = np.exp(-1j * np.outer(chunk, evals))[:, None, :] * c
-                block = _matmul(phases.reshape(-1, index.size), evecs.T)
-                out[:, :, index] = block.reshape(chunk.size, n_states, index.size)
-            yield chunk, out
 
     def _chebyshev_grid(self, amplitudes: np.ndarray, times: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         # one series per chunk of times, expanded about the last time of the
@@ -277,6 +222,7 @@ class ExactEvolver:
             if k % rows == rows - 1 or k == len(weights) - 1:
                 n = k % rows + 1
                 flat += weights[k + 1 - n:k + 1].T @ block[:n].view(float)
+        self.chebyshev_orders += len(weights) - 1
         out *= np.exp(-1j * self._centre * tau)[:, None]
         return out.reshape((tau.size,) + psi.shape)
 
@@ -297,8 +243,7 @@ class ExactEvolver:
                 raise ValueError(f"state dimension {st.config.dim} does not match the matrix dimension {self._dim}")
         times = np.asarray(times, dtype=float).reshape(-1)
         amplitudes = np.stack([st.amplitudes for st in states])
-        grid = self._chebyshev_grid if self._blocks is None else self._dense_grid
-        for chunk, out in grid(amplitudes, times):
+        for chunk, out in self._chebyshev_grid(amplitudes, times):
             drift = np.abs(np.linalg.norm(out, axis=-1) - 1.0).max(axis=1)
             bad = np.flatnonzero(~(drift <= 1e-9))  # a NaN drift fails too
             for row in out[:bad[0] if bad.size else len(out)]:
@@ -314,16 +259,14 @@ class ExactEvolver:
 
 
 def _gershgorin_interval(h: sp.csr_matrix) -> tuple[float, float]:
-    """Centre and half-width of the Gershgorin interval [a, b] of a Hermitian matrix.
+    """Gershgorin interval [a, b] of a Hermitian matrix, which contains its whole spectrum.
 
     a = min_i (Re H_ii - r_i) and b = max_i (Re H_ii + r_i), with r_i the
-    sum of |H_ij| over j != i; it contains the whole spectrum. A multiple
-    of the identity gets half-width 1, so the scaling stays defined.
+    sum of |H_ij| over j != i.
     """
     diag = h.diagonal().real
     radii = np.asarray(abs(h).sum(axis=1)).reshape(-1) - np.abs(h.diagonal())
-    low, high = float(np.min(diag - radii)), float(np.max(diag + radii))
-    return 0.5 * (low + high), 0.5 * (high - low) or 1.0
+    return float(np.min(diag - radii)), float(np.max(diag + radii))
 
 
 def _chebyshev_coefficients(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Shared fixtures. The expensive ones (exact evolver on the demonstration
-parameter set) are session-scoped so the acceptance tests amortize a single
-eigendecomposition."""
+"""Shared fixtures. The expensive ones (the demonstration parameter set's
+Hamiltonian matrix, its exact evolver and the chaotic-pair trajectories) are
+session-scoped so that the acceptance tests build each of them once."""
 
 import numpy as np
 import pytest

@@ -104,9 +104,7 @@ def test_criterion_03_oracle_unitarity_and_overlap_conservation(fig1_evolver, fi
     ov0 = abs(exact_overlap_pair(a0, b0))
     norm_drift = 0.0
     ov_drift = 0.0
-    for t in np.linspace(0.0, 10.0, 21):
-        at = fig1_evolver.evolve(a0, float(t))
-        bt = fig1_evolver.evolve(b0, float(t))
+    for at, bt in fig1_evolver.evolve_grid([a0, b0], np.linspace(0.0, 10.0, 21)):
         norm_drift = max(norm_drift, abs(at.norm - 1.0), abs(bt.norm - 1.0))
         ov_drift = max(ov_drift, abs(abs(exact_overlap_pair(at, bt)) - ov0))
     report(3, f"norm drift {norm_drift:.1e} <= 1e-10 and |overlap| drift "
@@ -125,8 +123,8 @@ def test_criterion_04_vacuum_rabi_law():
     psi0 = OracleState(amplitudes=amps, config=cfg)
     rate = ROOT2 * p.g
     worst = 0.0
-    for t in np.linspace(0.0, 2.0 * math.pi / rate, 181):  # two full periods
-        psi = evolver.evolve(psi0, float(t))
+    times = np.linspace(0.0, 2.0 * math.pi / rate, 181)  # two full periods
+    for t, (psi,) in zip(times, evolver.evolve_grid([psi0], times), strict=True):
         p_e = float(np.sum(np.abs(psi.amplitudes.reshape(-1, 2)[:, 1]) ** 2))
         worst = max(worst, abs(p_e - math.cos(rate * t) ** 2))
     report(4, f"vacuum Rabi law deviation {worst:.1e} <= 1e-6 over two periods",
@@ -146,9 +144,8 @@ def test_criterion_05_decoupled_mean_field_is_exact():
     tb = integrate(h, sb, 10.0)
     worst_ov = 0.0
     worst_ent = 0.0
-    for i in range(0, len(ta.times), 10):
-        t = float(ta.times[i])
-        ea, eb = evolver.evolve(va, t), evolver.evolve(vb, t)
+    samples = range(0, len(ta.times), 10)
+    for i, (ea, eb) in zip(samples, evolver.evolve_grid([va, vb], ta.times[::10]), strict=True):
         diff = exact_overlap_pair(ea, eb) - mf_overlap(
             ta.state_at(i), tb.state_at(i), h.group_a, h.group_b
         )
@@ -184,9 +181,8 @@ def test_criterion_07_large_j_convergence():
         jz_full = sp.kron(eye_f, sp.csr_matrix(jz_d), format="csr")
         root = math.sqrt(4.0 * jj)
         dev = 0.0
-        for i in range(0, len(traj.times), 5):
-            t = float(traj.times[i])
-            psi = evolver.evolve(psi0, t)
+        samples = range(0, len(traj.times), 5)
+        for i, (psi,) in zip(samples, evolver.evolve_grid([psi0], traj.times[::5]), strict=True):
             x_scaled = traj.x[i] / root
             x_oracle = field_annihilation_expectation(psi) / root
             jz_v = operator_expectation(psi, jz_full).real
@@ -214,8 +210,9 @@ def test_criterion_08_entanglement_short_time_law(fig1_h, fig1_states, fig1_hilb
     psi0 = product_coherent_vector(fig1_states[0].x, fig1_states[0].y, fig1_hilbert)
     series = entropy_series(kernel)
     worst_rel = 0.0
-    for i in (2, 4, 6, 8, 10):
-        exact = reduced_linear_entropy(fig1_evolver.evolve(psi0, float(traj.times[i])))
+    samples = [2, 4, 6, 8, 10]
+    for i, (psi,) in zip(samples, fig1_evolver.evolve_grid([psi0], traj.times[samples]), strict=True):
+        exact = reduced_linear_entropy(psi)
         worst_rel = max(worst_rel, abs(series[i] - exact) / exact)
     ok &= worst_rel <= 0.20
     report(8, f"delta(0) = 0, identity gap {worst_identity:.1e} <= 1e-8, oracle "
@@ -249,9 +246,7 @@ def test_criterion_10_conserved_exact_overlap_vs_mf_decay(fig1_h, fig1_evolver,
     a0, b0 = fig1_pair_vectors
     ov0 = abs(exact_overlap_pair(a0, b0))
     drift = 0.0
-    for t in np.linspace(0.0, 25.0, 26):
-        at = fig1_evolver.evolve(a0, float(t))
-        bt = fig1_evolver.evolve(b0, float(t))
+    for at, bt in fig1_evolver.evolve_grid([a0, b0], np.linspace(0.0, 25.0, 26)):
         drift = max(drift, abs(abs(exact_overlap_pair(at, bt)) - ov0))
     modulus = _pair_modulus(*chaotic_trajectories, fig1_h)
     decrease = float(modulus[0] - modulus.min())

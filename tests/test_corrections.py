@@ -203,9 +203,7 @@ def test_doorway_amplitude_matches_exact_projection(fig1_h, fig1_states, fig1_hi
 
     psi0 = product_coherent_vector(state.x, state.y, fig1_hilbert)
     idx = [2, 6, 10]
-    for i in idx:
-        t = float(traj.times[i])
-        psi_t = fig1_evolver.evolve(psi0, t)
+    for i, (psi_t,) in zip(idx, fig1_evolver.evolve_grid([psi0], traj.times[idx]), strict=True):
         moving = traj.state_at(i)
         door = doorway_vector(ProductState(x=moving.x, y=moving.y), fig1_hilbert)
         amp_exact = exact_overlap_pair(door, psi_t) * np.exp(-1j * traj.s1[i])

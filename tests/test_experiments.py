@@ -23,6 +23,7 @@ from cohchaos.experiments import (
     run_experiment,
 )
 from cohchaos.model import MaserParams, classical_energy, maser_hamiltonian
+from cohchaos.oracle import HilbertConfig, build_hamiltonian_matrix
 
 ROOT2 = math.sqrt(2.0)
 
@@ -262,12 +263,16 @@ def test_run_trajectory_outputs(tmp_path):
 
 
 def test_run_is_deterministic(tmp_path):
-    cfg = config_from_dict(minimal_dict(t_final=1.0))
-    a, b = tmp_path / "a", tmp_path / "b"
-    run_experiment("trajectory", cfg, a)
-    run_experiment("trajectory", cfg, b)
-    for name in ("trajectory_0.csv", "run_manifest.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    pair = {"pairs": [[0.4, 0.0, 0.2, 0.1], [0.45, 0.0, 0.2, 0.1]], "n_max": 30}
+    for verb, cfg in (
+        ("trajectory", config_from_dict(minimal_dict(t_final=1.0))),
+        ("oracle-compare", config_from_dict(minimal_dict(t_final=1.0, **pair))),
+    ):
+        a, b = tmp_path / verb / "a", tmp_path / verb / "b"
+        outputs = run_experiment(verb, cfg, a)["outputs"]
+        run_experiment(verb, cfg, b)
+        for name in (*outputs, "run_manifest.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (verb, name)
 
 
 def test_rerun_replaces_outputs(tmp_path):
@@ -348,7 +353,18 @@ def test_run_oracle_compare_schema(tmp_path):
         }
     )
     manifest = run_experiment("oracle-compare", cfg, tmp_path)
-    assert manifest["hilbert"]["dim"] == 31 * 3
+    hilbert = manifest["hilbert"]
+    assert hilbert["dim"] == 31 * 3
+    # the Gershgorin interval, to three significant figures, holds the spectrum
+    low, high = hilbert["spectral_interval"]
+    assert [float(f"{end:.3g}") for end in (low, high)] == [low, high]
+    evals = np.linalg.eigvalsh(
+        build_hamiltonian_matrix(maser_hamiltonian(cfg.model), HilbertConfig(n_max=30, j=1.0)).toarray()
+    )
+    assert low <= evals[0] + 5e-3 * abs(low) and high >= evals[-1] - 5e-3 * abs(high)
+    # one series to t = 0.3 takes about R t orders, R the interval's half-width
+    orders, r_t = hilbert["chebyshev_orders"], 0.5 * (high - low) * 0.3
+    assert isinstance(orders, int) and r_t < orders < r_t + 10.0 * r_t ** (1.0 / 3.0) + 40.0
     lines = (tmp_path / "oracle_compare.csv").read_text().strip().splitlines()
     assert lines[0] == "t,field_err,abs_overlap_exact,abs_overlap_mf"
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]

@@ -12,8 +12,8 @@ round differently, so a mismatch under another scipy is a difference of
 builds to confirm against these versions before it is taken for a bug.
 
 The exact-oracle verbs (oracle-compare, and entropy with n_max set) are
-left out: LAPACK eigh results may differ in the last bits between BLAS
-builds.
+left out: their last bits move with the OpenBLAS kernel, through VODE and
+the Chebyshev series' matrix products, and with the BLAS thread count.
 """
 
 from pathlib import Path

@@ -180,41 +180,19 @@ def test_eigenvector_acquires_pure_phase():
         assert np.abs(out.amplitudes - np.exp(-1j * evals[3] * t) * v).max() < 1e-10
 
 
-def krylov_evolver(h):
-    """An ExactEvolver forced onto the Krylov path, whatever the dimension."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_DENSE_LIMIT", 1)
-        return ExactEvolver(h)
-
-
 @pytest.mark.parametrize("g_prime", [0.1, 0.0])
 def test_dense_and_sparse_paths_agree(g_prime):
+    """The sparse Chebyshev evolution against the dense matrix exponential.
+
+    At g' = 0 every excitation manifold is a decoupled block of H.
+    """
     h = build_hamiltonian_matrix(small_model(g_prime), SMALL)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     expected = sla.expm(-1j * 0.7 * h.toarray()) @ st.amplitudes
-    dense = ExactEvolver(h).evolve(st, 0.7)
-    sparse = krylov_evolver(h).evolve(st, 0.7)
-    assert np.abs(dense.amplitudes - expected).max() < 1e-10
-    assert np.abs(sparse.amplitudes - expected).max() < 1e-10
+    assert np.abs(ExactEvolver(h).evolve(st, 0.7).amplitudes - expected).max() < 1e-10
 
 
-def test_dense_path_on_complex_interleaved_blocks(rng):
-    # three decoupled complex Hermitian blocks of sizes 5, 3 and 2 whose
-    # basis positions interleave, as the parity blocks of the model do
-    cfg = HilbertConfig(n_max=4, j=0.5)
-    labels = rng.permutation(np.repeat([0, 1, 2], [5, 3, 2]))
-    a = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
-    a = (a + a.conj().T) * (labels[:, None] == labels[None, :])
-    psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
-    st = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
-    ev = ExactEvolver(sp.csr_matrix(a))
-    for t, (out,) in zip((0.3, 1.7), ev.evolve_grid([st], (0.3, 1.7))):
-        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ st.amplitudes).max() < 1e-10
-
-
-@pytest.mark.parametrize("dense_limit", [SMALL.dim, 1], ids=["dense", "krylov"])
-def test_evolve_grid_matches_per_time_evolve(dense_limit, monkeypatch):
-    monkeypatch.setattr(oracle, "_DENSE_LIMIT", dense_limit)
+def test_evolve_grid_matches_per_time_evolve():
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     # a repeated time, and a short last step as on a t_final = 0.73, dt = 0.1 grid
@@ -226,11 +204,9 @@ def test_evolve_grid_matches_per_time_evolve(dense_limit, monkeypatch):
         assert np.abs(out.amplitudes - ev.evolve(st, t).amplitudes).max() < 1e-12
 
 
-@pytest.mark.parametrize("dense_limit", [SMALL.dim, 1], ids=["dense", "krylov"])
-def test_states_evolved_together_equal_each_alone(dense_limit, monkeypatch):
-    monkeypatch.setattr(oracle, "_DENSE_LIMIT", dense_limit)
-    # dense chunks of three times for the pair, six for a single state
-    monkeypatch.setattr(oracle, "_GRID_CHUNK", 6 * SMALL.dim)
+def test_states_evolved_together_equal_each_alone(monkeypatch):
+    # chunks of three times for the pair, six for a single state
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", 12 * SMALL.dim)
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
     pair = [
         product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL),
@@ -245,10 +221,29 @@ def test_states_evolved_together_equal_each_alone(dense_limit, monkeypatch):
             assert np.abs(both[i].amplitudes - alone.amplitudes).max() < 1e-12
 
 
+def test_chebyshev_orders_count_the_sparse_products(monkeypatch):
+    class Counting:
+        def __init__(self, m):
+            self.m, self.products = m, 0
+
+        def __matmul__(self, v):
+            self.products += 1
+            return self.m @ v
+
+    # chunks of two times each, and a second grid on the same evolver
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", 4 * SMALL.dim)
+    ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
+    ev._h_scaled = counting = Counting(ev._h_scaled)
+    st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
+    list(ev.evolve_grid([st], [0.0, 0.5, 1.0, 3.0, 3.5]))
+    list(ev.evolve_grid([st], [2.0]))
+    assert ev.chebyshev_orders == counting.products > 0
+
+
 def test_chebyshev_steps_match_expm():
     h = build_hamiltonian_matrix(small_model(), SMALL)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
-    ev = krylov_evolver(h)
+    ev = ExactEvolver(h)
 
     def exact(t):
         return sla.expm(-1j * t * h.toarray()) @ st.amplitudes
@@ -275,41 +270,22 @@ def test_chebyshev_path_on_a_complex_driven_model():
     assert np.any(h.data.imag)
     st = product_coherent_vector(0.5 + 0.1j, 0.2 - 0.3j, cfg)
     times = [0.4, 1.0, 3.0]
-    for t, (out,) in zip(times, krylov_evolver(h).evolve_grid([st], times), strict=True):
+    for t, (out,) in zip(times, ExactEvolver(h).evolve_grid([st], times), strict=True):
         assert np.abs(out.amplitudes - sla.expm(-1j * t * h.toarray()) @ st.amplitudes).max() < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    hs.integers(1, 4), hs.integers(1, 3), hs.integers(0, 2**32 - 1),
+    hs.integers(1, 4), hs.integers(1, 3), hs.integers(1, 4), hs.booleans(), hs.integers(0, 2**32 - 1),
     hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=5), hs.floats(-1e-150, 1e-150), hs.integers(1, 3),
 )
-def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, seed, drawn, tiny, rows):
+def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(
+    n_max, two_j, n_blocks, complex_entries, seed, drawn, tiny, rows
+):
     cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
     gen = np.random.default_rng(seed)
-    a = gen.normal(size=(cfg.dim, cfg.dim)) + 1j * gen.normal(size=(cfg.dim, cfg.dim))
-    a = 0.5 * (a + a.conj().T)
-    psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
-    state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
-    # a first step far below any rounding of 1, then unsorted times (negative
-    # ones too) and a repeat, over chunks of `rows` times each
-    times = [tiny, *drawn, drawn[0]]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_GRID_CHUNK", 2 * cfg.dim * rows)
-        grid = list(krylov_evolver(sp.csr_matrix(a)).evolve_grid([state], times))
-    for t, (out,) in zip(times, grid, strict=True):
-        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-10
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    hs.integers(1, 4), hs.integers(1, 3), hs.integers(1, 4), hs.booleans(), hs.integers(0, 2**32 - 1),
-    hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=4),
-)
-def test_dense_path_matches_expm_on_random_hermitian_blocks(n_max, two_j, n_blocks, complex_entries, seed, times):
-    cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
-    gen = np.random.default_rng(seed)
-    # decoupled blocks whose basis positions interleave at random
+    # real or complex, in decoupled blocks whose basis positions interleave
+    # at random, as the parity blocks of the model do
     labels = gen.integers(0, n_blocks, size=cfg.dim)
     a = gen.normal(size=(cfg.dim, cfg.dim))
     if complex_entries:
@@ -317,9 +293,13 @@ def test_dense_path_matches_expm_on_random_hermitian_blocks(n_max, two_j, n_bloc
     a = 0.5 * (a + a.conj().T) * (labels[:, None] == labels[None, :])
     psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
     state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
-    ev = ExactEvolver(sp.csr_matrix(a))
-    assert ev._blocks is not None
-    for t, (out,) in zip(times, ev.evolve_grid([state], times), strict=True):
+    # a first step far below any rounding of 1, then unsorted times (negative
+    # ones too) and a repeat, over chunks of `rows` times each
+    times = [tiny, *drawn, drawn[0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_GRID_CHUNK", 2 * cfg.dim * rows)
+        grid = list(ExactEvolver(sp.csr_matrix(a)).evolve_grid([state], times))
+    for t, (out,) in zip(times, grid, strict=True):
         assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-10
 
 
@@ -367,30 +347,27 @@ def test_evolver_rejects_norm_drift():
     st = OracleState(amplitudes=0.5 * np.eye(SMALL.dim, dtype=complex)[0], config=SMALL)
     with pytest.raises(CohChaosError, match="norm drift"):
         ExactEvolver(h).evolve(st, 0.1)
-    for ev in (ExactEvolver(h), krylov_evolver(h)):
-        with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.1$"):
-            list(ev.evolve_grid([st], [0.1, 0.2]))
+    with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.1$"):
+        list(ExactEvolver(h).evolve_grid([st], [0.1, 0.2]))
     # a weak decay loses norm as exp(-1e-8 t): within 1e-9 up to t = 0.1 only
     lossy = h - 1e-8j * sp.identity(SMALL.dim, format="csr")
     good = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
-    grid = krylov_evolver(lossy).evolve_grid([good], [0.0, 0.05, 0.2, 0.3])
+    grid = ExactEvolver(lossy).evolve_grid([good], [0.0, 0.05, 0.2, 0.3])
     assert [next(grid)[0].norm for _ in range(2)] == pytest.approx([1.0, 1.0], abs=1e-9)
     with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.2$"):
         next(grid)
     # a step too long for one series raises before it evaluates the series
     with pytest.raises(CohChaosError, match="needs more than 100000 orders"):
-        krylov_evolver(h).evolve(good, 1e9)
-    # a time that is not a number fails on both paths, never yields NaNs
-    for ev in (ExactEvolver(h), krylov_evolver(h)):
-        with pytest.raises(CohChaosError, match="norm drift|not finite"):
-            next(ev.evolve_grid([good], [math.nan]))
+        ExactEvolver(h).evolve(good, 1e9)
+    # a time that is not a number fails, never yields NaNs
+    with pytest.raises(CohChaosError, match="not finite"):
+        next(ExactEvolver(h).evolve_grid([good], [math.nan]))
 
 
 def test_energy_expectation_drift(fig1_h_matrix, fig1_evolver, fig1_pair_vectors):
     psi = fig1_pair_vectors[0]
     e0 = operator_expectation(psi, fig1_h_matrix).real
-    for t in np.linspace(0.0, 10.0, 11):
-        out = fig1_evolver.evolve(psi, float(t))
+    for (out,) in fig1_evolver.evolve_grid([psi], np.linspace(0.0, 10.0, 11)):
         et = operator_expectation(out, fig1_h_matrix).real
         assert abs(et - e0) <= 1e-9 * max(1.0, abs(e0))
 
