@@ -192,7 +192,25 @@ def test_dense_and_sparse_paths_agree(g_prime):
     assert np.abs(ExactEvolver(h).evolve(st, 0.7).amplitudes - expected).max() < 1e-10
 
 
-def test_evolve_grid_matches_per_time_evolve():
+def test_dense_path_on_complex_interleaved_blocks(rng):
+    # three decoupled complex Hermitian blocks of sizes 5, 3 and 2 whose
+    # basis positions interleave, as the parity blocks of the model do
+    cfg = HilbertConfig(n_max=4, j=0.5)
+    labels = rng.permutation(np.repeat([0, 1, 2], [5, 3, 2]))
+    a = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
+    a = (a + a.conj().T) * (labels[:, None] == labels[None, :])
+    psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+    st = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
+    ev = ExactEvolver(sp.csr_matrix(a))
+    for t, (out,) in zip((0.3, 1.7), ev.evolve_grid([st], (0.3, 1.7))):
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ st.amplitudes).max() < 1e-10
+
+
+# "dense" packs all times into one series; "krylov" takes one series per
+# time, from the state of the time before, as a Krylov propagator steps
+@pytest.mark.parametrize("grid_chunk", [32 * SMALL.dim, 2 * SMALL.dim], ids=["dense", "krylov"])
+def test_evolve_grid_matches_per_time_evolve(grid_chunk, monkeypatch):
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", grid_chunk)
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     # a repeated time, and a short last step as on a t_final = 0.73, dt = 0.1 grid
@@ -204,9 +222,11 @@ def test_evolve_grid_matches_per_time_evolve():
         assert np.abs(out.amplitudes - ev.evolve(st, t).amplitudes).max() < 1e-12
 
 
-def test_states_evolved_together_equal_each_alone(monkeypatch):
-    # chunks of three times for the pair, six for a single state
-    monkeypatch.setattr(oracle, "_GRID_CHUNK", 12 * SMALL.dim)
+# chunks of three times for the pair and six for a single state ("dense"),
+# or of one and two ("krylov"): the two runs chunk the grid differently
+@pytest.mark.parametrize("grid_chunk", [12 * SMALL.dim, 4 * SMALL.dim], ids=["dense", "krylov"])
+def test_states_evolved_together_equal_each_alone(grid_chunk, monkeypatch):
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", grid_chunk)
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
     pair = [
         product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL),
@@ -276,21 +296,14 @@ def test_chebyshev_path_on_a_complex_driven_model():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    hs.integers(1, 4), hs.integers(1, 3), hs.integers(1, 4), hs.booleans(), hs.integers(0, 2**32 - 1),
+    hs.integers(1, 4), hs.integers(1, 3), hs.integers(0, 2**32 - 1),
     hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=5), hs.floats(-1e-150, 1e-150), hs.integers(1, 3),
 )
-def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(
-    n_max, two_j, n_blocks, complex_entries, seed, drawn, tiny, rows
-):
+def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, seed, drawn, tiny, rows):
     cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
     gen = np.random.default_rng(seed)
-    # real or complex, in decoupled blocks whose basis positions interleave
-    # at random, as the parity blocks of the model do
-    labels = gen.integers(0, n_blocks, size=cfg.dim)
-    a = gen.normal(size=(cfg.dim, cfg.dim))
-    if complex_entries:
-        a = a + 1j * gen.normal(size=(cfg.dim, cfg.dim))
-    a = 0.5 * (a + a.conj().T) * (labels[:, None] == labels[None, :])
+    a = gen.normal(size=(cfg.dim, cfg.dim)) + 1j * gen.normal(size=(cfg.dim, cfg.dim))
+    a = 0.5 * (a + a.conj().T)
     psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
     state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
     # a first step far below any rounding of 1, then unsorted times (negative
@@ -300,6 +313,28 @@ def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(
         mp.setattr(oracle, "_GRID_CHUNK", 2 * cfg.dim * rows)
         grid = list(ExactEvolver(sp.csr_matrix(a)).evolve_grid([state], times))
     for t, (out,) in zip(times, grid, strict=True):
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hs.integers(1, 4), hs.integers(1, 3), hs.integers(1, 4), hs.booleans(), hs.integers(0, 2**32 - 1),
+    hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=4),
+)
+def test_dense_path_matches_expm_on_random_hermitian_blocks(n_max, two_j, n_blocks, complex_entries, seed, times):
+    cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
+    gen = np.random.default_rng(seed)
+    # dense decoupled blocks, real or complex, whose basis positions
+    # interleave at random, as the parity blocks of the model do
+    labels = gen.integers(0, n_blocks, size=cfg.dim)
+    a = gen.normal(size=(cfg.dim, cfg.dim))
+    if complex_entries:
+        a = a + 1j * gen.normal(size=(cfg.dim, cfg.dim))
+    a = 0.5 * (a + a.conj().T) * (labels[:, None] == labels[None, :])
+    psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
+    state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
+    ev = ExactEvolver(sp.csr_matrix(a))
+    for t, (out,) in zip(times, ev.evolve_grid([state], times), strict=True):
         assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-10
 
 
