@@ -9,9 +9,7 @@ of either subsystem is 2|C(t)|^2 with C the cumulative integral.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -54,26 +52,3 @@ def entropy_series(kernel: CorrectionKernel) -> np.ndarray:
     """2 |C|^2 on the full sample grid."""
     return 2.0 * np.abs(kernel.cum) ** 2
 
-
-def save_kernel_csv(kernel: CorrectionKernel, path) -> None:
-    """Write the kernel and entropy series as t, re_c, im_c, abs_C, delta2."""
-    delta2 = entropy_series(kernel)
-    path = Path(path)
-    # ext4 forces a truncated-then-rewritten file out to disk on close; a new file is not
-    path.unlink(missing_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re_c", "im_c", "abs_C", "delta2"])
-        for i in range(len(kernel.times)):
-            writer.writerow(
-                [
-                    f"{v:.12g}"
-                    for v in (
-                        kernel.times[i],
-                        kernel.c[i].real,
-                        kernel.c[i].imag,
-                        abs(kernel.cum[i]),
-                        delta2[i],
-                    )
-                ]
-            )

@@ -15,14 +15,14 @@ import json
 import math
 import sys
 from collections.abc import Callable, Collection, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .algebra import CONVENTIONS_VERSION, CohChaosError
-from .corrections import build_kernel, entropy_series, save_kernel_csv
+from .corrections import CorrectionKernel, build_kernel, entropy_series
 from .dynamics import (
     IntegratorConfig,
     ProductState,
@@ -56,22 +56,11 @@ class EnergyProjectionError(CohChaosError):
     """No crossing of the target energy along the requested direction."""
 
 
-_TOP_KEYS = {
-    "preset",
-    "model",
-    "pairs",
-    "t_final",
-    "sampling_dt",
-    "energy_target",
-    "n_max",
-    "rel_tol",
-    "abs_tol",
-    "lyapunov",
-}
-_MODEL_KEYS = {"epsilon", "omega", "g", "g_prime", "j"}
+_MODEL_KEYS = tuple(f.name for f in fields(MaserParams))
 _LYAP_KEYS = ("delta0", "window", "t_total")
 # Top-level numbers whose defaults are those of ExperimentConfig.
 _NUMBER_KEYS = ("t_final", "sampling_dt", "rel_tol", "abs_tol")
+_TOP_KEYS = {*_NUMBER_KEYS, "preset", "model", "pairs", "energy_target", "n_max", "lyapunov"}
 
 # project_to_energy scans shifts in [-_SCAN_SPAN, _SCAN_SPAN] at _SCAN_SAMPLES points.
 _SCAN_SPAN = 8.0
@@ -94,7 +83,11 @@ _FIG1_PLANE = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run description."""
+    """Fully resolved run description.
+
+    integrator is derived from rel_tol, abs_tol and sampling_dt on
+    construction; it is not an argument and takes no part in comparisons.
+    """
 
     model: MaserParams
     states: tuple[ProductState, ...]
@@ -107,6 +100,7 @@ class ExperimentConfig:
     lyapunov_delta0: float = 1e-6
     lyapunov_window: float = 1.0
     lyapunov_t_total: float = 300.0
+    integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.states:
@@ -120,7 +114,10 @@ class ExperimentConfig:
         if not 0.0 < self.lyapunov_window <= self.lyapunov_t_total:
             raise ConfigError("'lyapunov.window' must lie in (0, lyapunov.t_total]")
         _checked("'lyapunov.t_total'", window_count, t_total=self.lyapunov_t_total, window=self.lyapunov_window)
-        _checked("tolerances", IntegratorConfig, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        integrator = _checked(
+            "tolerances", IntegratorConfig, rel_tol=self.rel_tol, abs_tol=self.abs_tol, sample_dt=self.sampling_dt
+        )
+        object.__setattr__(self, "integrator", integrator)
 
 
 def expand_preset(name: str) -> dict:
@@ -260,25 +257,12 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
-        "model": {
-            "epsilon": cfg.model.epsilon,
-            "omega": cfg.model.omega,
-            "g": cfg.model.g,
-            "g_prime": cfg.model.g_prime,
-            "j": cfg.model.j,
-        },
+        "model": asdict(cfg.model),
         "pairs": [[s.x.real, s.x.imag, s.y.real, s.y.imag] for s in cfg.states],
-        "t_final": cfg.t_final,
-        "sampling_dt": cfg.sampling_dt,
         "energy_target": cfg.energy_target,
         "n_max": cfg.n_max,
-        "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-        "lyapunov": {
-            "delta0": cfg.lyapunov_delta0,
-            "window": cfg.lyapunov_window,
-            "t_total": cfg.lyapunov_t_total,
-        },
+        "lyapunov": {k: getattr(cfg, f"lyapunov_{k}") for k in _LYAP_KEYS},
+        **{k: getattr(cfg, k) for k in _NUMBER_KEYS},
     }
 
 
@@ -365,7 +349,6 @@ class _Run:
 
     cfg: ExperimentConfig
     h: BilinearHamiltonian
-    icfg: IntegratorConfig
     states: list[ProductState]
     out: Path
     manifest: dict
@@ -376,7 +359,7 @@ class _Run:
 
     def integrate(self, s: ProductState) -> Trajectory:
         """The flow from s to t_final, its RHS evaluations listed in the manifest."""
-        traj = integrate(self.h, s, self.cfg.t_final, self.icfg)
+        traj = integrate(self.h, s, self.cfg.t_final, self.cfg.integrator)
         self.manifest.setdefault("rhs_evals", []).append(traj.rhs_evals)
         return traj
 
@@ -448,13 +431,19 @@ def _entropy(run: _Run) -> None:
     traj = run.integrate(run.states[0])
     kernel = build_kernel(traj, run.h)
     delta2 = entropy_series(kernel)
-    save_kernel_csv(kernel, run.out / "kernel.csv")
-    run.manifest["outputs"].append("kernel.csv")
+    save_kernel_csv(run, kernel, delta2)
     if run.cfg.n_max is None:
         run.emit("entropy.csv", ["t", "delta2"], zip(traj.times, delta2))
         return
     delta_exact = [reduced_linear_entropy(psi) for (psi,) in _exact_runs(run, run.states[:1], traj.times)]
     run.emit("entropy.csv", ["t", "delta2", "delta_exact"], zip(traj.times, delta2, delta_exact))
+
+
+def save_kernel_csv(run: _Run, kernel: CorrectionKernel, delta2: np.ndarray) -> None:
+    """Write kernel.csv: t, re_c, im_c, abs_C, delta2 per sample."""
+    # a function of its own so that perfbench/trace.py can time it by name
+    rows = zip(kernel.times, kernel.c.real, kernel.c.imag, np.abs(kernel.cum), delta2)
+    run.emit("kernel.csv", ["t", "re_c", "im_c", "abs_C", "delta2"], rows)
 
 
 def _lyapunov(run: _Run) -> None:
@@ -468,7 +457,7 @@ def _lyapunov(run: _Run) -> None:
             delta0=cfg.lyapunov_delta0,
             t_total=cfg.lyapunov_t_total,
             renorm_interval=cfg.lyapunov_window,
-            cfg=run.icfg,
+            cfg=cfg.integrator,
         )
         estimates.append(float(series.running[-1]))
         rhs_evals.append(series.rhs_evals)
@@ -517,7 +506,6 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = maser_hamiltonian(cfg.model)
-    icfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, sample_dt=cfg.sampling_dt)
 
     states = list(cfg.states)
     manifest: dict = {
@@ -537,7 +525,7 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
             "by shifting one field coordinate onto the target energy shell"
         )
 
-    VERBS[verb](_Run(cfg, h, icfg, states, out, manifest))
+    VERBS[verb](_Run(cfg, h, states, out, manifest))
 
     path = out / "run_manifest.json"
     path.unlink(missing_ok=True)  # a new file, for the reason given in _write_csv

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from cohchaos.algebra import CohChaosError
-from cohchaos.corrections import CorrectionKernel, build_kernel, entropy_series, save_kernel_csv
+from cohchaos.corrections import CorrectionKernel, build_kernel, entropy_series
 from cohchaos.dynamics import IntegratorConfig, ProductState, Trajectory, integrate
+from cohchaos.experiments import ExperimentConfig, _Run, save_kernel_csv
 from cohchaos.model import MaserParams, maser_hamiltonian
 from cohchaos.oracle import exact_overlap_pair, product_coherent_vector
 from reference import doorway_vector, linear_entropy_2nd
@@ -177,10 +178,12 @@ def test_entropy_rejects_inconsistent_running_integral():
         linear_entropy_2nd(bad, 1.0)
 
 
-def test_kernel_csv_schema(tmp_path, maser_kernel):
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(maser_kernel, path)
-    lines = path.read_text().strip().splitlines()
+def test_kernel_csv_schema(tmp_path, maser_setup, maser_kernel):
+    p, h, traj = maser_setup
+    run = _Run(ExperimentConfig(model=p, states=(traj.state_at(0),)), h, [], tmp_path, {"outputs": []})
+    save_kernel_csv(run, maser_kernel, entropy_series(maser_kernel))
+    assert run.manifest["outputs"] == ["kernel.csv"]
+    lines = (tmp_path / "kernel.csv").read_text().strip().splitlines()
     assert lines[0] == "t,re_c,im_c,abs_C,delta2"
     assert len(lines) == len(maser_kernel.times) + 1
     row = lines[11].split(",")

@@ -183,6 +183,7 @@ def test_roundtrip_preserves_preset_expansion():
     cfg = config_from_dict({"preset": "fig1"})
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
+    assert again.integrator == IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, sample_dt=0.05)
 
 
 def test_project_noop_when_on_shell():
@@ -428,8 +429,7 @@ def test_run_fig1_writes_pair_files(tmp_path):
 def test_fig1_overlap_column_is_the_exponential_of_the_distances(tmp_path, fig1_cfg, fig1_h, fig1_states):
     # one closed form: the printed modulus and the printed distances never
     # disagree, over the full t_final = 25 run of both preset pairs
-    icfg = IntegratorConfig(rel_tol=fig1_cfg.rel_tol, abs_tol=fig1_cfg.abs_tol, sample_dt=fig1_cfg.sampling_dt)
-    run = _Run(fig1_cfg, fig1_h, icfg, list(fig1_states), tmp_path, {})
+    run = _Run(fig1_cfg, fig1_h, list(fig1_states), tmp_path, {})
     for i in (0, 2):
         rows = _pair_rows(run, fig1_states[i], fig1_states[i + 1])
         assert len(rows) == 501 and rows[-1][0] == 25.0
