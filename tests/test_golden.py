@@ -43,6 +43,8 @@ RUNS = {
     "fig1": ("fig1", ["t_final=2"]),
     "entropy": ("entropy", ["t_final=2", "n_max=null"]),
     "lyapunov": ("lyapunov", ["lyapunov.t_total=3"]),
+    "oracle-compare": ("oracle-compare", ["t_final=2"]),
+    "entropy-krylov": ("entropy", ["model.j=12.5", "t_final=2", "n_max=120"]),
 }
 
 _RUN_ALL = """
