@@ -275,9 +275,11 @@ def project_to_energy(
     """Shift one real coordinate of the field label onto the target energy shell.
 
     The shift closest to zero is found by scanning for a sign change and
-    polishing it with a bracketing root solve. If the energy never crosses
-    the target along the direction, the scanned interval and attained range
-    are reported.
+    polishing it with a bracketing root solve. The energy is quadratic in
+    the shift, so a shell crossed twice inside one scan cell shows no sign
+    change; the scan then also tries the parabola's vertex. If the energy
+    never crosses the target along the direction, the scanned interval and
+    attained range are reported.
     """
     if direction == "im_x":
         step = 1j
@@ -300,6 +302,15 @@ def project_to_energy(
             center = abs(0.5 * (us[i] + us[i + 1]))
             if best is None or center < best[0]:
                 best = (center, us[i], us[i + 1])
+    if best is None:
+        # the vertex of the parabola through the ends and the middle of the scan
+        curvature = vals[0] + vals[-1] - 2.0 * g0
+        vertex = 0.5 * _SCAN_SPAN * (vals[0] - vals[-1]) / curvature if curvature else math.inf
+        if abs(vertex) <= _SCAN_SPAN:
+            g_vertex = gap(vertex)
+            vals = np.append(vals, g_vertex)
+            if g_vertex * g0 <= 0.0:
+                best = (0.0, min(0.0, vertex), max(0.0, vertex))
     if best is None:
         raise EnergyProjectionError(
             f"no {direction} shift in [{-_SCAN_SPAN}, {_SCAN_SPAN}] reaches energy {target}: "

@@ -220,6 +220,22 @@ def test_project_unreachable_reports_range():
         project_to_energy(s, h, 1.0, direction="im_y")
 
 
+def test_project_finds_a_shell_crossed_twice_inside_one_scan_cell():
+    # along im_x the energy is E(0.7, y) + (u - 0.05)^2, so the target
+    # E(0.7, y) + 0.001 is crossed at u = 0.05 -+ sqrt(0.001), 0.018 and
+    # 0.082, both inside the scan cell [0, 0.1]
+    h = maser_hamiltonian(MaserParams(g=0.0, g_prime=0.0, j=2.0))
+    s = ProductState(x=0.7 - 0.05j, y=0.3 + 0.2j)
+    floor = classical_energy(h, 0.7, s.y)
+    out, direction = project_with_fallback(s, h, floor + 0.001)
+    assert direction == "im_x" and out.x.real == s.x.real and out.y == s.y
+    assert out.x.imag + 0.05 == pytest.approx(0.05 - math.sqrt(0.001), abs=1e-12)
+    assert classical_energy(h, out.x, out.y) == pytest.approx(floor + 0.001, abs=1e-12)
+    # below the vertex there is no crossing, and the range reaches down to it
+    with pytest.raises(EnergyProjectionError, match=rf"attained range \[{floor:.6g},"):
+        project_to_energy(s, h, floor - 0.001)
+
+
 def test_fig1_projection_directions(fig1_cfg, fig1_h):
     dirs = []
     for s in fig1_cfg.states:
