@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Collection, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -54,6 +55,10 @@ class ConfigError(CohChaosError):
 
 class EnergyProjectionError(CohChaosError):
     """No crossing of the target energy along the requested direction."""
+
+
+class OutputError(CohChaosError):
+    """The output directory or a file in it cannot be created or written."""
 
 
 _MODEL_KEYS = tuple(f.name for f in fields(MaserParams))
@@ -344,10 +349,20 @@ def _sig3(value: float) -> float:
     return float(f"{value:.3g}")
 
 
+@contextmanager
+def _new_file(path: Path, **kwargs):
+    """path opened for writing as a new file; an OSError becomes an OutputError naming it."""
+    try:
+        # ext4 forces a truncated-then-rewritten file out to disk on close; a new file is not
+        path.unlink(missing_ok=True)
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    # ext4 forces a truncated-then-rewritten file out to disk on close; a new file is not
-    path.unlink(missing_ok=True)
-    with open(path, "w", newline="") as fh:
+    with _new_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -515,7 +530,10 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
     if verb not in VERBS:
         raise ConfigError(f"unknown verb '{verb}'; available: {', '.join(VERBS)}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {out}: {exc}") from exc
     h = maser_hamiltonian(cfg.model)
 
     states = list(cfg.states)
@@ -538,9 +556,7 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
 
     VERBS[verb](_Run(cfg, h, states, out, manifest))
 
-    path = out / "run_manifest.json"
-    path.unlink(missing_ok=True)  # a new file, for the reason given in _write_csv
-    with open(path, "w") as fh:
+    with _new_file(out / "run_manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

@@ -98,6 +98,20 @@ def test_bad_config_value_reports_error(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("blocked", ["out", "out/run_manifest.json"])
+def test_unwritable_output_reports_error(tmp_path, capsys, blocked):
+    # a file where the output directory belongs, or a directory where an output file belongs
+    out = tmp_path / "out"
+    if blocked == "out":
+        out.write_text("not a directory")
+    else:
+        (tmp_path / blocked).mkdir(parents=True)
+    code = main(["fig1", "--out", str(out), "--override", "t_final=0.1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and str(tmp_path / blocked) in err
+
+
 def test_needs_config_or_preset(tmp_path, capsys):
     code = main(["trajectory", "--out", str(tmp_path / "out")])
     assert code == 2
