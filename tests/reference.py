@@ -21,7 +21,7 @@ from cohchaos import algebra
 from cohchaos.algebra import HEISENBERG, CohChaosError, Gen, GroupKind, TruncationError, spin
 from cohchaos.corrections import CorrectionKernel
 from cohchaos.dynamics import ProductState, ScaledState
-from cohchaos.model import BilinearHamiltonian, HermiticityError
+from cohchaos.model import BilinearHamiltonian, HermiticityError, MaserParams
 from cohchaos.oracle import HilbertConfig, OracleState
 
 
@@ -231,6 +231,23 @@ def doorway_vector(s: ProductState, cfg: HilbertConfig) -> OracleState:
     amps = np.kron(field.vector, spin_part.vector)
     amps = amps / np.linalg.norm(amps)
     return OracleState(amplitudes=amps, config=cfg, truncation_deficit=field.norm_deficit)
+
+
+def maser_matrix_reference(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
+    """The maser Hamiltonian written out with ladder operators, as a reference."""
+    num, ad, a = (sp.csr_matrix(m) for m in algebra.generator_matrices(HEISENBERG, cfg.n_max + 1))
+    jz, jp, jm = (sp.csr_matrix(m) for m in algebra.generator_matrices(spin(cfg.j)))
+    eye_f = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
+    eye_s = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
+    root_j = math.sqrt(p.j)
+    h = (
+        p.omega * sp.kron(num, eye_s)
+        + p.epsilon * sp.kron(eye_f, jz)
+        + (p.g / root_j) * (sp.kron(ad, jm) + sp.kron(a, jp))
+        + (p.g_prime / root_j) * (sp.kron(ad, jp) + sp.kron(a, jm))
+    ).tocsr()
+    h.eliminate_zeros()
+    return h
 
 
 def operator_expectation(state: OracleState, op: sp.spmatrix) -> complex:

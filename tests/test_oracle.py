@@ -30,30 +30,13 @@ from cohchaos.oracle import (
     recommended_n_max,
     reduced_linear_entropy,
 )
-from reference import doorway_vector, operator_expectation
+from reference import doorway_vector, maser_matrix_reference, operator_expectation
 
 SMALL = HilbertConfig(n_max=8, j=0.5)
 
 
 def small_model(g_prime=0.1):
     return maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.3, g_prime=g_prime, j=0.5))
-
-
-def maser_matrix_reference(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
-    """The maser Hamiltonian written out with ladder operators, as a reference."""
-    num, ad, a = (sp.csr_matrix(m) for m in generator_matrices(HEISENBERG, cfg.n_max + 1))
-    jz, jp, jm = (sp.csr_matrix(m) for m in generator_matrices(spin_group(cfg.j)))
-    eye_f = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
-    eye_s = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
-    root_j = math.sqrt(p.j)
-    h = (
-        p.omega * sp.kron(num, eye_s)
-        + p.epsilon * sp.kron(eye_f, jz)
-        + (p.g / root_j) * (sp.kron(ad, jm) + sp.kron(a, jp))
-        + (p.g_prime / root_j) * (sp.kron(ad, jp) + sp.kron(a, jm))
-    ).tocsr()
-    h.eliminate_zeros()
-    return h
 
 
 def test_hilbert_config_validation():

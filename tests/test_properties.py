@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohchaos.algebra import HEISENBERG, group_relation_coeffs, overlap, overlap_exponent, spin
-from cohchaos.dynamics import _rhs
+from cohchaos.dynamics import IntegratorConfig, ProductState, _rhs, integrate
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian
 from cohchaos.oracle import (
     ExactEvolver,
@@ -19,7 +19,7 @@ from cohchaos.oracle import (
     exact_overlap_pair,
     product_coherent_vector,
 )
-from reference import rhs as numpy_rhs, rhs_term_magnitudes
+from reference import maser_matrix_reference, rhs as numpy_rhs, rhs_term_magnitudes
 
 SPINS = st.integers(1, 20).map(lambda two_j: spin(two_j / 2))
 GROUPS = st.one_of(st.just(HEISENBERG), SPINS)
@@ -230,3 +230,35 @@ def test_exact_evolution_conserves_norm_and_pair_overlap(couplings, two_j, n_max
     for a, b in evolver.evolve_grid([a0, b0], np.linspace(0.0, t_final, 6)):
         assert abs(a.norm - 1.0) <= 1e-12 and abs(b.norm - 1.0) <= 1e-12
         assert abs(abs(exact_overlap_pair(a, b)) - ov0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.floats(-2.0, 2.0)] * 4), st.integers(1, 20), st.integers(1, 20))
+def test_hamiltonian_is_hermitian_and_equals_the_maser_reference(couplings, two_j, n_max):
+    epsilon, omega, g, g_prime = couplings
+    p = MaserParams(epsilon=epsilon, omega=omega, g=g, g_prime=g_prime, j=two_j / 2)
+    cfg = HilbertConfig(n_max=n_max, j=p.j)
+    h = build_hamiltonian_matrix(maser_hamiltonian(p), cfg)
+    ref = maser_matrix_reference(p, cfg)
+    # both differences were exactly 0 over 300 draws; allow rounding of the largest entry
+    bound = 2 * EPS * abs(ref).max()
+    assert abs(h - h.getH()).max() <= bound
+    assert h.nnz == ref.nnz and abs(h - ref).max() <= bound
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.integers(1, 20), SMALL_FIELD_LABELS, LABELS)
+def test_mean_field_is_exact_at_zero_coupling(frequencies, two_j, x, y):
+    # without coupling a product coherent state stays one: the exact state is
+    # the mean-field labels' product vector times exp(i eta_total) (the worst
+    # amplitude error of 300 draws was 6.0e-10, from the flow's tolerances)
+    epsilon, omega = frequencies
+    h = maser_hamiltonian(MaserParams(epsilon=epsilon, omega=omega, g=0.0, g_prime=0.0, j=two_j / 2))
+    cfg = HilbertConfig(n_max=25, j=two_j / 2)
+    traj = integrate(h, ProductState(x=x, y=y), 10.0, IntegratorConfig(sample_dt=1.0))
+    psi0 = product_coherent_vector(x, y, cfg)
+    evolved = ExactEvolver(build_hamiltonian_matrix(h, cfg)).evolve_grid([psi0], traj.times)
+    for i, (psi,) in enumerate(evolved):
+        s = traj.state_at(i)
+        mean_field = product_coherent_vector(s.x, s.y, cfg).amplitudes * cmath.exp(1j * s.eta_total)
+        assert np.abs(psi.amplitudes - mean_field).max() <= 1e-8
