@@ -402,12 +402,13 @@ def _pair_rows(run: _Run, s1, s2):
     return rows
 
 
-def _exact_runs(run: _Run, states, times) -> Iterator[tuple[OracleState, ...]]:
-    """Yield, per time, the exact evolutions of the product vectors of states.
+def _exact_runs(run: _Run, states, times) -> Iterator[tuple[np.ndarray, list[OracleState]]]:
+    """Yield, per chunk of times, those times and the exact evolutions of the product vectors of states.
 
-    The basis is sized for the states' field labels. It, the spectral
-    interval the evolution is scaled by, the truncation deficits, and (once
-    the times are exhausted) the largest top-Fock population over every
+    Each evolution is one OracleState stacked over the chunk's times. The
+    basis is sized for the states' field labels. It, the spectral interval
+    the evolution is scaled by, the truncation deficits, and (once the
+    times are exhausted) the largest top-Fock population over every
     yielded state and the sparse products the evolution took go into the
     manifest.
     """
@@ -420,9 +421,9 @@ def _exact_runs(run: _Run, states, times) -> Iterator[tuple[OracleState, ...]]:
     psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states]
     run.manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
     top = 0.0
-    for evolved in evolver.evolve_grid(psi0, times):
-        top = max(top, *(top_fock_population(p) for p in evolved))
-        yield evolved
+    for chunk, amplitudes in evolver.evolve_chunks(psi0, times):
+        top = max(top, float(np.max(top_fock_population(OracleState(amplitudes, hcfg)))))
+        yield chunk, [OracleState(amplitudes[:, i], hcfg, p.truncation_deficit) for i, p in enumerate(psi0)]
     hilbert["top_fock_population"] = _sig3(top)
     hilbert["chebyshev_orders"] = evolver.chebyshev_orders
 
@@ -461,7 +462,9 @@ def _entropy(run: _Run) -> None:
     if run.cfg.n_max is None:
         run.emit("entropy.csv", ["t", "delta2"], zip(traj.times, delta2))
         return
-    delta_exact = [reduced_linear_entropy(psi) for (psi,) in _exact_runs(run, run.states[:1], traj.times)]
+    delta_exact = np.concatenate(
+        [reduced_linear_entropy(psi, chunk) for chunk, (psi,) in _exact_runs(run, run.states[:1], traj.times)]
+    )
     run.emit("entropy.csv", ["t", "delta2", "delta_exact"], zip(traj.times, delta2, delta_exact))
 
 
@@ -497,11 +500,16 @@ def _oracle_compare(run: _Run) -> None:
         raise ConfigError("oracle-compare needs two initial states")
     h, pair = run.h, run.states[:2]
     trajs = [run.integrate(s) for s in pair]
-    rows = []
-    for i, (a, b) in enumerate(_exact_runs(run, pair, trajs[0].times)):
-        ov_mf = abs(mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), h.group_a, h.group_b))
-        field_err = abs(field_annihilation_expectation(a) - trajs[0].x[i])
-        rows.append((trajs[0].times[i], field_err, abs(exact_overlap_pair(a, b)), ov_mf))
+    field, ov_exact = [], []
+    for _, (a, b) in _exact_runs(run, pair, trajs[0].times):
+        field.append(field_annihilation_expectation(a))
+        ov_exact.append(np.abs(exact_overlap_pair(a, b)))
+    ov_mf = [
+        abs(mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), h.group_a, h.group_b))
+        for i in range(len(trajs[0].times))
+    ]
+    field_err = np.abs(np.concatenate(field) - trajs[0].x)
+    rows = zip(trajs[0].times, field_err, np.concatenate(ov_exact), ov_mf)
     run.emit("oracle_compare.csv", ["t", "field_err", "abs_overlap_exact", "abs_overlap_mf"], rows)
 
 

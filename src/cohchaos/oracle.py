@@ -8,12 +8,14 @@ sparsely from the generator matrices, and evolution is a Chebyshev
 expansion of exp(-i H t) at every dimension (Tal-Ezer and Kosloff, J.
 Chem. Phys. 81, 3967 (1984)): H is scaled once into [-1, 1] by its
 Gershgorin interval, and each chunk of consecutive sample times is
-expanded about the previous chunk's last time. The vectors T_k(H_s) psi of
-one recurrence are shared by every time of the chunk; only their Bessel
-weights, from Miller's backward recurrence, depend on the time. The series
-is truncated where the neglected coefficients of every time add up to
-machine epsilon. All states of a run evolve together, and their norms are
-checked as they go.
+expanded about the previous chunk's last time. The vectors (-i)^k T_k(H_s)
+psi of one recurrence, one sparse product each, are shared by every time
+of the chunk; only their Bessel weights, from Miller's backward
+recurrence, depend on the time. Each time's series stops at its own first
+order whose neglected coefficients add up to machine epsilon, and the
+recurrence runs to the largest of these. All states of a run evolve
+together, chunk by chunk, and their norms are checked as they go; the
+observables take a state or a stack of them.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ from .model import BilinearHamiltonian
 
 # Largest product-space dimension a HilbertConfig accepts.
 _DIMENSION_CAP = 20000
-# Complex entries in one chunk of evolved states, summed over all states
-# (1 MiB); a chunk this small keeps the grid from adding to the peak memory.
-# Half goes to the states of consecutive times, half to a block of as many
-# T_k vectors.
-_GRID_CHUNK = 1 << 16
+# Complex entries in one chunk's buffers, summed over all states (2 MiB): two
+# thirds hold the states of consecutive times, one third a block of half as
+# many T_k vectors; the weight products' buffer adds an eighth of the states'
+# bytes. Each time's weights reach only the blocks of its own series, so a
+# longer chunk adds little product work per time, and it spreads the ~40
+# orders every series takes to converge over more times.
+_GRID_CHUNK = 1 << 17
 # Truncation of the Chebyshev series: the neglected tail of its coefficients.
 _EPS = float(np.finfo(float).eps)
 # Most Chebyshev orders one chunk may take (a sparse product each); a longer
@@ -58,8 +62,6 @@ _MAX_CHEBYSHEV_ORDERS = 100_000
 # every multiplier 2k/x of Miller's recurrence up to the order cap is finite,
 # and below it J_1(x) = x/2 is under 1e-303.
 _SMALLEST_ARGUMENT = 2.0 * _MAX_CHEBYSHEV_ORDERS / float(np.finfo(float).max)
-# (-i)^k for k mod 4, exact.
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 class DimensionError(CohChaosError):
@@ -110,7 +112,7 @@ def hilbert_for_labels(labels, j: float, n_max: int | None = None) -> HilbertCon
 
 @dataclass(frozen=True)
 class OracleState:
-    """Normalized amplitude vector on a HilbertConfig basis."""
+    """Normalized amplitude vector on a HilbertConfig basis, or a stack of them along leading axes."""
 
     amplitudes: np.ndarray
     config: HilbertConfig
@@ -118,14 +120,19 @@ class OracleState:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.config.dim,):
+        if amps.shape[-1:] != (self.config.dim,):
             raise ValueError(f"amplitudes shape {amps.shape} does not match dimension {self.config.dim}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        """The vector's norm: a float, or an array over the stack."""
+        return np.linalg.norm(self.amplitudes, axis=-1)
+
+    def _matrices(self) -> np.ndarray:
+        # amplitudes as (..., Fock level, spin index) matrices
+        return self.amplitudes.reshape(self.amplitudes.shape[:-1] + (self.config.n_max + 1, self.config.spin_dim))
 
 
 def build_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.csr_matrix:
@@ -176,64 +183,69 @@ class ExactEvolver:
         self._dim = h.shape[0]
         self.spectral_interval = low, high = _gershgorin_interval(h)
         self.chebyshev_orders = 0
-        # H = centre + half_width * h_scaled, the spectrum of h_scaled in [-1, 1];
-        # a multiple of the identity gets half-width 1, so the scaling stays defined
+        # H = centre + half_width * h_s, the spectrum of h_s in [-1, 1]; a
+        # multiple of the identity gets half-width 1, so the scaling stays defined
         self._centre, self._half_width = 0.5 * (low + high), 0.5 * (high - low) or 1.0
         identity = sp.identity(self._dim, dtype=complex, format="csr")
-        self._h_scaled = (h.astype(complex) - self._centre * identity) / self._half_width
+        # -2i h_s, exactly: U_k = (-i)^k T_k(h_s) psi obeys U_{k+1} = -2i h_s U_k + U_{k-1}
+        self._step = (h.astype(complex) - self._centre * identity) / self._half_width * -2j
 
-    def _chebyshev_grid(self, amplitudes: np.ndarray, times: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # one series per chunk of times, expanded about the last time of the
-        # chunk before; the chunk's states and its block of T_k vectors take
-        # half of _GRID_CHUNK each
-        n_states = amplitudes.shape[0]
-        rows = max(1, _GRID_CHUNK // (2 * self._dim * n_states))
-        t0, psi = 0.0, np.ascontiguousarray(amplitudes.T)
-        for first in range(0, times.size, rows):
-            chunk = times[first:first + rows]
-            out = self._chebyshev_chunk(psi, chunk - t0, rows)
-            t0, psi = chunk[-1], out[-1]
-            yield chunk, out.transpose(0, 2, 1)
-
-    def _chebyshev_chunk(self, psi: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray:
-        """exp(-i H tau_m) psi for a (dim, states) psi and each tau_m, shaped (times, dim, states).
+    def _chebyshev_chunk(self, psi: np.ndarray, tau: np.ndarray, out: np.ndarray, block_size: int) -> np.ndarray:
+        """exp(-i H tau_m) psi for a (dim, states) psi and each tau_m, written to out and shaped (times, dim, states).
 
         All times share one recurrence: psi(tau) = exp(-i centre tau)
-        sum_k c_k(R tau) (-i)^k T_k(h) psi. Its vectors, times (-i)^k, go
-        through a block of `rows` of them, and each full block is added into
-        every time's state by one real matrix product with the weights.
+        sum_k c_k(R tau) U_k with U_k = (-i)^k T_k(h_s) psi, run to the
+        largest of the times' orders. Its vectors fill a block of block_size
+        (at least 2) of them, and each full block is added into the rows of out
+        (one per time) whose series reach it, by real matrix products over
+        a quarter of those rows at a time. psi may be a view of out: it is
+        read before out is first written.
         """
-        weights = _chebyshev_coefficients(self._half_width * tau)
-        h = self._h_scaled
-        block = np.empty((rows, psi.size), dtype=complex)
-        out = np.zeros((tau.size, psi.size), dtype=complex)
+        weights, orders = _chebyshev_coefficients(self._half_width * tau)
+        block = np.empty((block_size, psi.size), dtype=complex)
         flat = out.view(float)
-        prev, cur = None, psi
+        group = -(-tau.size // 4)
+        partial = np.empty((group, flat.shape[1]))
+        prev = cur = None
         for k in range(len(weights)):
-            if k == 1:
-                prev, cur = cur, h @ cur
-            elif k > 1:
-                # T_{k+1} = 2 h T_k - T_{k-1}
-                nxt = h @ cur
-                nxt *= 2.0
-                nxt -= prev
-                prev, cur = cur, nxt
-            np.multiply(cur.reshape(-1), _MINUS_I_POWERS[k % 4], out=block[k % rows])
-            if k % rows == rows - 1 or k == len(weights) - 1:
-                n = k % rows + 1
-                flat += weights[k + 1 - n:k + 1].T @ block[:n].view(float)
+            nxt = block[k % block_size].reshape(psi.shape)
+            if k == 0:
+                nxt[...] = psi
+            elif k == 1:
+                np.multiply(self._step @ cur, 0.5, out=nxt)
+            else:
+                np.add(self._step @ cur, prev, out=nxt)
+            prev, cur = cur, nxt
+            if k % block_size != block_size - 1 and k != len(weights) - 1:
+                continue
+            first = k - k % block_size
+            vectors = block[:k + 1 - first].view(float)
+            if first == 0:
+                # every series reaches the first block, which overwrites out
+                np.matmul(weights[:k + 1].T, vectors, out=flat)
+                continue
+            # the times whose series reach this block lie in [lo, hi), and any
+            # other time between them has zero weights here
+            reach = np.flatnonzero(orders > first)
+            lo, hi = reach[0], reach[-1] + 1
+            for r in range(lo, hi, group):
+                part = partial[:min(group, hi - r)]
+                np.matmul(weights[first:k + 1, r:r + len(part)].T, vectors, out=part)
+                flat[r:r + len(part)] += part
         self.chebyshev_orders += len(weights) - 1
         out *= np.exp(-1j * self._centre * tau)[:, None]
         return out.reshape((tau.size,) + psi.shape)
 
-    def evolve_grid(self, states: Sequence[OracleState], times: Iterable[float]) -> Iterator[tuple[OracleState, ...]]:
-        """Yield, for each of times in order, the states evolved from t = 0 to it.
+    def evolve_chunks(self, states: Sequence[OracleState], times: Iterable[float]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield, per chunk of the times in order, (times, amplitudes[times, states, dim]) evolved from t = 0.
 
         There must be at least one state, each of the matrix's dimension
-        (else ValueError). Each yielded state must keep unit norm to 1e-9;
+        (else ValueError). Each evolved state must keep unit norm to 1e-9;
         the first time at which one does not raises CohChaosError, after
         the times before it are yielded. A time that is not finite raises
-        CohChaosError before its chunk of times is evaluated.
+        CohChaosError before its chunk of times is evaluated. The amplitudes
+        are a view of a buffer that the next chunk overwrites: copy what
+        must outlive the step.
         """
         states = tuple(states)
         if not states:
@@ -242,17 +254,42 @@ class ExactEvolver:
             if st.config.dim != self._dim:
                 raise ValueError(f"state dimension {st.config.dim} does not match the matrix dimension {self._dim}")
         times = np.asarray(times, dtype=float).reshape(-1)
-        amplitudes = np.stack([st.amplitudes for st in states])
-        for chunk, out in self._chebyshev_grid(amplitudes, times):
-            drift = np.abs(np.linalg.norm(out, axis=-1) - 1.0).max(axis=1)
+        # times per chunk and T_k vectors per block, two to one, within _GRID_CHUNK
+        size = self._dim * len(states)
+        per_chunk = max(1, 2 * (_GRID_CHUNK // size) // 3)
+        out = np.empty((min(per_chunk, times.size), size), dtype=complex)
+        t0, psi = 0.0, np.stack([st.amplitudes for st in states], axis=1)
+        for first in range(0, times.size, per_chunk):
+            chunk = times[first:first + per_chunk]
+            evolved = self._chebyshev_chunk(psi, chunk - t0, out[:chunk.size], max(2, per_chunk // 2))
+            t0, psi = chunk[-1], evolved[-1]
+            # squares summed over the basis for each state's real and imaginary
+            # parts, without a chunk-sized temporary
+            parts = evolved.view(float)
+            squares = np.einsum("tdc,tdc->tc", parts, parts).reshape(chunk.size, len(states), 2)
+            drift = np.abs(np.sqrt(squares.sum(axis=-1)) - 1.0).max(axis=1)
+            amplitudes = evolved.transpose(0, 2, 1)
             bad = np.flatnonzero(~(drift <= 1e-9))  # a NaN drift fails too
-            for row in out[:bad[0] if bad.size else len(out)]:
+            if not bad.size:
+                yield chunk, amplitudes
+                continue
+            if bad[0]:
+                yield chunk[:bad[0]], amplitudes[:bad[0]]
+            raise CohChaosError(f"evolution norm drift {drift[bad[0]]:.3e} at t = {float(chunk[bad[0]])}")
+
+    def evolve_grid(self, states: Sequence[OracleState], times: Iterable[float]) -> Iterator[tuple[OracleState, ...]]:
+        """Yield, for each of times in order, the states evolved from t = 0 to it.
+
+        The states, times and errors are those of evolve_chunks; the
+        yielded states are copies that later times leave alone.
+        """
+        states = tuple(states)
+        for _, amplitudes in self.evolve_chunks(states, times):
+            for row in amplitudes.copy():
                 yield tuple(
                     OracleState(amplitudes=amps, config=st.config, truncation_deficit=st.truncation_deficit)
                     for amps, st in zip(row, states)
                 )
-            if bad.size:
-                raise CohChaosError(f"evolution norm drift {drift[bad[0]]:.3e} at t = {float(chunk[bad[0]])}")
 
     def evolve(self, state: OracleState, t: float) -> OracleState:
         return next(self.evolve_grid([state], [t]))[0]
@@ -269,12 +306,13 @@ def _gershgorin_interval(h: sp.csr_matrix) -> tuple[float, float]:
     return float(np.min(diag - radii)), float(np.max(diag + radii))
 
 
-def _chebyshev_coefficients(x: np.ndarray) -> np.ndarray:
-    """Weights (2 - delta_k0) J_k(x_m) of exp(-i x_m cos(theta)) = sum_k (-i)^k c_km cos(k theta).
+def _chebyshev_coefficients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (2 - delta_k0) J_k(x_m) of exp(-i x_m cos(theta)) = sum_k (-i)^k c_km cos(k theta), and each column's order.
 
-    One column per argument x_m, truncated at the first order K at which
-    the tail 2 sum_{k>=K} |J_k(x_m)| of every column is at most machine
-    epsilon. The orders searched reach max|x| + 10 max|x|^(1/3) + 40, well
+    Column m, for the argument x_m, is truncated at its own order K_m: the
+    first at which the tail 2 sum_{k>=K_m} |J_k(x_m)| is at most machine
+    epsilon. Its weights from K_m on are 0, and the table has max_m K_m
+    rows. The orders searched reach max|x| + 10 max|x|^(1/3) + 40, well
     past the turning point beyond which J_k decays faster than
     exponentially. A non-finite argument, a search range beyond
     _MAX_CHEBYSHEV_ORDERS (checked before any Bessel value is formed), or a
@@ -289,13 +327,15 @@ def _chebyshev_coefficients(x: np.ndarray) -> np.ndarray:
             f"Chebyshev step R tau = {largest!r} needs more than {_MAX_CHEBYSHEV_ORDERS} orders; add intermediate times"
         )
     bessel = _bessel_table(x, size)
-    tail = 2.0 * np.cumsum(np.abs(bessel[::-1]), axis=0)[::-1]
-    within = np.flatnonzero((tail <= _EPS).all(axis=1))
-    if within.size == 0:
+    # the tails only shrink with k, so each column's first order within epsilon starts its zeros
+    within = 2.0 * np.cumsum(np.abs(bessel[::-1]), axis=0)[::-1] <= _EPS
+    if not within.any(axis=0).all():
         raise CohChaosError(f"Chebyshev series for R tau = {largest!r} does not converge within {size} orders")
-    weights = 2.0 * bessel[:int(within[0])]
+    orders = within.argmax(axis=0)
+    weights = 2.0 * bessel[:orders.max()]
     weights[0] *= 0.5
-    return weights
+    weights[np.arange(len(weights))[:, None] >= orders] = 0.0
+    return weights, orders
 
 
 def _bessel_table(x: np.ndarray, size: int) -> np.ndarray:
@@ -353,38 +393,52 @@ def product_coherent_vector(x: complex, y: complex, cfg: HilbertConfig) -> Oracl
     return OracleState(amplitudes=amps, config=cfg, truncation_deficit=deficit)
 
 
-def reduced_linear_entropy(state: OracleState) -> float:
-    """Linear entropy 1 - Tr(rho^2) of the field's reduced density matrix.
+def reduced_linear_entropy(state: OracleState, times: Sequence[float] | None = None) -> float | np.ndarray:
+    """Linear entropy 1 - Tr(rho^2) of the field's reduced density matrix, for each vector of a state.
 
-    The spin's reduction is computed too and its purity must agree to 1e-10
-    (a pure joint state has the same Schmidt spectrum on both sides).
+    The spin's reduction is computed too, and each vector's purity must
+    agree on both sides to 1e-10 (a pure joint state has the same Schmidt
+    spectrum on both sides). The first vector for which it does not raises
+    CohChaosError, naming its time if times (one per entry of the first
+    axis of a stack) are given. Returns a float, or an array over the stack.
     """
-    m = state.amplitudes.reshape(state.config.n_max + 1, state.config.spin_dim)
-    rho_f = m @ m.conj().T
-    rho_s = m.T @ m.conj()
-    purity_f = float(np.sum(np.abs(rho_f) ** 2))
-    purity_s = float(np.sum(np.abs(rho_s) ** 2))
-    if abs(purity_f - purity_s) > 1e-10:
-        raise CohChaosError(f"reduced purities disagree: {purity_f!r} vs {purity_s!r}")
-    return float(1.0 - purity_f)
+    m = state._matrices()
+    # one vector at a time: a stack of (n_max+1)^2 density matrices would
+    # outgrow the evolution's chunk
+    purities = [
+        (np.sum(np.abs(v @ v.conj().T) ** 2), np.sum(np.abs(v.T @ v.conj()) ** 2))
+        for v in m.reshape((-1,) + m.shape[-2:])
+    ]
+    purity_f, purity_s = np.array(purities).reshape(-1, 2).T
+    bad = np.flatnonzero(~(np.abs(purity_f - purity_s) <= 1e-10))  # a NaN purity fails too
+    if bad.size:
+        i = bad[0]
+        where = "" if times is None else f" at t = {float(times[np.unravel_index(i, m.shape[:-2])[0]])}"
+        raise CohChaosError(f"reduced purities disagree{where}: {float(purity_f[i])!r} vs {float(purity_s[i])!r}")
+    return (1.0 - purity_f).reshape(m.shape[:-2])[()]
 
 
-def exact_overlap_pair(s1: OracleState, s2: OracleState) -> complex:
-    """Inner product <s1|s2>; both states must share a basis configuration."""
+def exact_overlap_pair(s1: OracleState, s2: OracleState) -> complex | np.ndarray:
+    """Inner product <s1|s2> of each pair of vectors; both states must share a basis configuration."""
     if s1.config != s2.config:
         raise ValueError("overlap requires matching Hilbert configurations")
-    return complex(np.vdot(s1.amplitudes, s2.amplitudes))
+    # a contiguous product, so that numpy sums it pairwise
+    terms = np.conjugate(s1.amplitudes, order="C")
+    terms *= s2.amplitudes
+    return terms.sum(axis=-1)[()]
 
 
-def field_annihilation_expectation(state: OracleState) -> complex:
-    """Expectation <a> of the field lowering operator."""
-    m = state.amplitudes.reshape(state.config.n_max + 1, state.config.spin_dim)
-    ns = np.arange(1, state.config.n_max + 1)
-    # <a> = sum_n sqrt(n) conj(psi[n-1,k]) psi[n,k]
-    return complex(np.sum(np.sqrt(ns)[:, None] * np.conj(m[:-1, :]) * m[1:, :]))
+def field_annihilation_expectation(state: OracleState) -> complex | np.ndarray:
+    """Expectation <a> of the field lowering operator, for each vector of a state."""
+    m = state._matrices()
+    # <a> = sum_n sqrt(n) conj(psi[n-1,k]) psi[n,k], summed pairwise
+    terms = np.conjugate(m[..., :-1, :], order="C")
+    terms *= np.sqrt(np.arange(1, state.config.n_max + 1))[:, None]
+    terms *= m[..., 1:, :]
+    return terms.sum(axis=(-2, -1))[()]
 
 
-def top_fock_population(state: OracleState) -> float:
-    """Population of the highest kept Fock level n = n_max: the truncation edge."""
-    top = state.amplitudes[-state.config.spin_dim:]
-    return float(np.vdot(top, top).real)
+def top_fock_population(state: OracleState) -> float | np.ndarray:
+    """Population of the highest kept Fock level n = n_max, the truncation edge, for each vector of a state."""
+    top = state._matrices()[..., -1, :]
+    return np.sum(top.real ** 2 + top.imag ** 2, axis=-1)[()]

@@ -254,6 +254,31 @@ def operator_expectation(state: OracleState, op: sp.spmatrix) -> complex:
     return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
 
 
+# ---------------------------------------------------------------------------
+# The exact-basis observables of one vector, as the library wrote them before
+# they took stacks of vectors.
+
+
+def vector_field_annihilation(amps: np.ndarray, cfg: HilbertConfig) -> complex:
+    m = amps.reshape(cfg.n_max + 1, cfg.spin_dim)
+    ns = np.arange(1, cfg.n_max + 1)
+    return complex(np.sum(np.sqrt(ns)[:, None] * np.conj(m[:-1, :]) * m[1:, :]))
+
+
+def vector_overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    return complex(np.vdot(a, b))
+
+
+def vector_top_fock_population(amps: np.ndarray, cfg: HilbertConfig) -> float:
+    top = amps[-cfg.spin_dim:]
+    return float(np.vdot(top, top).real)
+
+
+def vector_linear_entropy(amps: np.ndarray, cfg: HilbertConfig) -> float:
+    m = amps.reshape(cfg.n_max + 1, cfg.spin_dim)
+    return float(1.0 - np.sum(np.abs(m @ m.conj().T) ** 2))
+
+
 def from_classical(scaled: ScaledState, j: float, eta_x: float = 0.0, eta_y: float = 0.0) -> ProductState:
     """Inverse of dynamics.scale_to_classical; recovers the bare labels exactly."""
     root = math.sqrt(4.0 * j)

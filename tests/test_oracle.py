@@ -29,8 +29,17 @@ from cohchaos.oracle import (
     product_coherent_vector,
     recommended_n_max,
     reduced_linear_entropy,
+    top_fock_population,
 )
-from reference import doorway_vector, maser_matrix_reference, operator_expectation
+from reference import (
+    doorway_vector,
+    maser_matrix_reference,
+    operator_expectation,
+    vector_field_annihilation,
+    vector_linear_entropy,
+    vector_overlap,
+    vector_top_fock_population,
+)
 
 SMALL = HilbertConfig(n_max=8, j=0.5)
 
@@ -191,13 +200,16 @@ def test_dense_path_on_complex_interleaved_blocks(rng):
 
 # "dense" packs all times into one series; "krylov" takes one series per
 # time, from the state of the time before, as a Krylov propagator steps
-@pytest.mark.parametrize("grid_chunk", [32 * SMALL.dim, 2 * SMALL.dim], ids=["dense", "krylov"])
-def test_evolve_grid_matches_per_time_evolve(grid_chunk, monkeypatch):
+@pytest.mark.parametrize(
+    "grid_chunk, chunk_sizes", [(32 * SMALL.dim, [10]), (2 * SMALL.dim, [1] * 10)], ids=["dense", "krylov"]
+)
+def test_evolve_grid_matches_per_time_evolve(grid_chunk, chunk_sizes, monkeypatch):
     monkeypatch.setattr(oracle, "_GRID_CHUNK", grid_chunk)
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     # a repeated time, and a short last step as on a t_final = 0.73, dt = 0.1 grid
     times = [0.0, 0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.73]
+    assert [len(chunk) for chunk, _ in ev.evolve_chunks([st], times)] == chunk_sizes
     grid = list(ev.evolve_grid([st], times))
     assert len(grid) == len(times)
     for t, (out,) in zip(times, grid):
@@ -205,7 +217,7 @@ def test_evolve_grid_matches_per_time_evolve(grid_chunk, monkeypatch):
         assert np.abs(out.amplitudes - ev.evolve(st, t).amplitudes).max() < 1e-12
 
 
-# chunks of three times for the pair and six for a single state ("dense"),
+# chunks of four times for the pair and eight for a single state ("dense"),
 # or of one and two ("krylov"): the two runs chunk the grid differently
 @pytest.mark.parametrize("grid_chunk", [12 * SMALL.dim, 4 * SMALL.dim], ids=["dense", "krylov"])
 def test_states_evolved_together_equal_each_alone(grid_chunk, monkeypatch):
@@ -236,7 +248,7 @@ def test_chebyshev_orders_count_the_sparse_products(monkeypatch):
     # chunks of two times each, and a second grid on the same evolver
     monkeypatch.setattr(oracle, "_GRID_CHUNK", 4 * SMALL.dim)
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
-    ev._h_scaled = counting = Counting(ev._h_scaled)
+    ev._step = counting = Counting(ev._step)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     list(ev.evolve_grid([st], [0.0, 0.5, 1.0, 3.0, 3.5]))
     list(ev.evolve_grid([st], [2.0]))
@@ -280,9 +292,10 @@ def test_chebyshev_path_on_a_complex_driven_model():
 @settings(max_examples=40, deadline=None)
 @given(
     hs.integers(1, 4), hs.integers(1, 3), hs.integers(0, 2**32 - 1),
-    hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=5), hs.floats(-1e-150, 1e-150), hs.integers(1, 3),
+    hs.lists(hs.floats(-30.0, 30.0), min_size=1, max_size=5), hs.floats(-1e-150, 1e-150),
+    hs.sampled_from([1, 2, 4, 32]),
 )
-def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, seed, drawn, tiny, rows):
+def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, seed, drawn, tiny, per_chunk):
     cfg = HilbertConfig(n_max=n_max, j=two_j / 2)
     gen = np.random.default_rng(seed)
     a = gen.normal(size=(cfg.dim, cfg.dim)) + 1j * gen.normal(size=(cfg.dim, cfg.dim))
@@ -290,13 +303,14 @@ def test_chebyshev_step_matches_expm_on_random_hermitian_matrices(n_max, two_j, 
     psi = gen.normal(size=cfg.dim) + 1j * gen.normal(size=cfg.dim)
     state = OracleState(amplitudes=psi / np.linalg.norm(psi), config=cfg)
     # a first step far below any rounding of 1, then unsorted times (negative
-    # ones too) and a repeat, over chunks of `rows` times each
+    # ones too) and a repeat, over chunks of per_chunk times each (the worst
+    # of 300 draws was 1.7e-14 off expm)
     times = [tiny, *drawn, drawn[0]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_GRID_CHUNK", 2 * cfg.dim * rows)
+        mp.setattr(oracle, "_GRID_CHUNK", cfg.dim * -(-3 * per_chunk // 2))
         grid = list(ExactEvolver(sp.csr_matrix(a)).evolve_grid([state], times))
     for t, (out,) in zip(times, grid, strict=True):
-        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-10
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * a) @ state.amplitudes).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,6 +364,71 @@ def test_bessel_table_keeps_the_neumann_identity():
     assert np.abs(table[0] + 2.0 * table[2::2].sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
+def test_each_time_series_stops_at_its_own_order():
+    eps = np.finfo(float).eps
+    # unsorted, repeated, negative and zero arguments R tau
+    x = np.array([30.0, -3.5, 0.0, 30.0, 1e-8, -12.0])
+    weights, orders = oracle._chebyshev_coefficients(x)
+    # the chunk's recurrence runs to the largest of its times' orders
+    assert len(weights) == orders.max() == orders[0]
+    for m, xm in enumerate(x):
+        order = int(orders[m])
+        bessel = [float(mpmath.besselj(k, xm)) for k in range(order + 40)]
+        tails = [2.0 * math.fsum(abs(b) for b in bessel[k:]) for k in (order - 1, order)]
+        # the first order whose dropped tail is within machine epsilon
+        assert tails[1] <= eps < tails[0], m
+        kept = (2.0 - (np.arange(order) == 0)) * bessel[:order]
+        assert np.abs(weights[:order, m] - kept).max() <= 4 * eps
+        assert not weights[order:, m].any()
+    # at tau = 0 the series is psi itself
+    assert orders[2] == 1
+
+
+def test_chunk_takes_the_largest_order_of_its_times():
+    ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
+    st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
+    # one chunk of unsorted times, its longest step from t = 0 at index 2
+    times = np.array([0.4, -0.2, 1.3, 0.4, 0.0])
+    assert [len(chunk) for chunk, _ in ev.evolve_chunks([st], times)] == [5]
+    _, orders = oracle._chebyshev_coefficients(ev._half_width * times)
+    assert ev.chebyshev_orders == orders.max() - 1 == orders[2] - 1
+    assert len(set(orders)) == 4
+
+
+def test_stacked_observables_equal_the_per_vector_forms(rng):
+    cfg = HilbertConfig(n_max=12, j=1.5)
+    # (times, dim, states) transposed, as evolve_chunks yields a chunk
+    raw = rng.normal(size=(5, cfg.dim, 3)) + 1j * rng.normal(size=(5, cfg.dim, 3))
+    amps = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).transpose(0, 2, 1)
+    stack, swapped = OracleState(amps, cfg), OracleState(amps[:, ::-1], cfg)
+    field = field_annihilation_expectation(stack)
+    overlaps = exact_overlap_pair(stack, swapped)
+    top = top_fock_population(stack)
+    entropy = reduced_linear_entropy(stack)
+    assert field.shape == overlaps.shape == top.shape == entropy.shape == (5, 3)
+    for idx in np.ndindex(5, 3):
+        v = amps[idx]
+        assert abs(field[idx] - vector_field_annihilation(v, cfg)) <= 1e-13
+        assert abs(overlaps[idx] - vector_overlap(v, amps[idx[0], 2 - idx[1]])) <= 1e-13
+        assert abs(top[idx] - vector_top_fock_population(v, cfg)) <= 1e-13
+        assert abs(entropy[idx] - vector_linear_entropy(v, cfg)) <= 1e-13
+    # one vector gives one number
+    single = OracleState(amps[2, 1], cfg)
+    assert np.ndim(field_annihilation_expectation(single)) == np.ndim(reduced_linear_entropy(single)) == 0
+    assert reduced_linear_entropy(single) == entropy[2, 1]
+
+
+def test_purity_disagreement_names_the_first_bad_time():
+    cfg = HilbertConfig(n_max=3, j=0.5)
+    amps = np.tile(np.eye(cfg.dim, dtype=complex)[3], (4, 1))
+    amps[3, 1] = amps[2, 5] = np.nan
+    with pytest.raises(CohChaosError, match=r"reduced purities disagree at t = 0\.7: nan vs nan$"):
+        reduced_linear_entropy(OracleState(amps, cfg), [0.1, 0.4, 0.7, 0.9])
+    with pytest.raises(CohChaosError, match="reduced purities disagree: nan"):
+        reduced_linear_entropy(OracleState(amps[3], cfg))
+    assert reduced_linear_entropy(OracleState(amps[:2], cfg), [0.1, 0.4]) == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
 def test_evolve_grid_rejects_a_state_of_another_dimension():
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
     good = product_coherent_vector(0.5, 0.3, SMALL)
@@ -374,6 +453,12 @@ def test_evolver_rejects_norm_drift():
     assert [next(grid)[0].norm for _ in range(2)] == pytest.approx([1.0, 1.0], abs=1e-9)
     with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.2$"):
         next(grid)
+    # inside one chunk of unsorted times the first bad time in their order is
+    # named, after the times before it are yielded
+    chunks = ExactEvolver(lossy).evolve_chunks([good], [0.05, 0.0, 0.3, 0.02])
+    assert list(next(chunks)[0]) == [0.05, 0.0]
+    with pytest.raises(CohChaosError, match=r"norm drift .* at t = 0\.3$"):
+        next(chunks)
     # a step too long for one series raises before it evaluates the series
     with pytest.raises(CohChaosError, match="needs more than 100000 orders"):
         ExactEvolver(h).evolve(good, 1e9)
