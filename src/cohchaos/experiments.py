@@ -66,6 +66,8 @@ _LYAP_KEYS = ("delta0", "window", "t_total")
 # Top-level numbers whose defaults are those of ExperimentConfig.
 _NUMBER_KEYS = ("t_final", "sampling_dt", "rel_tol", "abs_tol")
 _TOP_KEYS = {*_NUMBER_KEYS, "preset", "model", "pairs", "energy_target", "n_max", "lyapunov"}
+# Objects whose keys override a preset's one by one.
+_OBJECT_KEYS = ("model", "lyapunov")
 
 # project_to_energy scans shifts in [-_SCAN_SPAN, _SCAN_SPAN] at _SCAN_SAMPLES points.
 _SCAN_SPAN = 8.0
@@ -171,7 +173,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a raw mapping and build the run description.
 
     A 'preset' key expands first; any other keys given alongside it
-    override the expansion. Unknown keys anywhere are an error.
+    override the expansion, and the keys of a 'model' or 'lyapunov' object
+    override the preset's object key by key. Unknown keys anywhere are an
+    error.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
@@ -180,6 +184,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     preset = data.pop("preset", None)
     if preset is not None:
         base = expand_preset(preset)
+        for key in _OBJECT_KEYS:
+            if isinstance(data.get(key), dict):
+                data[key] = {**base.get(key, {}), **data[key]}
         base.update(data)
         data = base
 

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process through main()."""
 
 import json
+import math
 
 import pytest
 
@@ -52,6 +53,15 @@ def test_preset_with_override(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["t_final"] == 1.0
     assert (out / "overlap_pair.csv").exists()
+
+
+def test_override_of_one_model_key_keeps_the_preset_model(tmp_path):
+    out = tmp_path / "out"
+    args = ["trajectory", "--preset", "fig1", "--out", str(out), "--override", "model.j=12.5"]
+    assert main(args + ["--override", "t_final=0.1"]) == 0
+    model = json.loads((out / "run_manifest.json").read_text())["config"]["model"]
+    root2 = math.sqrt(2.0)
+    assert model == {"epsilon": 1.0, "omega": 1.0, "g": 0.5 / root2, "g_prime": 0.2 / root2, "j": 12.5}
 
 
 def test_fig1_verb_defaults_to_its_preset(tmp_path, capsys):

@@ -74,6 +74,18 @@ def test_config_preset_with_override_key():
     assert len(cfg.states) == 4
 
 
+def test_config_partial_objects_merge_over_the_preset():
+    preset = config_from_dict({"preset": "fig1"})
+    cfg = config_from_dict({"preset": "fig1", "model": {"j": 12.5}, "lyapunov": {"window": 0.5}})
+    assert cfg.model == MaserParams(epsilon=1.0, omega=1.0, g=0.5 / ROOT2, g_prime=0.2 / ROOT2, j=12.5)
+    assert (cfg.lyapunov_window, cfg.lyapunov_t_total) == (0.5, preset.lyapunov_t_total)
+    # the merged object is still checked key by key
+    with pytest.raises(ConfigError, match=r"'model\.gg' \(did you mean 'g'\?\)"):
+        config_from_dict({"preset": "fig1", "model": {"gg": 1.0}})
+    with pytest.raises(ConfigError, match="'model' must be an object"):
+        config_from_dict({"preset": "fig1", "model": 12.5})
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="positive"):
         config_from_dict(minimal_dict(sampling_dt=-0.1))
