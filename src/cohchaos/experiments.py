@@ -290,8 +290,8 @@ def project_to_energy(
     polishing it with a bracketing root solve. The energy is quadratic in
     the shift, so a shell crossed twice inside one scan cell shows no sign
     change; the scan then also tries the parabola's vertex. If the energy
-    never crosses the target along the direction, the scanned interval and
-    attained range are reported.
+    never crosses the target along the direction, the scanned interval, the
+    attained range and its closest approach to the target are reported.
     """
     if direction == "im_x":
         step = 1j
@@ -326,22 +326,30 @@ def project_to_energy(
     if best is None:
         raise EnergyProjectionError(
             f"no {direction} shift in [{-_SCAN_SPAN}, {_SCAN_SPAN}] reaches energy {target}: "
-            f"attained range [{vals.min() + target:.6g}, {vals.max() + target:.6g}]"
+            f"attained range [{vals.min() + target:.6g}, {vals.max() + target:.6g}] "
+            f"comes no closer than {np.abs(vals).min():.2g}"
         )
     root = brentq(gap, best[1], best[2], xtol=1e-14, rtol=8.9e-16)
     return replace(s, x=s.x + step * float(root))
 
 
 def project_with_fallback(
-    s: ProductState, h: BilinearHamiltonian, target: float
+    s: ProductState, h: BilinearHamiltonian, target: float, reasons: list[str] | None = None
 ) -> tuple[ProductState, str]:
-    """Project along im_x, falling back to re_x when the shell is one-sided there."""
+    """Project along im_x, falling back to re_x when the shell is one-sided there.
+
+    When it falls back, why im_x failed is appended to reasons, if given.
+    """
     failures = []
     for direction in ("im_x", "re_x"):
         try:
-            return project_to_energy(s, h, target, direction=direction), direction
+            projected = project_to_energy(s, h, target, direction=direction)
         except EnergyProjectionError as exc:
             failures.append(str(exc))
+            continue
+        if reasons is not None:
+            reasons.extend(failures)
+        return projected, direction
     raise EnergyProjectionError("; ".join(failures))
 
 
@@ -560,9 +568,15 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
         "outputs": [],
     }
     if cfg.energy_target is not None:
-        projected = [project_with_fallback(s, h, cfg.energy_target) for s in states]
+        projected, fallbacks = [], []
+        for s in states:
+            reasons: list[str] = []
+            projected.append(project_with_fallback(s, h, cfg.energy_target, reasons))
+            fallbacks.append(reasons[0] if reasons else None)
         states = [p[0] for p in projected]
         manifest["projection_directions"] = [p[1] for p in projected]
+        # why each state that went along re_x could not go along im_x
+        manifest["projection_fallbacks"] = fallbacks
         manifest["achieved_energies"] = [float(classical_energy(h, s.x, s.y)) for s in states]
         manifest["initial_condition_note"] = (
             "configured label coordinates are real parts; imaginary parts were set "

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +262,19 @@ def test_fig1_projection_directions(fig1_cfg, fig1_h):
             assert out.x.real == s.x.real
     assert dirs[:3] == ["im_x", "im_x", "im_x"]
     assert dirs[3] == "re_x"
+
+
+def test_manifest_names_why_a_state_fell_back_to_re_x(tmp_path, fig1_cfg):
+    manifest = run_experiment("trajectory", replace(fig1_cfg, t_final=0.1), tmp_path)
+    assert manifest["projection_directions"] == ["im_x", "im_x", "im_x", "re_x"]
+    fallbacks = manifest["projection_fallbacks"]
+    assert fallbacks[:3] == [None, None, None]
+    # along im_x the energy of fig1 state 3 stays 6.2e-8 above the 8.5 shell
+    assert re.fullmatch(
+        r"no im_x shift in \[-8\.0, 8\.0\] reaches energy 8\.5: "
+        r"attained range \[8\.5, [0-9.e+]+\] comes no closer than 6\.2e-08",
+        fallbacks[3],
+    )
 
 
 def test_run_unknown_verb(tmp_path):
