@@ -21,6 +21,8 @@ round differently, so a mismatch under another scipy is a difference of
 builds to confirm against these versions before it is taken for a bug.
 """
 
+from __future__ import annotations
+
 import json
 import os
 import subprocess
@@ -75,10 +77,32 @@ def pinned_runs(tmp_path_factory) -> Path:
     return root
 
 
+def first_difference(name: str, got: bytes, recorded: bytes) -> str | None:
+    """Where two files' bytes first differ: the file, the line number and both lines."""
+    got_lines, recorded_lines = got.split(b"\n"), recorded.split(b"\n")
+    for number, (line, want) in enumerate(zip(got_lines, recorded_lines), start=1):
+        if line != want:
+            return f"{name} line {number}: got {line!r}, recorded {want!r}"
+    if len(got_lines) != len(recorded_lines):
+        return f"{name}: got {len(got_lines)} lines, recorded {len(recorded_lines)}"
+    return None
+
+
+def test_first_difference_names_the_line():
+    assert first_difference("a.csv", b"t,x\r\n0,1\r\n", b"t,x\r\n0,1\r\n") is None
+    assert first_difference("a.csv", b"t,x\r\n0,2\r\n", b"t,x\r\n0,1\r\n") == (
+        "a.csv line 2: got b'0,2\\r', recorded b'0,1\\r'"
+    )
+    assert first_difference("a.csv", b"t,x\n", b"t,x\n0,1\n") == "a.csv line 2: got b'', recorded b'0,1'"
+
+
 @pytest.mark.parametrize("case", list(RUNS))
 def test_verb_output_matches_recorded_bytes(case, pinned_runs):
     out = pinned_runs / case
     expected = sorted(p.name for p in (GOLDEN / case).iterdir())
     assert sorted(p.name for p in out.iterdir()) == expected
-    for name in expected:
-        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+    differences = [
+        first_difference(name, (out / name).read_bytes(), (GOLDEN / case / name).read_bytes()) for name in expected
+    ]
+    if any(differences):
+        pytest.fail("; ".join(filter(None, differences)))
