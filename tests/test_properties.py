@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohchaos.algebra import HEISENBERG, group_relation_coeffs, overlap, overlap_exponent, spin
-from cohchaos.dynamics import IntegratorConfig, ProductState, _rhs, integrate
+from cohchaos.dynamics import IntegratorConfig, ProductState, _rhs, integrate, trajectory_energy
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian
 from cohchaos.oracle import (
     ExactEvolver,
@@ -262,3 +262,21 @@ def test_mean_field_is_exact_at_zero_coupling(frequencies, two_j, x, y):
         s = traj.state_at(i)
         mean_field = product_coherent_vector(s.x, s.y, cfg).amplitudes * cmath.exp(1j * s.eta_total)
         assert np.abs(psi.amplitudes - mean_field).max() <= 1e-8
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.tuples(*[st.floats(-2.0, 2.0)] * 4), st.integers(1, 20),
+    st.tuples(*[st.floats(-6.0, 6.0)] * 2), st.tuples(*[st.floats(-3.0, 3.0)] * 2),
+)
+def test_energy_drift_scales_with_the_tolerance(couplings, two_j, x_parts, y_parts):
+    # VODE Adams at abs_tol = rel_tol / 100: over 300 draws to t = 5 the drift
+    # relative to max(1, |E0|) was at most 8.3e3 rel_tol at 1e-10 and 1.5e4
+    # rel_tol at 1e-12; the bound allows 1e5 rel_tol at both
+    epsilon, omega, g, g_prime = couplings
+    h = maser_hamiltonian(MaserParams(epsilon=epsilon, omega=omega, g=g, g_prime=g_prime, j=two_j / 2))
+    s = ProductState(x=complex(*x_parts), y=complex(*y_parts))
+    for rel_tol in (1e-10, 1e-12):
+        traj = integrate(h, s, 5.0, IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol / 100))
+        energy = trajectory_energy(h, traj)
+        assert np.abs(energy - energy[0]).max() <= 1e5 * rel_tol * max(1.0, abs(energy[0]))
