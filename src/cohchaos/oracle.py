@@ -249,7 +249,7 @@ class ExactEvolver:
         """
         states = tuple(states)
         if not states:
-            raise ValueError("evolve_grid needs at least one state")
+            raise ValueError("the evolution needs at least one state")
         for st in states:
             if st.config.dim != self._dim:
                 raise ValueError(f"state dimension {st.config.dim} does not match the matrix dimension {self._dim}")

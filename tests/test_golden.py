@@ -4,6 +4,8 @@ tests/golden/<case>/ holds every file that one CLI run on the fig1 preset
 wrote, with the verb and overrides in RUNS. Each case compares a fresh run
 with those bytes, so a refactor of the flow, the kernel, the exact oracle
 or the writers that moves any printed digit fails here.
+A failure names the file, its first differing line and both versions of
+that line.
 
 The last bits of VODE's steps and of the Chebyshev series' matrix products
 depend on the OpenBLAS kernel and, for the exact verbs, on the BLAS thread
