@@ -11,11 +11,14 @@ The last bits of VODE's steps and of the Chebyshev series' matrix products
 depend on the OpenBLAS kernel and, for the exact verbs, on the BLAS thread
 count. So every case runs in one subprocess pinned to the AVX2 kernel and
 one thread (PIN), which any x86-64 CPU with AVX2 executes alike; the pin
-does not cover ARM. To re-record after an intended change, run the same
-command under the pin, for example
+does not cover ARM. To re-record after an intended change, run this module
+as a script:
 
-    OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 \\
-        cohchaos lyapunov --preset fig1 --override lyapunov.t_total=3 --out tests/golden/lyapunov
+    python tests/test_golden.py [case ...]
+
+It re-records the named cases (all of them by default) into tests/golden
+through the same pinned subprocess as the test (prefix PYTHONPATH=src when
+the package is not installed).
 
 The bytes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
 The flow runs on scipy's compiled VODE, and another scipy build of it may
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,12 +64,11 @@ for args in json.loads(sys.argv[1]):
 """
 
 
-@pytest.fixture(scope="module")
-def pinned_runs(tmp_path_factory) -> Path:
-    """Run every case once, in one subprocess under PIN; return the output root."""
-    root = tmp_path_factory.mktemp("golden")
+def run_pinned(root: Path, cases) -> None:
+    """Run the named cases of RUNS in one subprocess under PIN, each into root/<case>."""
     calls = []
-    for case, (verb, overrides) in RUNS.items():
+    for case in cases:
+        verb, overrides = RUNS[case]
         args = [verb, "--preset", "fig1", "--out", str(root / case)]
         for item in overrides:
             args += ["--override", item]
@@ -75,7 +78,15 @@ def pinned_runs(tmp_path_factory) -> Path:
     done = subprocess.run(
         [sys.executable, "-c", _RUN_ALL, json.dumps(calls)], env=env, capture_output=True, text=True
     )
-    assert done.returncode == 0, done.stderr
+    if done.returncode != 0:
+        raise RuntimeError(done.stderr)
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory) -> Path:
+    """Run every case once, in one subprocess under PIN; return the output root."""
+    root = tmp_path_factory.mktemp("golden")
+    run_pinned(root, RUNS)
     return root
 
 
@@ -108,3 +119,14 @@ def test_verb_output_matches_recorded_bytes(case, pinned_runs):
     ]
     if any(differences):
         pytest.fail("; ".join(filter(None, differences)))
+
+
+if __name__ == "__main__":
+    cases = sys.argv[1:] or list(RUNS)
+    unknown = sorted(set(cases).difference(RUNS))
+    if unknown:
+        sys.exit(f"unknown case(s) {unknown}; available: {list(RUNS)}")
+    for case in cases:
+        # a file the verb no longer writes must not stay behind
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+    run_pinned(GOLDEN, cases)
