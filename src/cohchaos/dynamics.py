@@ -209,6 +209,8 @@ def _pair_rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
 # the default tolerances.
 _MIN_STEP = 1e-12
 _MAX_STEPS = 10**6
+# The most samples, or Lyapunov windows, one run may ask for (fig1 takes 501 and 300).
+_MAX_COUNT = 10**6
 
 
 def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: BilinearHamiltonian):
@@ -262,8 +264,15 @@ def _check_labels(times: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         raise IntegrationError(f"label non-finite or beyond |z| = {_LABEL_BOUND:.0e} at t = {t_bad:.6g}")
 
 
+def capped_count(span: float, step: float, what: str) -> float:
+    """span / step, checked before an array that long is built: more than _MAX_COUNT what is a ValueError."""
+    if not span / step <= _MAX_COUNT:
+        raise ValueError(f"{span:g} / {step:g} asks for more than {_MAX_COUNT} {what}")
+    return span / step
+
+
 def _sample_grid(t_final: float, dt: float) -> np.ndarray:
-    n = int(math.floor(t_final / dt + 1e-9))
+    n = int(math.floor(capped_count(t_final, dt, "samples") + 1e-9))
     times = dt * np.arange(n + 1)
     if times[-1] < t_final - 1e-12 * max(1.0, t_final):
         times = np.append(times, t_final)
@@ -347,7 +356,7 @@ def scale_to_classical(s: ProductState, j: float) -> ScaledState:
 
 def window_count(t_total: float, window: float) -> int:
     """Number of windows of length window in t_total, which must be a whole number."""
-    q = t_total / window
+    q = capped_count(t_total, window, "windows")
     if abs(q - round(q)) > 1e-9 * q:
         raise ValueError(f"t_total {t_total} is not a whole number of windows of length {window}")
     return round(q)

@@ -1,5 +1,8 @@
 """Configured experiment runs: JSON config, energy-shell projection, CSV output.
 
+With an energy target, each state's Im x (or else Re x) is first shifted
+onto the energy shell; the energy is quadratic in the shift, solved in closed form.
+
 Every run writes its data files plus a run_manifest.json with the fully
 expanded configuration, achieved energies, the conventions version, and
 (for every verb that integrates the flow) the right-hand-side evaluations
@@ -20,14 +23,14 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .algebra import CONVENTIONS_VERSION, CohChaosError
+from .algebra import CONVENTIONS_VERSION, CohChaosError, expectations
 from .corrections import CorrectionKernel, build_kernel, entropy_series
 from .dynamics import (
     IntegratorConfig,
     ProductState,
     Trajectory,
+    capped_count,
     integrate,
     label_distances,
     lyapunov_series,
@@ -35,7 +38,7 @@ from .dynamics import (
     trajectory_energy,
     window_count,
 )
-from .model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian
+from .model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian, mean_field_coeffs
 from .oracle import (
     ExactEvolver,
     OracleState,
@@ -69,9 +72,7 @@ _TOP_KEYS = {*_NUMBER_KEYS, "preset", "model", "pairs", "energy_target", "n_max"
 # Objects whose keys override a preset's one by one.
 _OBJECT_KEYS = ("model", "lyapunov")
 
-# project_to_energy scans shifts in [-_SCAN_SPAN, _SCAN_SPAN] at _SCAN_SAMPLES points.
-_SCAN_SPAN = 8.0
-_SCAN_SAMPLES = 161
+_MAX_SHIFT = 8.0  # the largest shift of a field coordinate onto the energy shell
 
 _ROOT2 = math.sqrt(2.0)
 
@@ -120,10 +121,9 @@ class ExperimentConfig:
             raise ConfigError("'lyapunov.delta0' must be positive")
         if not 0.0 < self.lyapunov_window <= self.lyapunov_t_total:
             raise ConfigError("'lyapunov.window' must lie in (0, lyapunov.t_total]")
-        _checked("'lyapunov.t_total'", window_count, t_total=self.lyapunov_t_total, window=self.lyapunov_window)
-        integrator = _checked(
-            "tolerances", IntegratorConfig, rel_tol=self.rel_tol, abs_tol=self.abs_tol, sample_dt=self.sampling_dt
-        )
+        _checked("'t_final' / 'sampling_dt'", capped_count, self.t_final, self.sampling_dt, "samples")
+        _checked("'lyapunov.t_total' / 'lyapunov.window'", window_count, self.lyapunov_t_total, self.lyapunov_window)
+        integrator = _checked("tolerances", IntegratorConfig, self.rel_tol, self.abs_tol, self.sampling_dt)
         object.__setattr__(self, "integrator", integrator)
 
 
@@ -161,10 +161,10 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
-def _checked(where: str, make, **values):
-    """make(**values), with its ValueError reported as a ConfigError naming where."""
+def _checked(where: str, make, *args, **values):
+    """make(*args, **values), with its ValueError reported as a ConfigError naming where."""
     try:
-        return make(**values)
+        return make(*args, **values)
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
@@ -278,78 +278,46 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def project_to_energy(
-    s: ProductState,
-    h: BilinearHamiltonian,
-    target: float,
-    direction: str = "im_x",
-) -> ProductState:
-    """Shift one real coordinate of the field label onto the target energy shell.
-
-    The shift closest to zero is found by scanning for a sign change and
-    polishing it with a bracketing root solve. The energy is quadratic in
-    the shift, so a shell crossed twice inside one scan cell shows no sign
-    change; the scan then also tries the parabola's vertex. If the energy
-    never crosses the target along the direction, the scanned interval, the
-    attained range and its closest approach to the target are reported.
-    """
-    if direction == "im_x":
-        step = 1j
-    elif direction == "re_x":
-        step = 1.0
-    else:
-        raise ValueError(f"direction must be 'im_x' or 're_x', got {direction!r}")
-
-    def gap(u: float) -> float:
-        return classical_energy(h, s.x + step * u, s.y) - target
-
-    g0 = gap(0.0)
-    if abs(g0) <= 1e-12 * max(1.0, abs(target)):
-        return s
-    us = np.linspace(-_SCAN_SPAN, _SCAN_SPAN, _SCAN_SAMPLES)
-    vals = np.array([gap(u) for u in us])
-    best = None
-    for i in range(len(us) - 1):
-        if vals[i] * vals[i + 1] <= 0.0:
-            center = abs(0.5 * (us[i] + us[i + 1]))
-            if best is None or center < best[0]:
-                best = (center, us[i], us[i + 1])
-    if best is None:
-        # the vertex of the parabola through the ends and the middle of the scan
-        curvature = vals[0] + vals[-1] - 2.0 * g0
-        vertex = 0.5 * _SCAN_SPAN * (vals[0] - vals[-1]) / curvature if curvature else math.inf
-        if abs(vertex) <= _SCAN_SPAN:
-            g_vertex = gap(vertex)
-            vals = np.append(vals, g_vertex)
-            if g_vertex * g0 <= 0.0:
-                best = (0.0, min(0.0, vertex), max(0.0, vertex))
-    if best is None:
-        raise EnergyProjectionError(
-            f"no {direction} shift in [{-_SCAN_SPAN}, {_SCAN_SPAN}] reaches energy {target}: "
-            f"attained range [{vals.min() + target:.6g}, {vals.max() + target:.6g}] "
-            f"comes no closer than {np.abs(vals).min():.2g}"
-        )
-    root = brentq(gap, best[1], best[2], xtol=1e-14, rtol=8.9e-16)
-    return replace(s, x=s.x + step * float(root))
-
-
 def project_with_fallback(
     s: ProductState, h: BilinearHamiltonian, target: float, reasons: list[str] | None = None
 ) -> tuple[ProductState, str]:
-    """Project along im_x, falling back to re_x when the shell is one-sided there.
+    """Shift Im x, or else Re x, of the field label onto the target energy shell.
 
-    When it falls back, why im_x failed is appended to reasons, if given.
+    Along x + step u the energy is E(s) + c0 u^2 + b u, with c0, c_- the
+    field's mean-field coefficients and b = 2 Re(step (c0 conj(x) + c_-)).
+    The shift is the root closest to zero with |u| <= _MAX_SHIFT (-r when
+    b = 0 gives +-r). Why Im x failed is appended to reasons, if given; if
+    Re x fails too, the error gives both directions' ranges.
     """
+    if h.group_a.is_spin:
+        raise ValueError("the energy is quadratic in the shift only for an oscillator field label")
+    gap = classical_energy(h, s.x, s.y) - target
+    if abs(gap) <= 1e-12 * max(1.0, abs(target)):
+        return s, "im_x"
+    (c0, _, c_minus), _ = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
     failures = []
-    for direction in ("im_x", "re_x"):
-        try:
-            projected = project_to_energy(s, h, target, direction=direction)
-        except EnergyProjectionError as exc:
-            failures.append(str(exc))
-            continue
-        if reasons is not None:
-            reasons.extend(failures)
-        return projected, direction
+    for direction, step in (("im_x", 1j), ("re_x", 1.0)):
+        b = 2.0 * (step * (c0 * s.x.conjugate() + c_minus)).real
+        disc = b * b - 4.0 * c0 * gap
+        if c0 == 0.0:
+            roots = [-gap / b] if b else []
+        elif b == 0.0:
+            roots = [-math.sqrt(-gap / c0)] if disc >= 0.0 else []
+        else:
+            q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+            roots = [q / c0, gap / q] if disc >= 0.0 else []
+        shifts = [u for u in roots if abs(u) <= _MAX_SHIFT]
+        if shifts:
+            if reasons is not None:
+                reasons.extend(failures)
+            return replace(s, x=s.x + step * min(shifts, key=abs)), direction
+        # the energy's extremes over the allowed shifts lie at the two ends and the vertex
+        us = (-_MAX_SHIFT, _MAX_SHIFT, -b / (2.0 * c0) if c0 else 0.0)
+        gaps = [c0 * u * u + b * u + gap for u in us if abs(u) <= _MAX_SHIFT]
+        failures.append(
+            f"no {direction} shift in [{-_MAX_SHIFT}, {_MAX_SHIFT}] reaches energy {target}: attained range "
+            f"[{min(gaps) + target:.6g}, {max(gaps) + target:.6g}] comes no closer than {min(map(abs, gaps)):.2g}"
+        )
     raise EnergyProjectionError("; ".join(failures))
 
 
@@ -568,15 +536,12 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
         "outputs": [],
     }
     if cfg.energy_target is not None:
-        projected, fallbacks = [], []
-        for s in states:
-            reasons: list[str] = []
-            projected.append(project_with_fallback(s, h, cfg.energy_target, reasons))
-            fallbacks.append(reasons[0] if reasons else None)
+        reasons: list[list[str]] = [[] for _ in states]
+        projected = [project_with_fallback(s, h, cfg.energy_target, r) for s, r in zip(states, reasons)]
         states = [p[0] for p in projected]
         manifest["projection_directions"] = [p[1] for p in projected]
         # why each state that went along re_x could not go along im_x
-        manifest["projection_fallbacks"] = fallbacks
+        manifest["projection_fallbacks"] = [r[0] if r else None for r in reasons]
         manifest["achieved_energies"] = [float(classical_energy(h, s.x, s.y)) for s in states]
         manifest["initial_condition_note"] = (
             "configured label coordinates are real parts; imaginary parts were set "

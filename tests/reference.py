@@ -4,7 +4,7 @@ Nothing here is imported by the library. Each object is either an earlier
 form of a library closed form kept verbatim (the numpy mean-field
 right-hand side) or a construction that only the tests need (single-degree
 coherent vectors with their norm deficit, matrix exponentials, excited
-fiducials, nested quadrature).
+fiducials, nested quadrature, a scanned energy-shell crossing).
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.linalg import expm
+from scipy.optimize import brentq, minimize_scalar
 
 from cohchaos import algebra
 from cohchaos.algebra import HEISENBERG, CohChaosError, Gen, GroupKind, TruncationError, spin
 from cohchaos.corrections import CorrectionKernel
 from cohchaos.dynamics import ProductState, ScaledState
-from cohchaos.model import BilinearHamiltonian, HermiticityError, MaserParams
+from cohchaos.model import BilinearHamiltonian, HermiticityError, MaserParams, classical_energy
 from cohchaos.oracle import HilbertConfig, OracleState
 
 
@@ -352,3 +353,51 @@ def linear_entropy_2nd(kernel: CorrectionKernel, t: float, tol: float = 1e-8) ->
             f"double-integral identity failed at t = {t}: nested {nested!r} vs 2|C|^2 {direct!r}"
         )
     return nested
+
+
+# ---------------------------------------------------------------------------
+# The energy-shell crossing by brute force, for the closed-form projection.
+
+
+class ShellScan(NamedTuple):
+    """The crossing closest to zero (None if there is none) and the attained energy range."""
+
+    shift: float | None
+    low: float
+    high: float
+
+
+def shell_scan(
+    s: ProductState, h: BilinearHamiltonian, target: float, step: complex, span: float = 8.0, samples: int = 1601
+) -> ShellScan:
+    """Scan E(x + step u, y) - target over u in [-span, span] for its crossings.
+
+    Each grid cell whose ends differ in sign gets a brentq root. A pair of
+    crossings inside one cell shows no sign change, so each sampled local
+    extremum is refined with a bounded minimisation, and when the refined
+    extremum lies across zero from its neighbours both crossings beside it
+    are solved for too. The range covers the grid and the refined extrema.
+    Assumes nothing about the form of the energy.
+    """
+
+    def gap(u: float) -> float:
+        return classical_energy(h, s.x + step * u, s.y) - target
+
+    us = np.linspace(-span, span, samples)
+    gs = np.array([gap(u) for u in us])
+    roots = [float(u) for u, g in zip(us, gs) if g == 0.0]
+    extremes = []
+    for i in range(samples - 1):
+        if gs[i] * gs[i + 1] < 0.0:
+            roots.append(brentq(gap, us[i], us[i + 1], xtol=1e-15))
+        if i and (gs[i] - gs[i - 1]) * (gs[i + 1] - gs[i]) < 0.0:
+            sign = 1.0 if gs[i] < gs[i - 1] else -1.0  # a minimum, else a maximum
+            u = minimize_scalar(
+                lambda v: sign * gap(v), bounds=(us[i - 1], us[i + 1]), method="bounded", options={"xatol": 1e-14}
+            ).x
+            extremes.append(gap(u))
+            if extremes[-1] * gs[i - 1] < 0.0 and extremes[-1] * gs[i + 1] < 0.0:
+                roots += [brentq(gap, us[i - 1], u, xtol=1e-15), brentq(gap, u, us[i + 1], xtol=1e-15)]
+    values = np.concatenate([gs, extremes])
+    shift = min(roots, key=abs) if roots else None
+    return ShellScan(shift, float(values.min()) + target, float(values.max()) + target)

@@ -108,6 +108,22 @@ def test_bad_config_value_reports_error(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("override", "keys"),
+    [
+        ("sampling_dt=1e-300", "'t_final' / 'sampling_dt'"),
+        ("lyapunov.window=1e-300", "'lyapunov.t_total' / 'lyapunov.window'"),
+    ],
+)
+def test_a_grid_past_the_cap_reports_error(tmp_path, capsys, override, keys):
+    # at 1e-300 the sample or window count is far past any array numpy can build
+    cfg = write_config(tmp_path, lyapunov={"t_total": 1.0})
+    code = main(["lyapunov", "--config", str(cfg), "--out", str(tmp_path / "out"), "--override", override])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid {keys}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("blocked", ["out", "out/run_manifest.json"])
 def test_unwritable_output_reports_error(tmp_path, capsys, blocked):
     # a file where the output directory belongs, or a directory where an output file belongs

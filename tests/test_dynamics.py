@@ -246,6 +246,9 @@ def test_lyapunov_argument_validation():
     # rounding 2.6 windows would run to t = 3, past the requested horizon
     with pytest.raises(ValueError, match="whole number"):
         lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=2.6, renorm_interval=1.0)
+    # a window count past the cap fails before any array is built
+    with pytest.raises(ValueError, match="more than 1000000 windows"):
+        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=1.0, renorm_interval=1e-300)
     # 0.3 / 0.1 is 2.9999999999999996 in floating point: three windows
     series = lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=0.3, renorm_interval=0.1)
     assert len(series.window_ends) == 3
@@ -357,3 +360,8 @@ def test_product_state_validation():
     with pytest.raises(ValueError):
         ProductState(x=0.0, y=0.0, eta_x=float("inf"))
 
+
+
+def test_integrate_caps_the_sample_count():
+    with pytest.raises(ValueError, match="more than 1000000 samples"):
+        integrate(DECOUPLED, ProductState(x=0.1, y=0.1), 25.0, IntegratorConfig(sample_dt=1e-300))

@@ -7,7 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cohchaos.algebra import HEISENBERG, spin
 from cohchaos.dynamics import IntegratorConfig, ProductState, integrate, lyapunov_series
 from cohchaos.experiments import (
     ConfigError,
@@ -20,12 +23,12 @@ from cohchaos.experiments import (
     _Run,
     expand_preset,
     load_raw,
-    project_to_energy,
     project_with_fallback,
     run_experiment,
 )
-from cohchaos.model import MaserParams, classical_energy, maser_hamiltonian
+from cohchaos.model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian
 from cohchaos.oracle import HilbertConfig, build_hamiltonian_matrix
+from reference import shell_scan
 
 ROOT2 = math.sqrt(2.0)
 
@@ -132,6 +135,13 @@ def test_config_rejects_bad_values():
     assert config_from_dict(minimal_dict(lyapunov={"window": 0.1, "t_total": 0.3})).lyapunov_t_total == 0.3
 
 
+def test_config_caps_samples_and_windows():
+    with pytest.raises(ConfigError, match=r"'t_final' / 'sampling_dt': .* more than 1000000 samples"):
+        config_from_dict(minimal_dict(sampling_dt=1e-300))
+    with pytest.raises(ConfigError, match=r"'lyapunov\.t_total' / 'lyapunov\.window': .* more than 1000000 windows"):
+        config_from_dict(minimal_dict(lyapunov={"t_total": 1.0, "window": 1e-300}))
+
+
 def test_config_unknown_key_suggestions():
     with pytest.raises(ConfigError, match="did you mean 't_final'"):
         config_from_dict(minimal_dict(t_fnal=3.0))
@@ -205,8 +215,8 @@ def test_project_noop_when_on_shell():
     h = maser_hamiltonian(p)
     s = ProductState(x=1.2 + 0.3j, y=0.2 - 0.4j)
     e = classical_energy(h, s.x, s.y)
-    out = project_to_energy(s, h, float(e))
-    assert out.x == s.x and out.y == s.y
+    out, direction = project_with_fallback(s, h, float(e))
+    assert out.x == s.x and out.y == s.y and direction == "im_x"
 
 
 def test_project_decoupled_closed_form():
@@ -215,8 +225,8 @@ def test_project_decoupled_closed_form():
     h = maser_hamiltonian(p)
     s = ProductState(x=0.7 + 0.0j, y=0.3 + 0.2j)
     target = 3.0
-    out = project_to_energy(s, h, target)
-    assert out.x.real == s.x.real and out.y == s.y
+    out, direction = project_with_fallback(s, h, target)
+    assert direction == "im_x" and out.x.real == s.x.real and out.y == s.y
     yy = abs(s.y) ** 2
     want_x_sq = target + 2.0 * (1.0 - yy) / (1.0 + yy)
     assert abs(out.x) ** 2 == pytest.approx(want_x_sq, abs=1e-10)
@@ -227,17 +237,18 @@ def test_project_unreachable_reports_range():
     p = MaserParams(g=0.0, g_prime=0.0, j=0.5)
     h = maser_hamiltonian(p)
     s = ProductState(x=0.0j, y=0.0j)
-    # energy along im_x is omega u^2 + const >= const; far negative target fails
-    with pytest.raises(EnergyProjectionError, match="attained range"):
-        project_to_energy(s, h, -50.0)
-    with pytest.raises(ValueError, match="direction"):
-        project_to_energy(s, h, 1.0, direction="im_y")
+    # the energy is omega u^2 + const >= const along both directions; a far negative target fails
+    reasons = []
+    both = "no im_x shift .* attained range .*; no re_x shift .* attained range"
+    with pytest.raises(EnergyProjectionError, match=both):
+        project_with_fallback(s, h, -50.0, reasons)
+    assert reasons == []
 
 
 def test_project_finds_a_shell_crossed_twice_inside_one_scan_cell():
     # along im_x the energy is E(0.7, y) + (u - 0.05)^2, so the target
     # E(0.7, y) + 0.001 is crossed at u = 0.05 -+ sqrt(0.001), 0.018 and
-    # 0.082, both inside the scan cell [0, 0.1]
+    # 0.082, which a scan at spacing 0.1 sees as no sign change
     h = maser_hamiltonian(MaserParams(g=0.0, g_prime=0.0, j=2.0))
     s = ProductState(x=0.7 - 0.05j, y=0.3 + 0.2j)
     floor = classical_energy(h, 0.7, s.y)
@@ -245,9 +256,117 @@ def test_project_finds_a_shell_crossed_twice_inside_one_scan_cell():
     assert direction == "im_x" and out.x.real == s.x.real and out.y == s.y
     assert out.x.imag + 0.05 == pytest.approx(0.05 - math.sqrt(0.001), abs=1e-12)
     assert classical_energy(h, out.x, out.y) == pytest.approx(floor + 0.001, abs=1e-12)
-    # below the vertex there is no crossing, and the range reaches down to it
-    with pytest.raises(EnergyProjectionError, match=rf"attained range \[{floor:.6g},"):
-        project_to_energy(s, h, floor - 0.001)
+    # below the vertex there is no crossing along im_x, and the range reaches down to it
+    reasons = []
+    out, direction = project_with_fallback(s, h, floor - 0.001, reasons)
+    assert direction == "re_x"
+    assert re.fullmatch(rf"no im_x shift in \[-8\.0, 8\.0\] reaches energy .* range \[{floor:.6g},.*", reasons[0])
+
+
+def test_project_takes_the_crossing_closest_to_zero():
+    # along im_x the energy is E(0.7, y) + (u + 0.024)^2, crossed by the target
+    # E(0.7, y) + 0.125^2 at u = +0.101 and u = -0.149
+    h = maser_hamiltonian(MaserParams(g=0.0, g_prime=0.0, j=2.0))
+    s = ProductState(x=0.7 + 0.024j, y=0.3 + 0.2j)
+    target = classical_energy(h, 0.7, s.y) + 0.125**2
+    out, direction = project_with_fallback(s, h, target)
+    assert direction == "im_x"
+    assert out.x.imag - s.x.imag == pytest.approx(0.101, abs=1e-12)
+    assert classical_energy(h, out.x, out.y) == pytest.approx(target, abs=1e-14)
+
+
+def test_project_without_an_oscillator_term_is_linear_in_the_shift():
+    # omega = 0: the energy is E(s) + b u along either direction, b = 2 Re(step c_-)
+    h = maser_hamiltonian(MaserParams(omega=0.0, g=0.5, g_prime=0.2, j=1.5))
+    s = ProductState(x=0.3 + 0.1j, y=0.4 - 0.2j)
+    e0 = classical_energy(h, s.x, s.y)
+    slope = classical_energy(h, s.x + 1j, s.y) - e0
+    out, direction = project_with_fallback(s, h, e0 + 0.3)
+    assert direction == "im_x" and out.x.real == s.x.real
+    assert out.x.imag - s.x.imag == pytest.approx(0.3 / slope, rel=1e-12)
+    assert classical_energy(h, out.x, out.y) == pytest.approx(e0 + 0.3, abs=1e-14)
+
+
+def test_project_with_a_negative_omega_opens_downward():
+    # omega = -1, g = g' = 0: along im_x the energy is E(0.7, y) - (0.1 + u)^2
+    h = maser_hamiltonian(MaserParams(omega=-1.0, g=0.0, g_prime=0.0, j=2.0))
+    s = ProductState(x=0.7 + 0.1j, y=0.3 + 0.2j)
+    top = classical_energy(h, 0.7, s.y)
+    # (0.1 + u)^2 = 0.0225 at u = 0.05 and u = -0.25
+    out, direction = project_with_fallback(s, h, top - 0.0225)
+    assert direction == "im_x"
+    assert out.x.imag - s.x.imag == pytest.approx(0.05, abs=1e-12)
+    # above the vertex im_x fails with the range's top at the vertex; along
+    # re_x the energy is E(0, y) - 0.01 - (0.7 + u)^2, which reaches it
+    reasons = []
+    out, direction = project_with_fallback(s, h, top + 0.001, reasons)
+    assert direction == "re_x" and out.x.imag == s.x.imag
+    assert re.fullmatch(rf"no im_x shift .* range \[[-0-9.e]+, {top:.6g}\] comes no closer than 0\.001", reasons[0])
+    assert out.x.real - s.x.real == pytest.approx(-0.7 + math.sqrt(0.49 - 0.011), abs=1e-12)
+    assert classical_energy(h, out.x, out.y) == pytest.approx(top + 0.001, abs=1e-14)
+
+
+@pytest.mark.parametrize("x", [0.7, -0.7])
+def test_project_breaks_the_tie_of_opposite_shifts_towards_the_negative_one(x):
+    # x and y real make b exactly zero along im_x (of either sign, by the
+    # sign of x): the energy is E(s) + u^2 + const and the roots are +-0.2
+    h = maser_hamiltonian(MaserParams(g=0.5, g_prime=0.2, j=2.0))
+    s = ProductState(x=complex(x), y=0.3 + 0.0j)
+    target = classical_energy(h, s.x, s.y) + 0.04
+    out, direction = project_with_fallback(s, h, target)
+    assert direction == "im_x"
+    assert out.x.imag == pytest.approx(-0.2, abs=1e-14)
+
+
+def test_project_rejects_a_spin_first_model():
+    h = BilinearHamiltonian(
+        group_a=spin(0.5), group_b=HEISENBERG, alpha=[1.0, 0.0, 0.0], beta=[1.0, 0.0, 0.0], gamma=np.zeros((3, 3))
+    )
+    with pytest.raises(ValueError, match="oscillator"):
+        project_with_fallback(ProductState(x=0.1j, y=0.2), h, 3.0)
+
+
+COEFFICIENT = st.floats(-2.0, 2.0)
+LABEL = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(COEFFICIENT, COEFFICIENT, COEFFICIENT, COEFFICIENT, st.integers(1, 20).map(lambda n: n / 2)),
+    LABEL,
+    LABEL,
+    st.floats(-20.0, 20.0),
+)
+def test_project_agrees_with_a_brute_force_scan(params, x, y, offset):
+    h = maser_hamiltonian(MaserParams(*params))
+    s = ProductState(x=x, y=y)
+    target = classical_energy(h, s.x, s.y) + offset
+    if abs(classical_energy(h, s.x, s.y) - target) <= 1e-12 * max(1.0, abs(target)):
+        # a state this close to the shell is kept as it is
+        assert project_with_fallback(s, h, target) == (s, "im_x")
+        return
+    scans = {"im_x": shell_scan(s, h, target, 1j), "re_x": shell_scan(s, h, target, 1.0)}
+    try:
+        out, direction = project_with_fallback(s, h, target)
+    except EnergyProjectionError as exc:
+        assert scans["im_x"].shift is None and scans["re_x"].shift is None
+        ranges = re.findall(r"attained range \[([^,]+), ([^\]]+)\]", str(exc))
+        for (low, high), scan in zip(ranges, scans.values()):
+            assert float(low) == pytest.approx(scan.low, rel=1e-5, abs=1e-9)
+            assert float(high) == pytest.approx(scan.high, rel=1e-5, abs=1e-9)
+        return
+    assert direction == ("im_x" if scans["im_x"].shift is not None else "re_x")
+    step = 1j if direction == "im_x" else 1.0
+    shift = (out.x - s.x) / step
+    assert shift.imag == 0.0 and out.y == s.y
+    # on the shell to 64 eps of the energy's scale; the worst of 3 400 random draws was 23 eps
+    bound = 64 * np.finfo(float).eps * max(1.0, abs(target), abs(out.x) ** 2, h.group_b.j)
+    assert abs(classical_energy(h, out.x, out.y) - target) <= bound
+    # no crossing closer to zero, up to the roots' conditioning (the bound over the energy's slope)
+    ref = scans[direction].shift
+    ends = [classical_energy(h, s.x + step * (ref + d), s.y) for d in (-1e-3, 1e-3)]
+    slope = abs(ends[1] - ends[0]) / 2e-3
+    assert abs(shift.real) * slope <= abs(ref) * slope + 2.0 * bound
 
 
 def test_fig1_projection_directions(fig1_cfg, fig1_h):
