@@ -265,7 +265,7 @@ def _check_labels(times: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def capped_count(span: float, step: float, what: str) -> float:
-    """span / step, checked before an array that long is built: more than _MAX_COUNT what is a ValueError."""
+    """span / step, or a ValueError naming what if it exceeds _MAX_COUNT, before an array that long is built."""
     if not span / step <= _MAX_COUNT:
         raise ValueError(f"{span:g} / {step:g} asks for more than {_MAX_COUNT} {what}")
     return span / step

@@ -361,7 +361,6 @@ def test_product_state_validation():
         ProductState(x=0.0, y=0.0, eta_x=float("inf"))
 
 
-
 def test_integrate_caps_the_sample_count():
     with pytest.raises(ValueError, match="more than 1000000 samples"):
         integrate(DECOUPLED, ProductState(x=0.1, y=0.1), 25.0, IntegratorConfig(sample_dt=1e-300))
