@@ -21,14 +21,13 @@ Their closed forms are
 both validated against numerically differentiated matrix elements in the
 tests.
 
-The right-hand side is written in Python complex scalars: the
-expectations, the mean-field coefficients (from the flat coefficient tuple
-BilinearHamiltonian.scalars), the label velocities, the phase rates and
-the coupling counterterm are all plain numbers, and the 9-vector handed
-back to the integrator is the only array it builds.  It stays general over
-the bilinear class: either degree may be an oscillator or a spin, and every
-alpha, beta and gamma entry enters.  It keeps two guards: the mean-field
-zero components must stay real, and so must the coupling energy.
+The right-hand side is written in Python complex scalars.  One call of
+model.mean_field_coeffs gives both degrees' coefficients and the coupling
+counterterm, with its two guards (the zero components and the coupling
+energy must stay real); one call per degree gives the label velocity and
+the phase rates.  The 9-vector handed back to the integrator is the only
+array it builds.  It stays general over the bilinear class: either degree
+may be an oscillator or a spin, and every alpha, beta and gamma entry enters.
 
 Labels are validated where they enter and leave the flow, not in the RHS:
 ProductState requires them finite with |z| <= 1e6, and integrate raises
@@ -60,12 +59,7 @@ import numpy as np
 from scipy.integrate import ode, solve_ivp  # noqa: F401
 
 from .algebra import _LABEL_BOUND, GroupKind, CohChaosError, _check_label, expectations, overlap, overlap_exponent
-from .model import (
-    BilinearHamiltonian,
-    classical_energy,
-    interaction_energy,
-    mean_field_coeffs,
-)
+from .model import BilinearHamiltonian, classical_energy, mean_field_coeffs
 
 
 class IntegrationError(CohChaosError):
@@ -149,29 +143,24 @@ class Trajectory:
         )
 
 
-def _one_label_rhs(group: GroupKind, z: complex, coeffs: tuple[complex, ...]) -> complex:
-    c0, cp, _ = coeffs
-    if not group.is_spin:
-        return -1j * (c0 * z + cp)
-    return -1j * cp - 1j * c0 * z + 1j * cp.conjugate() * z * z
-
-
-def action_rate(group: GroupKind, z: complex, dz: complex, coeffs: tuple[complex, ...]) -> tuple[float, float]:
-    """Rates (deta, ds1) of the fiducial and first-excited phases.
+def _degree_rates(group: GroupKind, z: complex, coeffs: tuple[complex, ...]) -> tuple[complex, float, float]:
+    """Label velocity dz and the real rates (deta, ds1) of the fiducial and first-excited phases.
 
     coeffs are the one-body coefficients (c_0, c_+, c_-) acting on this
-    degree.  Both rates are real; see the module docstring for the forms.
+    degree; see the module docstring for the forms.
     """
     c0, cp, cm = coeffs
     zc = z.conjugate()
     r2 = abs(z) ** 2
-    geom = -(dz * zc).imag
     if not group.is_spin:
-        eta_rate = geom - (c0 * r2 + cp * zc + cm * z).real
-        return eta_rate, eta_rate - c0.real
+        dz = -1j * (c0 * z + cp)
+        eta_rate = -(dz * zc).imag - (c0 * r2 + cp * zc + cm * z).real
+        return dz, eta_rate, eta_rate - c0.real
     j = group.j
+    dz = -1j * cp - 1j * c0 * z + 1j * cp.conjugate() * z * z
+    geom = -(dz * zc).imag
     eta_rate = (2.0 * j * geom + j * (c0 * (1.0 - r2) - 2.0 * cp * zc - 2.0 * cm * z).real) / (1.0 + r2)
-    return eta_rate, eta_rate * (j - 1.0) / j
+    return dz, eta_rate, eta_rate * (j - 1.0) / j
 
 
 def _pack(s: ProductState) -> np.ndarray:
@@ -183,16 +172,11 @@ def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     xr, xi, yr, yi = v.tolist()[:4]
     x = complex(xr, xi)
     y = complex(yr, yi)
-    ev_a = expectations(h.group_a, x)
-    ev_b = expectations(h.group_b, y)
-    a, b = mean_field_coeffs(h, ev_a, ev_b)
-    dx = _one_label_rhs(h.group_a, x, a)
-    dy = _one_label_rhs(h.group_b, y, b)
-    deta_x, ds1_x = action_rate(h.group_a, x, dx, a)
-    deta_y, ds1_y = action_rate(h.group_b, y, dy, b)
     # the factorized one-body Hamiltonians each count the coupling energy
-    # once, so the physical phases carry it back as a counterterm
-    dphi = interaction_energy(h, ev_a, ev_b)
+    # dphi once, so the physical phases carry it back as a counterterm
+    a, b, dphi = mean_field_coeffs(h, expectations(h.group_a, x), expectations(h.group_b, y))
+    dx, deta_x, ds1_x = _degree_rates(h.group_a, x, a)
+    dy, deta_y, ds1_y = _degree_rates(h.group_b, y, b)
     return np.array([dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi])
 
 
@@ -332,12 +316,20 @@ def mf_overlap(s1: ProductState, s2: ProductState, group_a: GroupKind, group_b: 
     return complex(phase * overlap(group_a, s1.x, s2.x) * overlap(group_b, s1.y, s2.y))
 
 
-def label_distances(s1: ProductState, s2: ProductState, group_a: GroupKind, group_b: GroupKind) -> tuple[float, float]:
+def label_distances(s1: ProductState | Trajectory, s2: ProductState | Trajectory, group_a: GroupKind, group_b: GroupKind):
     """Distance exponents (d_field, d_spin) of the first and second degree.
 
     Each is algebra.overlap_exponent of that degree's labels, so the pair
-    overlap modulus squared is exp(-(d_field + d_spin)).
+    overlap modulus squared is exp(-(d_field + d_spin)).  Two ProductStates
+    give two floats; two Trajectory objects on one sample grid give two
+    arrays, one value per sample.
     """
+    if isinstance(s1, Trajectory):
+        # the scalar form per sample: numpy's log1p and abs round some inputs an ulp apart from it
+        return tuple(
+            np.array([overlap_exponent(g, a, b) for a, b in zip(z1.tolist(), z2.tolist(), strict=True)])
+            for g, z1, z2 in ((group_a, s1.x, s2.x), (group_b, s1.y, s2.y))
+        )
     return overlap_exponent(group_a, s1.x, s2.x), overlap_exponent(group_b, s1.y, s2.y)
 
 

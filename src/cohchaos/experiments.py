@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Collection, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -41,6 +41,7 @@ from .dynamics import (
 from .model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian, mean_field_coeffs
 from .oracle import (
     ExactEvolver,
+    HilbertConfig,
     OracleState,
     build_hamiltonian_matrix,
     exact_overlap_pair,
@@ -294,7 +295,7 @@ def project_with_fallback(
     gap = classical_energy(h, s.x, s.y) - target
     if abs(gap) <= 1e-12 * max(1.0, abs(target)):
         return s, "im_x"
-    (c0, _, c_minus), _ = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
+    (c0, _, c_minus), _, _ = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
     failures = []
     for direction, step in (("im_x", 1j), ("re_x", 1.0)):
         b = 2.0 * (step * (c0 * s.x.conjugate() + c_minus)).real
@@ -354,13 +355,15 @@ def _write_csv(path: Path, header, rows) -> None:
 
 @dataclass
 class _Run:
-    """One verb's inputs (config, model, projected states) and its output sink."""
+    """One verb's inputs (config, model, projected states, exact basis) and its output sink."""
 
     cfg: ExperimentConfig
     h: BilinearHamiltonian
     states: list[ProductState]
     out: Path
     manifest: dict
+    exact: list[ProductState] = field(default_factory=list)  # the states evolved in the truncated basis
+    hilbert: HilbertConfig | None = None  # their basis, sized before the verb runs
 
     def emit(self, name: str, header, rows) -> None:
         _write_csv(self.out / name, header, rows)
@@ -375,33 +378,32 @@ class _Run:
 
 def _pair_rows(run: _Run, s1, s2):
     """(t, overlap_sq, d_field, d_spin) per sample; overlap_sq is exp(-(d_field + d_spin))."""
-    h = run.h
     t1 = run.integrate(s1)
     t2 = run.integrate(s2)
-    rows = []
-    for i, t in enumerate(t1.times):
-        d_f, d_s = label_distances(t1.state_at(i), t2.state_at(i), h.group_a, h.group_b)
-        rows.append((t, math.exp(-(d_f + d_s)), d_f, d_s))
-    return rows
+    d_field, d_spin = label_distances(t1, t2, run.h.group_a, run.h.group_b)
+    # math.exp per sample: numpy's exp rounds some inputs one ulp apart from it
+    return [
+        (t, math.exp(-(d_f + d_s)), d_f, d_s)
+        for t, d_f, d_s in zip(t1.times.tolist(), d_field.tolist(), d_spin.tolist())
+    ]
 
 
-def _exact_runs(run: _Run, states, times) -> Iterator[tuple[np.ndarray, list[OracleState]]]:
-    """Yield, per chunk of times, those times and the exact evolutions of the product vectors of states.
+def _exact_runs(run: _Run, times) -> Iterator[tuple[np.ndarray, list[OracleState]]]:
+    """Yield, per chunk of times, those times and the exact evolutions of the product vectors of run.exact.
 
-    Each evolution is one OracleState stacked over the chunk's times. The
-    basis is sized for the states' field labels. It, the spectral interval
-    the evolution is scaled by, the truncation deficits, and (once the
-    times are exhausted) the largest top-Fock population over every
-    yielded state and the sparse products the evolution took go into the
-    manifest.
+    Each evolution is one OracleState stacked over the chunk's times, in
+    the basis run.hilbert. It, the spectral interval the evolution is
+    scaled by, the truncation deficits, and (once the times are exhausted)
+    the largest top-Fock population over every yielded state and the
+    sparse products the evolution took go into the manifest.
     """
-    hcfg = hilbert_for_labels([s.x for s in states], run.cfg.model.j, n_max=run.cfg.n_max)
+    hcfg = run.hilbert
     evolver = ExactEvolver(build_hamiltonian_matrix(run.h, hcfg))
     hilbert = run.manifest["hilbert"] = {
         "n_max": hcfg.n_max, "j": hcfg.j, "dim": hcfg.dim,
         "spectral_interval": [_sig3(end) for end in evolver.spectral_interval],
     }
-    psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states]
+    psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in run.exact]
     run.manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
     top = 0.0
     for chunk, amplitudes in evolver.evolve_chunks(psi0, times):
@@ -442,11 +444,11 @@ def _entropy(run: _Run) -> None:
     kernel = build_kernel(traj, run.h)
     delta2 = entropy_series(kernel)
     save_kernel_csv(run, kernel, delta2)
-    if run.cfg.n_max is None:
+    if not run.exact:
         run.emit("entropy.csv", ["t", "delta2"], zip(traj.times, delta2))
         return
     delta_exact = np.concatenate(
-        [reduced_linear_entropy(psi, chunk) for chunk, (psi,) in _exact_runs(run, run.states[:1], traj.times)]
+        [reduced_linear_entropy(psi, chunk) for chunk, (psi,) in _exact_runs(run, traj.times)]
     )
     run.emit("entropy.csv", ["t", "delta2", "delta_exact"], zip(traj.times, delta2, delta_exact))
 
@@ -481,14 +483,13 @@ def _oracle_compare(run: _Run) -> None:
     """exact truncated-basis run against the mean-field labels"""
     if len(run.states) < 2:
         raise ConfigError("oracle-compare needs two initial states")
-    h, pair = run.h, run.states[:2]
-    trajs = [run.integrate(s) for s in pair]
+    trajs = [run.integrate(s) for s in run.exact]
     field, ov_exact = [], []
-    for _, (a, b) in _exact_runs(run, pair, trajs[0].times):
+    for _, (a, b) in _exact_runs(run, trajs[0].times):
         field.append(field_annihilation_expectation(a))
         ov_exact.append(np.abs(exact_overlap_pair(a, b)))
     ov_mf = [
-        abs(mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), h.group_a, h.group_b))
+        abs(mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), run.h.group_a, run.h.group_b))
         for i in range(len(trajs[0].times))
     ]
     field_err = np.abs(np.concatenate(field) - trajs[0].x)
@@ -517,7 +518,11 @@ VERBS: dict[str, Callable[[_Run], None]] = {
 
 
 def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
-    """Execute one verb, write its CSVs and manifest under out_dir."""
+    """Execute one verb, write its CSVs and manifest under out_dir.
+
+    The exact basis is sized, and its cap checked, before the verb writes;
+    a failed run removes the files it wrote, so out_dir holds a whole run or none of it.
+    """
     if verb not in VERBS:
         raise ConfigError(f"unknown verb '{verb}'; available: {', '.join(VERBS)}")
     out = Path(out_dir)
@@ -548,9 +553,21 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
             "by shifting one field coordinate onto the target energy shell"
         )
 
-    VERBS[verb](_Run(cfg, h, states, out, manifest))
+    # oracle-compare evolves its pair in the truncated basis, entropy its state when n_max is set
+    exact = states[: {"oracle-compare": 2, "entropy": 1 if cfg.n_max is not None else 0}.get(verb, 0)]
+    hilbert = hilbert_for_labels([s.x for s in exact], cfg.model.j, n_max=cfg.n_max) if exact else None
 
-    with _new_file(out / "run_manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # the verb's outputs as it lists them, then with the manifest once that is written
+    written = manifest["outputs"]
+    try:
+        VERBS[verb](_Run(cfg, h, states, out, manifest, exact, hilbert))
+        written = [*written, "run_manifest.json"]
+        with _new_file(out / "run_manifest.json") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        for name in written:
+            with suppress(OSError):  # missing, or not ours: a directory where the manifest belongs
+                (out / name).unlink()
+        raise
     return manifest

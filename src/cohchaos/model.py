@@ -122,21 +122,26 @@ def maser_hamiltonian(p: MaserParams) -> BilinearHamiltonian:
 
 def mean_field_coeffs(
     h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]
-) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Coefficients a_i = alpha_i + sum_j gamma_ij <B_j> and the mirrored b_j.
+) -> tuple[tuple[complex, ...], tuple[complex, ...], float]:
+    """Coefficients a_i = alpha_i + sum_j gamma_ij <B_j>, the mirrored b_j, and the coupling energy.
 
     ev_a and ev_b are the two sides' algebra.expectations.  The zero
     components stay real and the raising/lowering components stay
     conjugate because the partner expectations are themselves conjugate
-    pairs on a hermitian model.  Python complex arithmetic on h.scalars,
-    with the 3x3 sums written out: numpy's set-up cost on 3-vectors would
-    be most of the flow's right-hand side.
+    pairs on a hermitian model.  The coupling energy, the c-number the
+    decoupled single-factor Hamiltonians count twice, is
+    sum_j (sum_i gamma_ij <A_i>) <B_j> with b's partner sums.  Python
+    complex arithmetic on h.scalars, with the 3x3 sums written out: numpy's
+    set-up cost on 3-vectors would be most of the flow's right-hand side.
     """
     a0, ap, am, b0, bp, bm, g00, g0p, g0m, gp0, gpp, gpm, gm0, gmp, gmm = h.scalars
     ea0, eap, eam = ev_a
     eb0, ebp, ebm = ev_b
+    s0 = g00 * ea0 + gp0 * eap + gm0 * eam
+    sp = g0p * ea0 + gpp * eap + gmp * eam
+    sm = g0m * ea0 + gpm * eap + gmm * eam
     c0 = a0 + g00 * eb0 + g0p * ebp + g0m * ebm
-    d0 = b0 + g00 * ea0 + gp0 * eap + gm0 * eam
+    d0 = b0 + s0
     # hermiticity of h guarantees these analytically; guard against drift
     # beyond 1e-10 max(1, |c|), testing the cheap half of the bound first
     for z in (c0, d0):
@@ -144,16 +149,18 @@ def mean_field_coeffs(
             raise HermiticityError("mean-field zero component acquired an imaginary part")
     return (
         (c0.real, ap + gp0 * eb0 + gpp * ebp + gpm * ebm, am + gm0 * eb0 + gmp * ebp + gmm * ebm),
-        (d0.real, bp + g0p * ea0 + gpp * eap + gmp * eam, bm + g0m * ea0 + gpm * eap + gmm * eam),
+        (d0.real, bp + sp, bm + sm),
+        _real(s0 * eb0 + sp * ebp + sm * ebm, "coupling energy"),
     )
 
 
 def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     """Energy of the product coherent state with labels (x, y).
 
-    E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>.
-    The imaginary residue is asserted tiny (hermiticity) and discarded.
-    Python complex arithmetic on h.scalars, like the flow's right-hand side.
+    E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>,
+    the last sum being mean_field_coeffs' coupling energy.  The imaginary
+    residue is asserted tiny (hermiticity) and discarded.  Python complex
+    arithmetic on h.scalars, like the flow's right-hand side.
     """
     ev_a = expectations(h.group_a, x)
     ev_b = expectations(h.group_b, y)
@@ -161,24 +168,7 @@ def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     ea0, eap, eam = ev_a
     eb0, ebp, ebm = ev_b
     e = a0 * ea0 + ap * eap + am * eam + b0 * eb0 + bp * ebp + bm * ebm
-    return _real(e, "energy") + interaction_energy(h, ev_a, ev_b)
-
-
-def interaction_energy(h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]) -> float:
-    """Coherent expectation of the coupling term alone, sum_ij gamma_ij <A_i><B_j>.
-
-    This is the c-number the decoupled single-factor Hamiltonians count
-    twice; the exact-state phase carries it back as a counterterm.
-    """
-    _, _, _, _, _, _, g00, g0p, g0m, gp0, gpp, gpm, gm0, gmp, gmm = h.scalars
-    ea0, eap, eam = ev_a
-    eb0, ebp, ebm = ev_b
-    e = (
-        (ea0 * g00 + eap * gp0 + eam * gm0) * eb0
-        + (ea0 * g0p + eap * gpp + eam * gmp) * ebp
-        + (ea0 * g0m + eap * gpm + eam * gmm) * ebm
-    )
-    return _real(e, "interaction energy")
+    return _real(e, "energy") + mean_field_coeffs(h, ev_a, ev_b)[2]
 
 
 def _real(e: complex, what: str) -> float:

@@ -12,9 +12,9 @@ from cohchaos.dynamics import (
     IntegratorConfig,
     ProductState,
     ScaledState,
+    _degree_rates,
     _pack,
     _rhs,
-    action_rate,
     integrate,
     label_distances,
     lyapunov_series,
@@ -44,7 +44,7 @@ def test_label_rhs_decoupled():
 def test_label_rhs_coupled_spin_nonlinearity():
     h = maser_hamiltonian(MaserParams(g=0.4, g_prime=0.1, j=2.0))
     s = ProductState(x=1.0 + 0.5j, y=0.3 - 0.2j)
-    _, b = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
+    _, b, _ = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
     _, dy = label_velocities(h, s)
     b0, bp = b[Gen.ZERO], b[Gen.PLUS]
     manual = -1j * bp - 1j * b0 * s.y + 1j * np.conj(bp) * s.y * s.y
@@ -52,12 +52,13 @@ def test_label_rhs_coupled_spin_nonlinearity():
 
 
 def test_action_rate_stationary_fiducial():
-    coeffs = np.array([1.3, 0.0, 0.0], dtype=complex)
-    eta, s1 = action_rate(HEISENBERG, 0.0, 0.0, coeffs)
-    assert eta == 0.0
+    coeffs = (1.3, 0j, 0j)
+    dz, eta, s1 = _degree_rates(HEISENBERG, 0j, coeffs)
+    assert dz == 0.0 and eta == 0.0
     assert s1 == pytest.approx(-1.3, abs=1e-15)
     # spin fiducial |j,-j> has energy -j*b0, so the phase rate is +j*b0
-    eta_s, s1_s = action_rate(spin(2.0), 0.0, 0.0, coeffs)
+    dz_s, eta_s, s1_s = _degree_rates(spin(2.0), 0j, coeffs)
+    assert dz_s == 0.0
     assert eta_s == pytest.approx(2.0 * 1.3, abs=1e-14)
     assert s1_s == pytest.approx(eta_s * (2.0 - 1.0) / 2.0, abs=1e-14)
 
@@ -76,18 +77,31 @@ def fd_rate(group, z, dz, coeffs, fiducial, delta=1e-5, dim=40):
     return float((1j * np.vdot(v0, vdot)).real - np.vdot(v0, h @ v0).real)
 
 
+def drive_for_velocity(group, z, dz, c0):
+    """One-body coefficients (c_0, c_+, conj c_+) under which the flow moves z with velocity dz."""
+    if not group.is_spin:
+        cp = 1j * dz - c0 * z  # dz = -i (c_0 z + c_+)
+    else:
+        # dz = -i c_+ - i c_0 z + i conj(c_+) z^2, solved together with its conjugate (|z| != 1)
+        r = dz + 1j * c0 * z
+        cp = (r - z * z * r.conjugate()) / (1j * (abs(z) ** 4 - 1.0))
+    return c0, cp, cp.conjugate()
+
+
 @pytest.mark.parametrize(
     "group,z,dz,coeffs",
     [
-        (HEISENBERG, 1.0 + 0.0j, -1.0j, (1.0, 0.0, 0.0)),
-        (HEISENBERG, 0.6 - 0.4j, 0.2 + 0.3j, (0.9, 0.2 + 0.1j, 0.2 - 0.1j)),
-        (spin(2.0), 0.3 - 0.2j, 0.1 + 0.05j, (0.7, 0.25 - 0.15j, 0.25 + 0.15j)),
-        (spin(4.5), -0.5 + 0.1j, -0.15j, (1.1, 0.1j, -0.1j)),
+        (HEISENBERG, 1.0 + 0.0j, -1.0j, (1.0,)),
+        (HEISENBERG, 0.6 - 0.4j, 0.2 + 0.3j, (0.9,)),
+        (spin(2.0), 0.3 - 0.2j, 0.1 + 0.05j, (0.7,)),
+        (spin(4.5), -0.5 + 0.1j, -0.15j, (1.1,)),
     ],
 )
 def test_action_rate_matches_finite_difference(group, z, dz, coeffs):
-    coeffs = np.array(coeffs, dtype=complex)
-    eta, s1 = action_rate(group, z, dz, coeffs)
+    # coeffs holds c_0; the drive c_+ is solved for so that the flow's velocity at z is dz
+    coeffs = drive_for_velocity(group, z, dz, *coeffs)
+    flow_dz, eta, s1 = _degree_rates(group, z, coeffs)
+    assert abs(flow_dz - dz) < 1e-15
     assert abs(eta - fd_rate(group, z, dz, coeffs, 0)) < 1e-8
     assert abs(s1 - fd_rate(group, z, dz, coeffs, 1)) < 1e-8
 
@@ -96,10 +110,11 @@ def test_action_rate_circular_orbit_is_constant():
     # |z| = 1 orbit under the bare number operator: geometric and energy
     # terms cancel for the fiducial and leave -omega for the first level
     omega = 1.0
-    coeffs = np.array([omega, 0.0, 0.0], dtype=complex)
+    coeffs = (omega, 0j, 0j)
     for t in (0.0, 0.7, 2.1):
-        z = np.exp(-1j * omega * t)
-        eta, s1 = action_rate(HEISENBERG, z, -1j * omega * z, coeffs)
+        z = complex(np.exp(-1j * omega * t))
+        dz, eta, s1 = _degree_rates(HEISENBERG, z, coeffs)
+        assert dz == pytest.approx(-1j * omega * z, abs=1e-15)
         assert eta == pytest.approx(0.0, abs=1e-14)
         assert s1 == pytest.approx(-omega, abs=1e-14)
 
@@ -198,6 +213,31 @@ def test_label_distances_match_overlap(rng, g_a, g_b):
         d_f, d_s = label_distances(s1, s2, g_a, g_b)
         m2 = abs(mf_overlap(s1, s2, g_a, g_b)) ** 2
         assert m2 == pytest.approx(math.exp(-(d_f + d_s)), rel=1e-10)
+
+
+SPIN_SPIN = BilinearHamiltonian(
+    group_a=spin(1.5),
+    group_b=spin(4.5),
+    alpha=np.array([1.0, 0.3 + 0.1j, 0.3 - 0.1j]),
+    beta=np.array([0.7, 0.0, 0.0]),
+    gamma=np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.2], [0.0, 0.2, 0.1]]),
+)
+
+
+@pytest.mark.parametrize(
+    "h", [maser_hamiltonian(MaserParams(g=0.4, g_prime=0.3, j=2.5)), SPIN_SPIN], ids=["field-spin", "spin-spin"]
+)
+def test_label_distances_of_two_trajectories_equal_the_per_sample_calls(h):
+    s = ProductState(x=0.8 - 0.3j, y=0.4 + 0.2j)
+    icfg = IntegratorConfig(sample_dt=0.1)
+    t1 = integrate(h, s, 3.0, icfg)
+    # a neighbouring partner and one next to the antipode: both branches of the spin exponent
+    for partner in (ProductState(x=s.x + 1e-3, y=s.y - 1e-3j), ProductState(x=-s.x, y=-1.1 / s.y.conjugate())):
+        t2 = integrate(h, partner, 3.0, icfg)
+        d_field, d_spin = label_distances(t1, t2, h.group_a, h.group_b)
+        per_sample = [label_distances(t1.state_at(i), t2.state_at(i), h.group_a, h.group_b) for i in range(31)]
+        assert d_field.tolist() == [d for d, _ in per_sample]
+        assert d_spin.tolist() == [d for _, d in per_sample]
 
 
 def test_scaling_round_trip():

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohchaos import experiments
 from cohchaos.algebra import HEISENBERG, spin
-from cohchaos.dynamics import IntegratorConfig, ProductState, integrate, lyapunov_series
+from cohchaos.dynamics import IntegrationError, IntegratorConfig, ProductState, integrate, lyapunov_series
 from cohchaos.experiments import (
     ConfigError,
     EnergyProjectionError,
@@ -27,7 +28,7 @@ from cohchaos.experiments import (
     run_experiment,
 )
 from cohchaos.model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian
-from cohchaos.oracle import HilbertConfig, build_hamiltonian_matrix
+from cohchaos.oracle import DimensionError, HilbertConfig, build_hamiltonian_matrix
 from reference import shell_scan
 
 ROOT2 = math.sqrt(2.0)
@@ -445,6 +446,33 @@ def test_rerun_replaces_outputs(tmp_path):
     run_experiment("trajectory", short, fresh)
     for name in ("trajectory_0.csv", "run_manifest.json"):
         assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_a_basis_past_the_cap_fails_before_any_file_is_written(tmp_path):
+    # the basis is sized before the verb runs; the kernel.csv it writes first never appears
+    cfg = config_from_dict({"preset": "fig1", "t_final": 0.1, "n_max": 10_000_000})
+    with pytest.raises(DimensionError, match="exceeds cap"):
+        run_experiment("entropy", cfg, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_failing_mid_verb_removes_the_files_it_wrote(tmp_path, monkeypatch):
+    # fig1 writes the chaotic pair's file, then fails integrating the regular pair
+    calls = 0
+
+    def failing_integrate(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise IntegrationError("integration failed at t = 0.05: injected")
+        return integrate(*args)
+
+    monkeypatch.setattr(experiments, "integrate", failing_integrate)
+    (tmp_path / "notes.txt").write_text("not this run's")
+    with pytest.raises(IntegrationError, match="injected"):
+        run_experiment("fig1", config_from_dict({"preset": "fig1", "t_final": 0.1}), tmp_path)
+    assert calls == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
 
 def test_csv_formatting_is_stable(tmp_path):

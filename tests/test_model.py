@@ -9,7 +9,6 @@ from cohchaos.model import (
     HermiticityError,
     MaserParams,
     classical_energy,
-    interaction_energy,
     maser_hamiltonian,
     mean_field_coeffs,
 )
@@ -94,9 +93,10 @@ def test_coefficients_are_frozen():
 
 def test_mean_field_coeffs_decoupled():
     h = decoupled(epsilon=0.7, omega=1.3)
-    a, b = mean_field_coeffs(h, expectations(h.group_a, 0.4 + 0.2j), expectations(h.group_b, -0.1j))
+    a, b, coupling = mean_field_coeffs(h, expectations(h.group_a, 0.4 + 0.2j), expectations(h.group_b, -0.1j))
     assert np.allclose(a, h.alpha)
     assert np.allclose(b, h.beta)
+    assert coupling == 0.0
 
 
 def test_mean_field_coeffs_manual():
@@ -105,9 +105,10 @@ def test_mean_field_coeffs_manual():
     x, y = 0.8 - 0.3j, 0.2 + 0.5j
     eva = expectations(h.group_a, x)
     evb = expectations(h.group_b, y)
-    a, b = mean_field_coeffs(h, eva, evb)
+    a, b, coupling = mean_field_coeffs(h, eva, evb)
     assert np.allclose(a, h.alpha + h.gamma @ evb, atol=1e-14)
     assert np.allclose(b, h.beta + h.gamma.T @ eva, atol=1e-14)
+    assert coupling == pytest.approx((np.array(eva) @ h.gamma @ np.array(evb)).real, abs=1e-14)
     # hermitian structure survives the contraction
     assert a[Gen.ZERO].imag == 0.0
     assert abs(a[Gen.MINUS] - np.conj(a[Gen.PLUS])) < 1e-14
@@ -158,6 +159,7 @@ def test_interaction_energy_decomposition():
     x, y = 1.4 - 0.6j, 0.5 + 0.2j
     one_body = classical_energy(maser_hamiltonian(MaserParams(p.epsilon, p.omega, 0.0, 0.0, p.j)), x, y)
     eva, evb = expectations(h.group_a, x), expectations(h.group_b, y)
-    assert classical_energy(h, x, y) == pytest.approx(one_body + interaction_energy(h, eva, evb), abs=1e-12)
+    coupling = mean_field_coeffs(h, eva, evb)[2]
+    assert classical_energy(h, x, y) == pytest.approx(one_body + coupling, abs=1e-12)
     h0 = maser_hamiltonian(MaserParams(j=2.0, g=0.0, g_prime=0.0))
-    assert interaction_energy(h0, eva, expectations(h0.group_b, y)) == 0.0
+    assert mean_field_coeffs(h0, eva, expectations(h0.group_b, y))[2] == 0.0

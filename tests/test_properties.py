@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohchaos.algebra import HEISENBERG, group_relation_coeffs, overlap, overlap_exponent, spin
+from cohchaos.algebra import HEISENBERG, expectations, group_relation_coeffs, overlap, overlap_exponent, spin
 from cohchaos.dynamics import IntegratorConfig, ProductState, _rhs, integrate, trajectory_energy
-from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian
+from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
 from cohchaos.oracle import (
     ExactEvolver,
     HilbertConfig,
@@ -19,7 +19,13 @@ from cohchaos.oracle import (
     exact_overlap_pair,
     product_coherent_vector,
 )
-from reference import maser_matrix_reference, rhs as numpy_rhs, rhs_term_magnitudes
+from reference import (
+    expectations as numpy_expectations,
+    interaction_energy as numpy_interaction_energy,
+    maser_matrix_reference,
+    rhs as numpy_rhs,
+    rhs_term_magnitudes,
+)
 
 SPINS = st.integers(1, 20).map(lambda two_j: spin(two_j / 2))
 GROUPS = st.one_of(st.just(HEISENBERG), SPINS)
@@ -206,6 +212,17 @@ def test_scalar_rhs_equals_the_numpy_reference(h, x, y, eta_x, eta_y):
     # the size of the terms it sums, which is |want| where nothing cancels
     # (1.8 eps was the worst of 3000 draws)
     assert np.all(np.abs(got - want) <= 16 * EPS * rhs_term_magnitudes(v, h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bilinear_models(), FLOW_LABELS, FLOW_LABELS)
+def test_coupling_energy_equals_the_numpy_reference(h, x, y):
+    ev_a, ev_b = numpy_expectations(h.group_a, x), numpy_expectations(h.group_b, y)
+    got = mean_field_coeffs(h, expectations(h.group_a, x), expectations(h.group_b, y))[2]
+    # forward error of a sum of nine products: eps times the size of its terms
+    # (1.8 eps was the worst of 3000 draws)
+    terms = np.abs(ev_a) @ np.abs(h.gamma) @ np.abs(ev_b)
+    assert abs(got - numpy_interaction_energy(h, ev_a, ev_b)) <= 16 * EPS * terms
 
 
 # n_max >= 25 keeps a field label of modulus <= 0.5 inside the truncation policy
