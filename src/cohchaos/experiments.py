@@ -34,7 +34,7 @@ from .dynamics import (
     integrate,
     label_distances,
     lyapunov_series,
-    mf_overlap,
+    mf_overlap,  # not called here; perfbench/trace.py times it as experiments.mf_overlap
     trajectory_energy,
     window_count,
 )
@@ -376,16 +376,18 @@ class _Run:
         return traj
 
 
+def _integrate_pair(run: _Run, s1, s2) -> tuple[tuple[Trajectory, Trajectory], list[float], list[float]]:
+    """Both trajectories of a pair and their label distances d_field and d_spin, one per sample."""
+    pair = run.integrate(s1), run.integrate(s2)
+    d_field, d_spin = label_distances(*pair, run.h.group_a, run.h.group_b)
+    return pair, d_field.tolist(), d_spin.tolist()
+
+
 def _pair_rows(run: _Run, s1, s2):
     """(t, overlap_sq, d_field, d_spin) per sample; overlap_sq is exp(-(d_field + d_spin))."""
-    t1 = run.integrate(s1)
-    t2 = run.integrate(s2)
-    d_field, d_spin = label_distances(t1, t2, run.h.group_a, run.h.group_b)
+    (t1, _), d_field, d_spin = _integrate_pair(run, s1, s2)
     # math.exp per sample: numpy's exp rounds some inputs one ulp apart from it
-    return [
-        (t, math.exp(-(d_f + d_s)), d_f, d_s)
-        for t, d_f, d_s in zip(t1.times.tolist(), d_field.tolist(), d_spin.tolist())
-    ]
+    return [(t, math.exp(-(d_f + d_s)), d_f, d_s) for t, d_f, d_s in zip(t1.times.tolist(), d_field, d_spin)]
 
 
 def _exact_runs(run: _Run, times) -> Iterator[tuple[np.ndarray, list[OracleState]]]:
@@ -433,8 +435,6 @@ def _trajectory(run: _Run) -> None:
 
 def _overlap_pair(run: _Run) -> None:
     """track the overlap of two nearby evolving product states"""
-    if len(run.states) < 2:
-        raise ConfigError("overlap-pair needs two initial states")
     run.emit("overlap_pair.csv", ["t", "overlap_sq", "d_field", "d_spin"], _pair_rows(run, *run.states[:2]))
 
 
@@ -481,26 +481,19 @@ def _lyapunov(run: _Run) -> None:
 
 def _oracle_compare(run: _Run) -> None:
     """exact truncated-basis run against the mean-field labels"""
-    if len(run.states) < 2:
-        raise ConfigError("oracle-compare needs two initial states")
-    trajs = [run.integrate(s) for s in run.exact]
+    (t1, _), d_field, d_spin = _integrate_pair(run, *run.exact)
     field, ov_exact = [], []
-    for _, (a, b) in _exact_runs(run, trajs[0].times):
+    for _, (a, b) in _exact_runs(run, t1.times):
         field.append(field_annihilation_expectation(a))
         ov_exact.append(np.abs(exact_overlap_pair(a, b)))
-    ov_mf = [
-        abs(mf_overlap(trajs[0].state_at(i), trajs[1].state_at(i), run.h.group_a, run.h.group_b))
-        for i in range(len(trajs[0].times))
-    ]
-    field_err = np.abs(np.concatenate(field) - trajs[0].x)
-    rows = zip(trajs[0].times, field_err, np.concatenate(ov_exact), ov_mf)
+    ov_mf = [math.exp(-0.5 * (d_f + d_s)) for d_f, d_s in zip(d_field, d_spin)]
+    field_err = np.abs(np.concatenate(field) - t1.x)
+    rows = zip(t1.times, field_err, np.concatenate(ov_exact), ov_mf)
     run.emit("oracle_compare.csv", ["t", "field_err", "abs_overlap_exact", "abs_overlap_mf"], rows)
 
 
 def _fig1(run: _Run) -> None:
     """both preset pair-overlap diagnostics (chaotic and regular)"""
-    if len(run.states) < 4:
-        raise ConfigError("fig1 needs the four preset initial states (two pairs)")
     for name, i in (("chaotic", 0), ("regular", 2)):
         rows = _pair_rows(run, run.states[i], run.states[i + 1])
         run.emit(f"fig1_{name}.csv", ["t", "overlap_sq", "d_field", "d_spin"], rows)
@@ -516,20 +509,20 @@ VERBS: dict[str, Callable[[_Run], None]] = {
     "fig1": _fig1,
 }
 
+# The initial states each two-state verb needs: one pair, or fig1's two.
+_PAIR_STATES = {"overlap-pair": 2, "oracle-compare": 2, "fig1": 4}
+
 
 def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
     """Execute one verb, write its CSVs and manifest under out_dir.
 
-    The exact basis is sized, and its cap checked, before the verb writes;
-    a failed run removes the files it wrote, so out_dir holds a whole run or none of it.
+    The verb's state count is checked, the states projected and the exact basis sized (its cap checked) before
+    out_dir is created; a failed run removes the files it wrote, so out_dir holds a whole run or none of it.
     """
     if verb not in VERBS:
         raise ConfigError(f"unknown verb '{verb}'; available: {', '.join(VERBS)}")
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputError(f"cannot create output directory {out}: {exc}") from exc
+    if len(cfg.states) < _PAIR_STATES.get(verb, 0):
+        raise ConfigError(f"{verb} needs {_PAIR_STATES[verb]} initial states, got {len(cfg.states)}")
     h = maser_hamiltonian(cfg.model)
 
     states = list(cfg.states)
@@ -557,6 +550,11 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
     exact = states[: {"oracle-compare": 2, "entropy": 1 if cfg.n_max is not None else 0}.get(verb, 0)]
     hilbert = hilbert_for_labels([s.x for s in exact], cfg.model.j, n_max=cfg.n_max) if exact else None
 
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {out}: {exc}") from exc
     # the verb's outputs as it lists them, then with the manifest once that is written
     written = manifest["outputs"]
     try:

@@ -124,6 +124,25 @@ def test_a_grid_past_the_cap_reports_error(tmp_path, capsys, override, keys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("verb", "override", "error"),
+    [
+        ("overlap-pair", "pairs=[[4, 0, 0.1, 0]]", "overlap-pair needs 2 initial states, got 1"),
+        ("oracle-compare", "pairs=[[4, 0, 0.1, 0]]", "oracle-compare needs 2 initial states, got 1"),
+        ("fig1", f"pairs={[[4, 0, 0.1, 0]] * 3}", "fig1 needs 4 initial states, got 3"),
+        ("trajectory", "energy_target=1e6", "no im_x shift"),
+        ("entropy", "n_max=10000000", "dimension 100000010 exceeds cap"),
+    ],
+    ids=["overlap-pair", "oracle-compare", "fig1", "projection", "basis-cap"],
+)
+def test_a_run_failing_before_its_verb_leaves_no_out_directory(tmp_path, capsys, verb, override, error):
+    # the state count, the projection and the basis size are all settled before --out is created
+    out = tmp_path / "out"
+    assert main([verb, "--preset", "fig1", "--out", str(out), "--override", override]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("blocked", ["out", "out/run_manifest.json"])
 def test_unwritable_output_reports_error(tmp_path, capsys, blocked):
     # a file where the output directory belongs, or a directory where an output file belongs

@@ -225,19 +225,30 @@ SPIN_SPIN = BilinearHamiltonian(
 
 
 @pytest.mark.parametrize(
-    "h", [maser_hamiltonian(MaserParams(g=0.4, g_prime=0.3, j=2.5)), SPIN_SPIN], ids=["field-spin", "spin-spin"]
+    "h", [maser_hamiltonian(MaserParams(g=0.4, g_prime=0.3, j=2.5)), SPIN_SPIN, None],
+    ids=["field-spin", "spin-spin", "fig1-chaotic"],
 )
-def test_label_distances_of_two_trajectories_equal_the_per_sample_calls(h):
-    s = ProductState(x=0.8 - 0.3j, y=0.4 + 0.2j)
-    icfg = IntegratorConfig(sample_dt=0.1)
-    t1 = integrate(h, s, 3.0, icfg)
-    # a neighbouring partner and one next to the antipode: both branches of the spin exponent
-    for partner in (ProductState(x=s.x + 1e-3, y=s.y - 1e-3j), ProductState(x=-s.x, y=-1.1 / s.y.conjugate())):
-        t2 = integrate(h, partner, 3.0, icfg)
+def test_label_distances_of_two_trajectories_equal_the_per_sample_calls(h, request):
+    if h is None:
+        # the preset's chaotic pair to t = 25
+        h, pairs = request.getfixturevalue("fig1_h"), [request.getfixturevalue("chaotic_trajectories")]
+    else:
+        s = ProductState(x=0.8 - 0.3j, y=0.4 + 0.2j)
+        icfg = IntegratorConfig(sample_dt=0.1)
+        t1 = integrate(h, s, 3.0, icfg)
+        # a neighbouring partner and one next to the antipode: both branches of the spin exponent
+        partners = (ProductState(x=s.x + 1e-3, y=s.y - 1e-3j), ProductState(x=-s.x, y=-1.1 / s.y.conjugate()))
+        pairs = [(t1, integrate(h, partner, 3.0, icfg)) for partner in partners]
+    for t1, t2 in pairs:
         d_field, d_spin = label_distances(t1, t2, h.group_a, h.group_b)
-        per_sample = [label_distances(t1.state_at(i), t2.state_at(i), h.group_a, h.group_b) for i in range(31)]
+        states = [(t1.state_at(i), t2.state_at(i)) for i in range(len(t1.times))]
+        per_sample = [label_distances(a, b, h.group_a, h.group_b) for a, b in states]
         assert d_field.tolist() == [d for d, _ in per_sample]
         assert d_spin.tolist() == [d for _, d in per_sample]
+        # the modulus the pair verbs print is that of the phased overlap
+        for d_f, d_s, (a, b) in zip(d_field, d_spin, states, strict=True):
+            modulus = abs(mf_overlap(a, b, h.group_a, h.group_b))
+            assert math.exp(-0.5 * (d_f + d_s)) == pytest.approx(modulus, rel=1e-14, abs=0.0)
 
 
 def test_scaling_round_trip():

@@ -1,5 +1,6 @@
 """Config parsing, energy projection, and run orchestration tests."""
 
+import csv
 import json
 import math
 import re
@@ -403,9 +404,9 @@ def test_run_unknown_verb(tmp_path):
 
 def test_run_pair_verbs_need_enough_states(tmp_path):
     cfg = config_from_dict(minimal_dict())
-    with pytest.raises(ConfigError, match="two initial states"):
+    with pytest.raises(ConfigError, match="overlap-pair needs 2 initial states, got 1"):
         run_experiment("overlap-pair", cfg, tmp_path)
-    with pytest.raises(ConfigError, match="four preset"):
+    with pytest.raises(ConfigError, match="fig1 needs 4 initial states, got 1"):
         run_experiment("fig1", cfg, tmp_path)
 
 
@@ -623,3 +624,18 @@ def test_fig1_overlap_column_is_the_exponential_of_the_distances(tmp_path, fig1_
         assert len(rows) == 501 and rows[-1][0] == 25.0
         for _, overlap_sq, d_f, d_s in rows:
             assert overlap_sq == math.exp(-(d_f + d_s))
+
+
+def test_oracle_compare_prints_the_root_of_the_pair_overlap(tmp_path):
+    # oracle-compare and overlap-pair print one modulus: abs_overlap_mf^2 is overlap_sq on every row
+    columns = {}
+    for verb, name, column in (
+        ("oracle-compare", "oracle_compare.csv", "abs_overlap_mf"),
+        ("overlap-pair", "overlap_pair.csv", "overlap_sq"),
+    ):
+        run_experiment(verb, config_from_dict({"preset": "fig1", "t_final": 2.0}), tmp_path / verb)
+        with open(tmp_path / verb / name, newline="") as fh:
+            columns[column] = [float(row[column]) for row in csv.DictReader(fh)]
+    assert len(columns["overlap_sq"]) == 41
+    squares = [m * m for m in columns["abs_overlap_mf"]]
+    assert squares == pytest.approx(columns["overlap_sq"], rel=1e-11, abs=0.0)
