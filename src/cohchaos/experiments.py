@@ -7,7 +7,9 @@ Every run writes its data files plus a run_manifest.json with the fully
 expanded configuration, achieved energies, the conventions version, and
 (for every verb that integrates the flow) the right-hand-side evaluations
 of each trajectory, so a result directory is self-describing and
-byte-reproducible.
+byte-reproducible. The exact verbs stop with a TruncationError when an
+evolved state's population at the truncation edge n = n_max passes
+_TOP_FOCK_BOUND.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import CONVENTIONS_VERSION, CohChaosError, expectations
+from .algebra import CONVENTIONS_VERSION, CohChaosError, TruncationError, expectations
 from .corrections import CorrectionKernel, build_kernel, entropy_series
 from .dynamics import (
     IntegratorConfig,
@@ -74,6 +76,13 @@ _TOP_KEYS = {*_NUMBER_KEYS, "preset", "model", "pairs", "energy_target", "n_max"
 _OBJECT_KEYS = ("model", "lyapunov")
 
 _MAX_SHIFT = 8.0  # the largest shift of a field coordinate onto the energy shell
+
+# Largest population of the top Fock level n = n_max an exact run may reach.
+# Measured to t = 25 against n_max = 120 (table in CHANGES.md), <a> moved by
+# 77 to 290 times a run's peak top population, so this keeps it within about
+# 3e-8. The fig1 preset peaks at 5.8e-15; its regular pair, in the n_max = 48
+# the policy gives it, reaches 2.6e-8 and is refused.
+_TOP_FOCK_BOUND = 1e-10
 
 _ROOT2 = math.sqrt(2.0)
 
@@ -137,7 +146,7 @@ def expand_preset(name: str) -> dict:
         "t_final": 25.0,
         "sampling_dt": 0.05,
         "energy_target": 8.5,
-        "n_max": 120,
+        "n_max": 70,
     }
 
 
@@ -397,7 +406,10 @@ def _exact_runs(run: _Run, times) -> Iterator[tuple[np.ndarray, list[OracleState
     the basis run.hilbert. It, the spectral interval the evolution is
     scaled by, the truncation deficits, and (once the times are exhausted)
     the largest top-Fock population over every yielded state and the
-    sparse products the evolution took go into the manifest.
+    sparse products the evolution took go into the manifest. A chunk in
+    which a state's top-Fock population passes _TOP_FOCK_BOUND raises
+    TruncationError, naming the first such time and state, instead of
+    being yielded.
     """
     hcfg = run.hilbert
     evolver = ExactEvolver(build_hamiltonian_matrix(run.h, hcfg))
@@ -409,7 +421,15 @@ def _exact_runs(run: _Run, times) -> Iterator[tuple[np.ndarray, list[OracleState
     run.manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
     top = 0.0
     for chunk, amplitudes in evolver.evolve_chunks(psi0, times):
-        top = max(top, float(np.max(top_fock_population(OracleState(amplitudes, hcfg)))))
+        populations = top_fock_population(OracleState(amplitudes, hcfg))  # [times, states]
+        over = np.argwhere(populations > _TOP_FOCK_BOUND)
+        if over.size:
+            m, i = over[0]
+            raise TruncationError(
+                f"top Fock population {populations[m, i]:.3g} of state {i} at t = {float(chunk[m]):.12g} exceeds "
+                f"{_TOP_FOCK_BOUND:g} at n_max = {hcfg.n_max}; raise n_max"
+            )
+        top = max(top, float(populations.max()))
         yield chunk, [OracleState(amplitudes[:, i], hcfg, p.truncation_deficit) for i, p in enumerate(psi0)]
     hilbert["top_fock_population"] = _sig3(top)
     hilbert["chebyshev_orders"] = evolver.chebyshev_orders

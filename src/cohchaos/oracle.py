@@ -396,11 +396,14 @@ def product_coherent_vector(x: complex, y: complex, cfg: HilbertConfig) -> Oracl
 def reduced_linear_entropy(state: OracleState, times: Sequence[float] | None = None) -> float | np.ndarray:
     """Linear entropy 1 - Tr(rho^2) of the field's reduced density matrix, for each vector of a state.
 
-    The spin's reduction is computed too, and each vector's purity must
-    agree on both sides to 1e-10 (a pure joint state has the same Schmidt
-    spectrum on both sides). The first vector for which it does not raises
-    CohChaosError, naming its time if times (one per entry of the first
-    axis of a stack) are given. Returns a float, or an array over the stack.
+    The purity is also taken from the spin's side, and the two must agree
+    to 1e-10. With V a vector's (Fock level, spin index) matrix they are
+    ||V V^dag||_F^2 and ||V^dag V||_F^2, equal for every V by the cyclic
+    trace, so the comparison tests no physics: it catches only non-finite
+    or badly rounded values. The first vector for which they disagree
+    raises CohChaosError, naming its time if times (one per entry of the
+    first axis of a stack) are given. Returns a float, or an array over the
+    stack.
     """
     m = state._matrices()
     # one vector at a time: a stack of (n_max+1)^2 density matrices would

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from cohchaos.cli import build_parser, main
+from cohchaos.experiments import expand_preset
 
 
 def write_config(tmp_path, **extra):
@@ -141,6 +142,20 @@ def test_a_run_failing_before_its_verb_leaves_no_out_directory(tmp_path, capsys,
     assert main([verb, "--preset", "fig1", "--out", str(out), "--override", override]) == 2
     assert capsys.readouterr().err.startswith(f"error: {error}")
     assert not out.exists()
+
+
+def test_a_basis_too_small_for_the_evolution_stops_the_run_and_leaves_no_files(tmp_path, capsys):
+    # the policy sizes the regular preset pair's basis from its initial labels
+    # alone (n_max = 48); by t = 4.85 its top Fock level holds more than 1e-10,
+    # in the second chunk of times, after the first was consumed
+    pairs = json.dumps(expand_preset("fig1")["pairs"][2:])
+    out = tmp_path / "out"
+    args = ["oracle-compare", "--preset", "fig1", "--out", str(out), "--override", "n_max=null"]
+    assert main([*args, "--override", f"pairs={pairs}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: top Fock population ")
+    assert err.endswith(" of state 1 at t = 4.85 exceeds 1e-10 at n_max = 48; raise n_max\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("blocked", ["out", "out/run_manifest.json"])

@@ -15,6 +15,7 @@ from cohchaos import experiments
 from cohchaos.algebra import HEISENBERG, spin
 from cohchaos.dynamics import IntegrationError, IntegratorConfig, ProductState, integrate, lyapunov_series
 from cohchaos.experiments import (
+    _TOP_FOCK_BOUND,
     ConfigError,
     EnergyProjectionError,
     ExperimentConfig,
@@ -47,7 +48,7 @@ def test_preset_values():
     assert d["model"]["g_prime"] == pytest.approx(0.2 / ROOT2)
     assert d["model"]["j"] == 4.5
     assert d["energy_target"] == 8.5
-    assert d["n_max"] == 120
+    assert d["n_max"] == 70
     assert len(d["pairs"]) == 4
     assert d["pairs"][0][0] == pytest.approx(5.7263433 / ROOT2)
     assert all(row[1] == 0.0 and row[3] == 0.0 for row in d["pairs"])
@@ -575,6 +576,14 @@ def test_oracle_verbs_record_top_fock_population(tmp_path, verb):
     assert 0.0 <= top < 1e-8
     # rounded to three significant figures, so reruns write the same manifest
     assert float(f"{top:.3g}") == top
+
+
+def test_the_preset_basis_keeps_its_top_fock_level_far_under_the_guard(tmp_path):
+    # n_max = 70 is what the truncation policy asks for the chaotic pair; over
+    # the full t_final = 25 run its top level stays 1e3 times under the bound
+    hilbert = run_experiment("oracle-compare", config_from_dict({"preset": "fig1"}), tmp_path)["hilbert"]
+    assert (hilbert["n_max"], hilbert["dim"]) == (70, 710)
+    assert hilbert["top_fock_population"] <= 1e-3 * _TOP_FOCK_BOUND
 
 
 @pytest.mark.parametrize(

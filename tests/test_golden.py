@@ -18,7 +18,8 @@ as a script:
 
 It re-records the named cases (all of them by default) into tests/golden
 through the same pinned subprocess as the test (prefix PYTHONPATH=src when
-the package is not installed).
+the package is not installed), and prints, for each CSV it re-records, the
+largest absolute and relative change of every column against the old bytes.
 
 The bytes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
 The flow runs on scipy's compiled VODE, and another scipy build of it may
@@ -28,7 +29,10 @@ builds to confirm against these versions before it is taken for a bug.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -109,6 +113,37 @@ def test_first_difference_names_the_line():
     assert first_difference("a.csv", b"t,x\n", b"t,x\n0,1\n") == "a.csv line 2: got b'', recorded b'0,1'"
 
 
+def column_changes(old: bytes, new: bytes) -> list[str]:
+    """One line per column of a CSV: how many cells changed from the old bytes to the new, and the largest change."""
+    (old_head, *old_rows), (new_head, *new_rows) = (list(csv.reader(io.StringIO(b.decode()))) for b in (old, new))
+    if old_head != new_head or len(old_rows) != len(new_rows):
+        return [f"columns {old_head} x {len(old_rows)} rows, now {new_head} x {len(new_rows)} rows"]
+    lines = []
+    for k, name in enumerate(old_head):
+        moved = [(i, float(a[k]), float(b[k])) for i, (a, b) in enumerate(zip(old_rows, new_rows)) if a[k] != b[k]]
+        if not moved:
+            lines.append(f"{name}: identical")
+            continue
+        row, before, after = max(moved, key=lambda m: abs(m[2] - m[1]))
+        relative = max(abs(b - a) / abs(a) if a else math.inf for _, a, b in moved)
+        lines.append(
+            f"{name}: {len(moved)} of {len(old_rows)} cells moved, largest {abs(after - before):.2g} "
+            f"(row {row + 1}: {old_rows[row][k]} -> {new_rows[row][k]}), largest relative {relative:.2g}"
+        )
+    return lines
+
+
+def test_column_changes_names_the_largest_moved_cell():
+    old = b"t,x,y\r\n0,1,0\r\n0.5,2,3\r\n"
+    assert column_changes(old, old) == ["t: identical", "x: identical", "y: identical"]
+    assert column_changes(old, b"t,x,y\r\n0,1.5,1e-3\r\n0.5,2,3.3\r\n") == [
+        "t: identical",
+        "x: 1 of 2 cells moved, largest 0.5 (row 1: 1 -> 1.5), largest relative 0.5",
+        "y: 2 of 2 cells moved, largest 0.3 (row 2: 3 -> 3.3), largest relative inf",
+    ]
+    assert column_changes(old, b"t,x\r\n0,1\r\n") == ["columns ['t', 'x', 'y'] x 2 rows, now ['t', 'x'] x 1 rows"]
+
+
 @pytest.mark.parametrize("case", list(RUNS))
 def test_verb_output_matches_recorded_bytes(case, pinned_runs):
     out = pinned_runs / case
@@ -126,7 +161,17 @@ if __name__ == "__main__":
     unknown = sorted(set(cases).difference(RUNS))
     if unknown:
         sys.exit(f"unknown case(s) {unknown}; available: {list(RUNS)}")
+    old = {case: {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*.csv")} for case in cases}
     for case in cases:
         # a file the verb no longer writes must not stay behind
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
     run_pinned(GOLDEN, cases)
+    for case in cases:
+        new = {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*.csv")}
+        for name in sorted(old[case].keys() | new.keys()):
+            if name not in new or name not in old[case]:
+                print(f"{case}/{name}: {'removed' if name in old[case] else 'new'}")
+                continue
+            changes = column_changes(old[case][name], new[name]) if old[case][name] != new[name] else ["identical"]
+            for line in changes:
+                print(f"{case}/{name}: {line}")

@@ -2,15 +2,27 @@
 
 import cmath
 import math
+import re
+from contextlib import nullcontext
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cohchaos.algebra import HEISENBERG, expectations, group_relation_coeffs, overlap, overlap_exponent, spin
+from cohchaos.algebra import (
+    HEISENBERG,
+    TruncationError,
+    expectations,
+    group_relation_coeffs,
+    overlap,
+    overlap_exponent,
+    spin,
+)
 from cohchaos.dynamics import IntegratorConfig, ProductState, _rhs, integrate, trajectory_energy
+from cohchaos.experiments import _TOP_FOCK_BOUND, ExperimentConfig, _exact_runs, _Run
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
 from cohchaos.oracle import (
     ExactEvolver,
@@ -25,6 +37,7 @@ from reference import (
     maser_matrix_reference,
     rhs as numpy_rhs,
     rhs_term_magnitudes,
+    vector_top_fock_population,
 )
 
 SPINS = st.integers(1, 20).map(lambda two_j: spin(two_j / 2))
@@ -297,3 +310,46 @@ def test_energy_drift_scales_with_the_tolerance(couplings, two_j, x_parts, y_par
         traj = integrate(h, s, 5.0, IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol / 100))
         energy = trajectory_energy(h, traj)
         assert np.abs(energy - energy[0]).max() <= 1e5 * rel_tol * max(1.0, abs(energy[0]))
+
+
+# |x| <= 0.2 keeps the initial Poisson tail beyond n_max >= 4 under 1e-9
+TINY_FIELD_LABELS = st.complex_numbers(max_magnitude=0.2, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(*[st.floats(-2.0, 2.0)] * 4), st.integers(1, 20), st.integers(4, 20),
+    st.tuples(TINY_FIELD_LABELS, LABELS, TINY_FIELD_LABELS, LABELS), st.floats(0.5, 20.0), st.integers(1, 1000),
+)
+# random draws pass the bound in their first chunk of times; this one passes
+# it at t = 9.59, in the fifth chunk of 122 times, after four are yielded
+@example((1.3, -0.4, -0.08, -0.22), 20, 16, (-0.05 + 0.04j, -1.5 + 0.3j, 0.14j, 1.7 - 1.9j), 16.5, 900)
+def test_exact_runs_stop_at_the_first_time_past_the_top_fock_bound(couplings, two_j, n_max, labels, t_final, steps):
+    epsilon, omega, g, g_prime = couplings
+    p = MaserParams(epsilon=epsilon, omega=omega, g=g, g_prime=g_prime, j=two_j / 2)
+    h, hcfg = maser_hamiltonian(p), HilbertConfig(n_max=n_max, j=p.j)
+    states = [ProductState(x=labels[0], y=labels[1]), ProductState(x=labels[2], y=labels[3])]
+    times = np.linspace(0.0, t_final, steps + 1)
+    # the unguarded evolution of the same vectors, each one's top level summed by the reference
+    psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in states]
+    evolver = ExactEvolver(build_hamiltonian_matrix(h, hcfg))
+    ref = np.array([[vector_top_fock_population(v.amplitudes, hcfg) for v in row] for row in evolver.evolve_grid(psi0, times)])
+    # two roundings of one population may fall on either side of the bound
+    assume(not np.any(np.abs(ref - _TOP_FOCK_BOUND) <= 1e-9 * _TOP_FOCK_BOUND))
+    run = _Run(ExperimentConfig(model=p, states=tuple(states)), h, states, Path(), {}, states, hcfg)
+    yielded = []
+    with pytest.raises(TruncationError) if (ref > _TOP_FOCK_BOUND).any() else nullcontext() as raised:
+        for chunk, evolved in _exact_runs(run, times):
+            yielded.extend(chunk.tolist())
+            for state in evolved:
+                for amps in state.amplitudes:
+                    assert vector_top_fock_population(amps, hcfg) <= _TOP_FOCK_BOUND
+    assert yielded == times[:len(yielded)].tolist()
+    if raised is None:
+        assert len(yielded) == len(times)
+        assert run.manifest["hilbert"]["top_fock_population"] == pytest.approx(ref.max(), rel=1e-2)
+        return
+    m, i = np.argwhere(ref > _TOP_FOCK_BOUND)[0]
+    assert m >= len(yielded)
+    found = re.search(r"of state (\d+) at t = (\S+) exceeds .* at n_max = (\d+)", str(raised.value))
+    assert found.groups() == (str(i), f"{times[m]:.12g}", str(n_max))
