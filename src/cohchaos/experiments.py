@@ -78,10 +78,10 @@ _OBJECT_KEYS = ("model", "lyapunov")
 _MAX_SHIFT = 8.0  # the largest shift of a field coordinate onto the energy shell
 
 # Largest population of the top Fock level n = n_max an exact run may reach.
-# Measured to t = 25 against n_max = 120 (table in CHANGES.md), <a> moved by
-# 77 to 290 times a run's peak top population, so this keeps it within about
-# 3e-8. The fig1 preset peaks at 5.8e-15; its regular pair, in the n_max = 48
-# the policy gives it, reaches 2.6e-8 and is refused.
+# Measured to t = 25 against n_max = 120 (docs/conventions.md), <a> moved by
+# 77 to 155 times a run's peak top population where that peak reached 1e-11,
+# so this keeps <a> within about 2e-8. The fig1 preset peaks at 5.8e-15; its
+# regular pair, in the n_max = 48 the policy gives it, reaches 2.6e-8.
 _TOP_FOCK_BOUND = 1e-10
 
 _ROOT2 = math.sqrt(2.0)

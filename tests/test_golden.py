@@ -169,9 +169,10 @@ if __name__ == "__main__":
     for case in cases:
         new = {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*.csv")}
         for name in sorted(old[case].keys() | new.keys()):
-            if name not in new or name not in old[case]:
-                print(f"{case}/{name}: {'removed' if name in old[case] else 'new'}")
-                continue
-            changes = column_changes(old[case][name], new[name]) if old[case][name] != new[name] else ["identical"]
+            before, after = old[case].get(name), new.get(name)
+            if before is None or after is None:
+                changes = ["new" if before is None else "removed"]
+            else:
+                changes = ["identical"] if before == after else column_changes(before, after)
             for line in changes:
                 print(f"{case}/{name}: {line}")
