@@ -4,7 +4,7 @@ This module fixes the displacement conventions and is the one home of the
 closed forms the rest of the library is built on: overlaps between coherent
 states and their distance exponent, generator expectation values, the rows
 expressing a displaced generator as a combination of generators plus a
-scalar, and the generator matrices.  Every closed form here is cross-checked
+scalar, and the generator matrices and their bands.  Every closed form here is cross-checked
 in the tests against literal truncated-basis matrix algebra.
 
 Conventions (see docs/conventions.md, version CONVENTIONS_VERSION):
@@ -234,31 +234,47 @@ def raising_matrix_element(group: GroupKind) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Truncated-basis representations: the generator matrices and the coherent
-# vectors the oracle is built from, against which the tests also check the
-# closed forms above.
+# Truncated-basis representations: the generator matrices, their bands and
+# the coherent vectors the oracle is built from, against which the tests
+# also check the closed forms above.
 
 
 def generator_matrices(group: GroupKind, truncation: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (A_0, A_+, A_-) for one degree, ordered (ZERO, PLUS, MINUS).
+    """Dense (A_0, A_+, A_-) for one degree, ordered (ZERO, PLUS, MINUS), each filled from its band.
 
     Oscillator: (n, a^dag, a) on the lowest `truncation` Fock states.
     Spin: (J_z, J_+, J_-) in the basis |j,-j+k>, k = 0 .. 2j.
     """
+    return tuple(
+        np.diag(values[max(0, -offset):len(values) - max(0, offset)], offset)
+        for offset, values in _generator_bands(group, truncation)
+    )
+
+
+def _generator_bands(group: GroupKind, truncation: int | None = None) -> tuple[tuple[int, np.ndarray], ...]:
+    """(offset, values) of each of (A_0, A_+, A_-): A[n, n + offset] = values[n], 0 where n + offset leaves the basis.
+
+    Each generator fills one diagonal: A_0 the main one, the raising A_+
+    the one below it (offset -1) and the lowering A_- the one above (+1).
+    The truncation is that of generator_matrices.
+    """
     if group.is_spin:
         k = np.arange(group.dim)
-        jz = np.diag(-group.j + k).astype(complex)
-        jp = np.zeros((group.dim, group.dim), dtype=complex)
-        jp[k[:-1] + 1, k[:-1]] = np.sqrt((2.0 * group.j - k[:-1]) * (k[:-1] + 1.0))
-        return jz, jp, jp.conj().T
-    if truncation is None:
-        raise ValueError("oscillator matrices need an explicit truncation")
-    if truncation < 1:
-        raise ValueError("need at least one Fock state")
-    a = np.zeros((truncation, truncation), dtype=complex)
-    ns = np.arange(1, truncation)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return np.diag(np.arange(truncation, dtype=float)).astype(complex), a.conj().T, a
+        zero = -group.j + k
+        # <k+1|J_+|k>; J_- is its adjoint
+        plus = np.sqrt((2.0 * group.j - k[:-1]) * (k[:-1] + 1.0)).astype(complex)
+        minus = plus.conj()
+    else:
+        if truncation is None:
+            raise ValueError("oscillator matrices need an explicit truncation")
+        if truncation < 1:
+            raise ValueError("need at least one Fock state")
+        zero = np.arange(truncation, dtype=float)
+        # <n|a|n+1>; a^dag is its adjoint
+        minus = np.sqrt(np.arange(1, truncation)).astype(complex)
+        plus = minus.conj()
+    zeros = np.zeros(1, dtype=complex)
+    return (0, zero.astype(complex)), (-1, np.concatenate([zeros, plus])), (1, np.concatenate([minus, zeros]))
 
 
 def _field_coherent_amplitudes(z: complex, dim: int) -> np.ndarray:

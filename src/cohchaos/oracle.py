@@ -4,7 +4,7 @@ This is the ground truth the mean-field machinery is checked against. It
 covers every BilinearHamiltonian of an oscillator and a spin, the same
 object the mean-field flow integrates: states live on the product basis
 |n> (x) |j,-j+k> with the spin index fastest, the Hamiltonian is assembled
-sparsely from the generator matrices, and evolution is a Chebyshev
+band by band from the generator matrices, and evolution is a Chebyshev
 expansion of exp(-i H t) at every dimension (Tal-Ezer and Kosloff, J.
 Chem. Phys. 81, 3967 (1984)): H is scaled once into [-1, 1] by its
 Gershgorin interval, and each chunk of consecutive sample times is
@@ -38,8 +38,8 @@ from .algebra import (
     TruncationError,
     _check_label,
     _field_coherent_amplitudes,
+    _generator_bands,
     _spin_coherent_amplitudes,
-    generator_matrices,
     spin,
 )
 from .model import BilinearHamiltonian
@@ -140,32 +140,56 @@ def build_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.c
 
     H = sum_i alpha_i A_i (x) 1 + sum_j beta_j 1 (x) B_j + sum_ij gamma_ij A_i (x) B_j,
     with A the oscillator generators truncated to Fock states 0..n_max and B
-    the generators of the spin cfg.j.
+    the generators of the spin cfg.j. Each generator, like the identity,
+    fills one band of its factor (offset 0, +1 or -1), so a term fills one
+    band of the product basis, (field offset, spin offset), with
+    coeff * outer(a, b) of the factors' bands a and b. Each band sums its
+    terms in the order above (alpha, beta, then gamma row-major), the order
+    in which a sum of Kronecker products adds them, and the CSR matrix is
+    built once from the bands' nonzero entries. H must be Hermitian to
+    1e-12 of its largest entry, max|H - H^dag| taken band by band, else
+    CohChaosError.
     """
     if h.group_a != HEISENBERG or h.group_b != spin(cfg.j):
         raise ValueError(
             f"the basis needs an oscillator and a spin {cfg.j}, got {h.group_a} and {h.group_b}"
         )
-    a_ops = [sp.csr_matrix(m) for m in generator_matrices(HEISENBERG, cfg.n_max + 1)]
-    b_ops = [sp.csr_matrix(m) for m in generator_matrices(h.group_b)]
-    eye_a = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
-    eye_b = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
+    n_f, n_s = cfg.n_max + 1, cfg.spin_dim
+    a_ops, b_ops = _generator_bands(HEISENBERG, n_f), _generator_bands(h.group_b)
+    eye_a, eye_b = (0, np.ones(n_f, dtype=complex)), (0, np.ones(n_s, dtype=complex))
     terms = [(h.alpha[i], a, eye_b) for i, a in enumerate(a_ops)]
     terms += [(h.beta[k], eye_a, b) for k, b in enumerate(b_ops)]
     terms += [(h.gamma[i, k], a, b) for i, a in enumerate(a_ops) for k, b in enumerate(b_ops)]
-    mat = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
-    for coeff, a, b in terms:
+    bands: dict[tuple[int, int], np.ndarray] = {}
+    for coeff, (da, a), (db, b) in terms:
         if coeff != 0:
-            mat = mat + coeff * sp.kron(a, b, format="csr")
-    # Terms that cancel, such as omega n + epsilon m = 0 on the diagonal,
-    # leave explicit zeros that would cost every matvec and widen the
-    # Gershgorin interval.
-    mat.eliminate_zeros()
-    residual = abs(mat - mat.getH()).max()
-    scale = max(1.0, abs(mat).max())
+            band = bands.setdefault((da, db), np.zeros((n_f, n_s), dtype=complex))
+            band += coeff * np.outer(a, b)
+    # H - H^dag band by band: band (da, db) at (n, k) faces the conjugate of
+    # band (-da, -db) at (n + da, k + db), and both are 0 past the basis edges
+    residual, scale = 0.0, 1.0
+    for (da, db), band in bands.items():
+        mirror = np.zeros((n_f + 2, n_s + 2), dtype=complex)
+        mirror[1:-1, 1:-1] = bands.get((-da, -db), 0.0)
+        facing = mirror[1 + da:1 + da + n_f, 1 + db:1 + db + n_s]
+        residual = max(residual, float(np.abs(band - facing.conj()).max()))
+        scale = max(scale, float(np.abs(band).max()))
     if residual > 1e-12 * scale:
         raise CohChaosError(f"assembled Hamiltonian has hermiticity residual {residual:.3e}")
-    return mat
+    # a band's columns are its rows shifted by da * n_s + db, so that the bands
+    # sorted by (da, db) keep each row's entries in column order (|db| < n_s)
+    offsets = sorted(bands)
+    values = np.empty((cfg.dim, len(offsets)), dtype=complex)  # [row, band]
+    for m, key in enumerate(offsets):
+        values[:, m] = bands[key].reshape(-1)
+    shifts = np.array([da * n_s + db for da, db in offsets], dtype=int)
+    # Terms that cancel, such as omega n + epsilon m = 0 on the diagonal,
+    # leave exact zeros that would cost every matvec and widen the
+    # Gershgorin interval; so do the bands' entries past the basis edges.
+    keep = values != 0
+    columns = (np.arange(cfg.dim)[:, None] + shifts)[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((values[keep], columns, indptr), shape=(cfg.dim, cfg.dim))
 
 
 class ExactEvolver:
@@ -396,29 +420,43 @@ def product_coherent_vector(x: complex, y: complex, cfg: HilbertConfig) -> Oracl
 def reduced_linear_entropy(state: OracleState, times: Sequence[float] | None = None) -> float | np.ndarray:
     """Linear entropy 1 - Tr(rho^2) of the field's reduced density matrix, for each vector of a state.
 
-    The purity is also taken from the spin's side, and the two must agree
-    to 1e-10. With V a vector's (Fock level, spin index) matrix they are
-    ||V V^dag||_F^2 and ||V^dag V||_F^2, equal for every V by the cyclic
-    trace, so the comparison tests no physics: it catches only non-finite
-    or badly rounded values. The first vector for which they disagree
-    raises CohChaosError, naming its time if times (one per entry of the
-    first axis of a stack) are given. Returns a float, or an array over the
-    stack.
+    With V a vector's (Fock level, spin index) matrix, the purity
+    Tr(rho^2) = ||V V^dag||_F^2 equals ||V^dag V||_F^2, so it is taken as
+    P = ||G||_F^2 of the Gram matrix G of the smaller side (V^dag V or
+    V V^dag, of dimension d_min), formed for the whole stack in one product.
+    Each P must be finite and within its physical bounds
+    tr(G)^2 / d_min <= P <= tr(G)^2, to 1e-10 relative; the first vector
+    outside them raises CohChaosError, naming its time if times (one per
+    entry of the first axis of a stack) are given. Returns a float, or an
+    array over the stack.
     """
     m = state._matrices()
-    # one vector at a time: a stack of (n_max+1)^2 density matrices would
-    # outgrow the evolution's chunk
-    purities = [
-        (np.sum(np.abs(v @ v.conj().T) ** 2), np.sum(np.abs(v.T @ v.conj()) ** 2))
-        for v in m.reshape((-1,) + m.shape[-2:])
-    ]
-    purity_f, purity_s = np.array(purities).reshape(-1, 2).T
-    bad = np.flatnonzero(~(np.abs(purity_f - purity_s) <= 1e-10))  # a NaN purity fails too
+    v = m.reshape((-1,) + m.shape[-2:])
+    if v.shape[-1] > v.shape[-2]:
+        # ||V V^dag||_F = ||conj(V) V^T||_F, the Gram matrix of U = V^T
+        v = v.swapaxes(-1, -2)
+    # With V = X + iY, G = V^dag V = (X^T X + Y^T Y) + i (X^T Y - Y^T X), read
+    # from the real Gram matrix of V's float view, columns x_1 y_1 x_2 ...:
+    # no conjugated copy of the stack. Contiguous, so that a vector and its
+    # row of a stack take one BLAS path.
+    w = np.ascontiguousarray(v).view(float)
+    d_min = v.shape[-1]
+    # a non-finite entry may overflow or make a NaN here: the bounds below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.matmul(w.swapaxes(-1, -2), w)
+        real = r[..., 0::2, 0::2] + r[..., 1::2, 1::2]
+        imag = r[..., 0::2, 1::2] - r[..., 1::2, 0::2]
+        purity = np.sum(real ** 2 + imag ** 2, axis=(-2, -1))
+    trace = np.trace(real, axis1=-2, axis2=-1)
+    within = (purity >= (1.0 - 1e-10) * trace ** 2 / d_min) & (purity <= (1.0 + 1e-10) * trace ** 2)
+    bad = np.flatnonzero(~(within & np.isfinite(purity)))  # a NaN purity fails too
     if bad.size:
         i = bad[0]
         where = "" if times is None else f" at t = {float(times[np.unravel_index(i, m.shape[:-2])[0]])}"
-        raise CohChaosError(f"reduced purities disagree{where}: {float(purity_f[i])!r} vs {float(purity_s[i])!r}")
-    return (1.0 - purity_f).reshape(m.shape[:-2])[()]
+        raise CohChaosError(
+            f"reduced purity {float(purity[i])!r}{where} outside [tr^2/{d_min}, tr^2] with tr = {float(trace[i])!r}"
+        )
+    return (1.0 - purity).reshape(m.shape[:-2])[()]
 
 
 def exact_overlap_pair(s1: OracleState, s2: OracleState) -> complex | np.ndarray:

@@ -251,6 +251,23 @@ def maser_matrix_reference(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
     return h
 
 
+def kron_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.csr_matrix:
+    """The oscillator-spin model as a sum of Kronecker products, one per nonzero coefficient, as the library built it before its band assembly."""
+    a_ops = [sp.csr_matrix(m) for m in algebra.generator_matrices(HEISENBERG, cfg.n_max + 1)]
+    b_ops = [sp.csr_matrix(m) for m in algebra.generator_matrices(h.group_b)]
+    eye_a = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
+    eye_b = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
+    terms = [(h.alpha[i], a, eye_b) for i, a in enumerate(a_ops)]
+    terms += [(h.beta[k], eye_a, b) for k, b in enumerate(b_ops)]
+    terms += [(h.gamma[i, k], a, b) for i, a in enumerate(a_ops) for k, b in enumerate(b_ops)]
+    mat = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
+    for coeff, a, b in terms:
+        if coeff != 0:
+            mat = mat + coeff * sp.kron(a, b, format="csr")
+    mat.eliminate_zeros()
+    return mat
+
+
 def operator_expectation(state: OracleState, op: sp.spmatrix) -> complex:
     return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
 

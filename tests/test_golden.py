@@ -19,7 +19,8 @@ as a script:
 It re-records the named cases (all of them by default) into tests/golden
 through the same pinned subprocess as the test (prefix PYTHONPATH=src when
 the package is not installed), and prints, for each CSV it re-records, the
-largest absolute and relative change of every column against the old bytes.
+largest absolute and relative change of every column against the old bytes,
+and for run_manifest.json the lines removed and added.
 
 The bytes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
 The flow runs on scipy's compiled VODE, and another scipy build of it may
@@ -30,6 +31,7 @@ builds to confirm against these versions before it is taken for a bug.
 from __future__ import annotations
 
 import csv
+import difflib
 import io
 import json
 import math
@@ -144,6 +146,32 @@ def test_column_changes_names_the_largest_moved_cell():
     assert column_changes(old, b"t,x\r\n0,1\r\n") == ["columns ['t', 'x', 'y'] x 2 rows, now ['t', 'x'] x 1 rows"]
 
 
+def line_changes(old: bytes, new: bytes) -> list[str]:
+    """How many lines a text file lost and gained from the old bytes to the new, then each of them, - or +."""
+    if old == new:
+        return ["identical"]
+    diff = difflib.unified_diff(old.decode().splitlines(), new.decode().splitlines(), lineterm="", n=0)
+    lines = [line for line in diff if line[:1] in "-+" and not line.startswith(("---", "+++"))]
+    removed = sum(line.startswith("-") for line in lines)
+    return [f"{removed} lines removed, {len(lines) - removed} added", *lines]
+
+
+def test_line_changes_lists_the_removed_and_added_lines():
+    old = b'{\n  "dim": 710,\n  "n_max": 70\n}\n'
+    assert line_changes(old, old) == ["identical"]
+    assert line_changes(old, b'{\n  "dim": 710,\n  "drift": 0.1,\n  "n_max": 70\n}\n') == [
+        "0 lines removed, 1 added",
+        '+  "drift": 0.1,',
+    ]
+    assert line_changes(old, b'{\n  "dim": 1210,\n  "n_max": 120\n}\n') == [
+        "2 lines removed, 2 added",
+        '-  "dim": 710,',
+        '-  "n_max": 70',
+        '+  "dim": 1210,',
+        '+  "n_max": 120',
+    ]
+
+
 @pytest.mark.parametrize("case", list(RUNS))
 def test_verb_output_matches_recorded_bytes(case, pinned_runs):
     out = pinned_runs / case
@@ -161,18 +189,21 @@ if __name__ == "__main__":
     unknown = sorted(set(cases).difference(RUNS))
     if unknown:
         sys.exit(f"unknown case(s) {unknown}; available: {list(RUNS)}")
-    old = {case: {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*.csv")} for case in cases}
+    # each case's files are its CSVs and run_manifest.json
+    old = {case: {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*")} for case in cases}
     for case in cases:
         # a file the verb no longer writes must not stay behind
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
     run_pinned(GOLDEN, cases)
     for case in cases:
-        new = {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*.csv")}
+        new = {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*")}
         for name in sorted(old[case].keys() | new.keys()):
             before, after = old[case].get(name), new.get(name)
             if before is None or after is None:
                 changes = ["new" if before is None else "removed"]
-            else:
+            elif name.endswith(".csv"):
                 changes = ["identical"] if before == after else column_changes(before, after)
+            else:
+                changes = line_changes(before, after)
             for line in changes:
                 print(f"{case}/{name}: {line}")

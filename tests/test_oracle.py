@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.sparse.csgraph import connected_components
 
-from cohchaos.algebra import CohChaosError, TruncationError, generator_matrices, overlap
+from cohchaos.algebra import CohChaosError, Gen, TruncationError, generator_matrices, overlap
 from cohchaos.algebra import HEISENBERG, spin as spin_group
 from cohchaos.dynamics import ProductState, integrate
 from cohchaos import oracle
@@ -33,6 +33,7 @@ from cohchaos.oracle import (
 )
 from reference import (
     doorway_vector,
+    kron_hamiltonian_matrix,
     maser_matrix_reference,
     operator_expectation,
     vector_field_annihilation,
@@ -123,6 +124,21 @@ def test_hamiltonian_rejects_mismatched_groups():
     )
     with pytest.raises(ValueError, match="oscillator"):
         build_hamiltonian_matrix(swapped, SMALL)
+
+
+def test_hamiltonian_with_an_unmatched_coupling_fails_its_hermiticity_check():
+    # construction checks the coefficients, so one is changed after it: the
+    # partner of gamma[PLUS, PLUS] is off by 1e-3, then gone with its band
+    for partner in (np.conj(small_model().gamma[Gen.PLUS, Gen.PLUS]) + 1e-3, 0.0):
+        h = small_model()
+        gamma = h.gamma.copy()
+        gamma[Gen.MINUS, Gen.MINUS] = partner
+        object.__setattr__(h, "gamma", gamma)
+        ref = kron_hamiltonian_matrix(h, SMALL)
+        residual = abs(ref - ref.getH()).max()
+        assert residual > 1e-12
+        with pytest.raises(CohChaosError, match=f"hermiticity residual {residual:.3e}$"):
+            build_hamiltonian_matrix(h, SMALL)
 
 
 def test_driven_field_follows_mean_field():
@@ -396,37 +412,45 @@ def test_chunk_takes_the_largest_order_of_its_times():
 
 
 def test_stacked_observables_equal_the_per_vector_forms(rng):
-    cfg = HilbertConfig(n_max=12, j=1.5)
-    # (times, dim, states) transposed, as evolve_chunks yields a chunk
-    raw = rng.normal(size=(5, cfg.dim, 3)) + 1j * rng.normal(size=(5, cfg.dim, 3))
-    amps = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).transpose(0, 2, 1)
-    stack, swapped = OracleState(amps, cfg), OracleState(amps[:, ::-1], cfg)
-    field = field_annihilation_expectation(stack)
-    overlaps = exact_overlap_pair(stack, swapped)
-    top = top_fock_population(stack)
-    entropy = reduced_linear_entropy(stack)
-    assert field.shape == overlaps.shape == top.shape == entropy.shape == (5, 3)
-    for idx in np.ndindex(5, 3):
-        v = amps[idx]
-        assert abs(field[idx] - vector_field_annihilation(v, cfg)) <= 1e-13
-        assert abs(overlaps[idx] - vector_overlap(v, amps[idx[0], 2 - idx[1]])) <= 1e-13
-        assert abs(top[idx] - vector_top_fock_population(v, cfg)) <= 1e-13
-        assert abs(entropy[idx] - vector_linear_entropy(v, cfg)) <= 1e-13
-    # one vector gives one number
-    single = OracleState(amps[2, 1], cfg)
-    assert np.ndim(field_annihilation_expectation(single)) == np.ndim(reduced_linear_entropy(single)) == 0
-    assert reduced_linear_entropy(single) == entropy[2, 1]
+    # the purity takes the Gram matrix of the smaller side: the spin's, then the field's
+    for cfg in (HilbertConfig(n_max=12, j=1.5), HilbertConfig(n_max=3, j=6.5)):
+        # (times, dim, states) transposed, as evolve_chunks yields a chunk
+        raw = rng.normal(size=(5, cfg.dim, 3)) + 1j * rng.normal(size=(5, cfg.dim, 3))
+        amps = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).transpose(0, 2, 1)
+        stack, swapped = OracleState(amps, cfg), OracleState(amps[:, ::-1], cfg)
+        field = field_annihilation_expectation(stack)
+        overlaps = exact_overlap_pair(stack, swapped)
+        top = top_fock_population(stack)
+        entropy = reduced_linear_entropy(stack)
+        assert field.shape == overlaps.shape == top.shape == entropy.shape == (5, 3)
+        for idx in np.ndindex(5, 3):
+            v = amps[idx]
+            assert abs(field[idx] - vector_field_annihilation(v, cfg)) <= 1e-13
+            assert abs(overlaps[idx] - vector_overlap(v, amps[idx[0], 2 - idx[1]])) <= 1e-13
+            assert abs(top[idx] - vector_top_fock_population(v, cfg)) <= 1e-13
+            assert abs(entropy[idx] - vector_linear_entropy(v, cfg)) <= 1e-13
+        # one vector gives one number
+        single = OracleState(amps[2, 1], cfg)
+        assert np.ndim(field_annihilation_expectation(single)) == np.ndim(reduced_linear_entropy(single)) == 0
+        assert reduced_linear_entropy(single) == entropy[2, 1]
 
 
 def test_purity_disagreement_names_the_first_bad_time():
     cfg = HilbertConfig(n_max=3, j=0.5)
     amps = np.tile(np.eye(cfg.dim, dtype=complex)[3], (4, 1))
     amps[3, 1] = amps[2, 5] = np.nan
-    with pytest.raises(CohChaosError, match=r"reduced purities disagree at t = 0\.7: nan vs nan$"):
+    with pytest.raises(CohChaosError, match=r"reduced purity nan at t = 0\.7 outside \[tr\^2/2, tr\^2\] with tr = nan$"):
         reduced_linear_entropy(OracleState(amps, cfg), [0.1, 0.4, 0.7, 0.9])
-    with pytest.raises(CohChaosError, match="reduced purities disagree: nan"):
+    with pytest.raises(CohChaosError, match=r"reduced purity nan outside \[tr\^2/2, tr\^2\]"):
         reduced_linear_entropy(OracleState(amps[3], cfg))
     assert reduced_linear_entropy(OracleState(amps[:2], cfg), [0.1, 0.4]) == pytest.approx([0.0, 0.0], abs=1e-12)
+    # an infinite amplitude fails the bounds too, and one whose square
+    # overflows gives an infinite purity, which only the finiteness check stops
+    for value, purity in ((np.inf, "nan"), (1e200, "inf")):
+        rows = np.tile(np.eye(cfg.dim, dtype=complex)[3], (4, 1))
+        rows[1, 6] = value
+        with pytest.raises(CohChaosError, match=rf"reduced purity {purity} at t = 0\.4 outside .* with tr = inf$"):
+            reduced_linear_entropy(OracleState(rows, cfg), [0.1, 0.4, 0.7, 0.9])
 
 
 def test_evolve_grid_rejects_a_state_of_another_dimension():

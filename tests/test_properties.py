@@ -34,6 +34,7 @@ from cohchaos.oracle import (
 from reference import (
     expectations as numpy_expectations,
     interaction_energy as numpy_interaction_energy,
+    kron_hamiltonian_matrix,
     maser_matrix_reference,
     rhs as numpy_rhs,
     rhs_term_magnitudes,
@@ -184,9 +185,9 @@ GROUP_PAIRS = st.one_of(
 
 
 @st.composite
-def bilinear_models(draw):
+def bilinear_models(draw, group_pairs=GROUP_PAIRS):
     """A hermitian BilinearHamiltonian with every alpha, beta and gamma entry free."""
-    group_a, group_b = draw(GROUP_PAIRS)
+    group_a, group_b = draw(group_pairs)
     dag = (0, 2, 1)
     gamma = np.zeros((3, 3), dtype=complex)
     gamma[0, 0] = draw(REALS)
@@ -274,6 +275,17 @@ def test_hamiltonian_is_hermitian_and_equals_the_maser_reference(couplings, two_
     bound = 2 * EPS * abs(ref).max()
     assert abs(h - h.getH()).max() <= bound
     assert h.nnz == ref.nnz and abs(h - ref).max() <= bound
+
+
+# the oracle builds only an oscillator (x) spin model
+@settings(max_examples=100, deadline=None)
+@given(bilinear_models(st.tuples(st.just(HEISENBERG), SPINS)), st.integers(1, 12))
+def test_band_assembly_equals_the_kronecker_sum_bit_for_bit(h, n_max):
+    cfg = HilbertConfig(n_max=n_max, j=h.group_b.j)
+    got, want = build_hamiltonian_matrix(h, cfg), kron_hamiltonian_matrix(h, cfg)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 @settings(max_examples=15, deadline=None)
