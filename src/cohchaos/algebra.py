@@ -4,8 +4,9 @@ This module fixes the displacement conventions and is the one home of the
 closed forms the rest of the library is built on: overlaps between coherent
 states and their distance exponent, generator expectation values, the rows
 expressing a displaced generator as a combination of generators plus a
-scalar, and the generator matrices and their bands.  Every closed form here is cross-checked
-in the tests against literal truncated-basis matrix algebra.
+scalar, and the generator matrices and their bands.  Every closed form here
+is cross-checked in the tests against literal truncated-basis matrix
+algebra.
 
 Conventions (see docs/conventions.md, version CONVENTIONS_VERSION):
 

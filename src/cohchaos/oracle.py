@@ -4,7 +4,7 @@ This is the ground truth the mean-field machinery is checked against. It
 covers every BilinearHamiltonian of an oscillator and a spin, the same
 object the mean-field flow integrates: states live on the product basis
 |n> (x) |j,-j+k> with the spin index fastest, the Hamiltonian is assembled
-band by band from the generator matrices, and evolution is a Chebyshev
+band by band from the generators' bands, and evolution is a Chebyshev
 expansion of exp(-i H t) at every dimension (Tal-Ezer and Kosloff, J.
 Chem. Phys. 81, 3967 (1984)): H is scaled once into [-1, 1] by its
 Gershgorin interval, and each chunk of consecutive sample times is
