@@ -252,7 +252,7 @@ def maser_matrix_reference(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
 
 
 def kron_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.csr_matrix:
-    """The oscillator-spin model as a sum of Kronecker products, one per nonzero coefficient, as the library built it before its band assembly."""
+    """H as a sum of Kronecker products, one per nonzero coefficient: what the band assembly must equal bit for bit."""
     a_ops = [sp.csr_matrix(m) for m in algebra.generator_matrices(HEISENBERG, cfg.n_max + 1)]
     b_ops = [sp.csr_matrix(m) for m in algebra.generator_matrices(h.group_b)]
     eye_a = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
