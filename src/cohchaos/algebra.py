@@ -176,26 +176,28 @@ def _split(a: float) -> tuple[float, float]:
     return hi, a - hi
 
 
-def expectations(group: GroupKind, z: complex) -> tuple[complex, complex, complex]:
-    """Coherent expectation values of the generators, ordered (ZERO, PLUS, MINUS).
+def expectations(group: GroupKind, z: complex) -> tuple[float, complex]:
+    """The independent coherent expectation values (<A_0>, <A_+>); <A_-> = conj(<A_+>).
 
     Oscillator: <a^dag a> = |z|^2, <a^dag> = conj(z), <a> = z.
     Spin: <J_z> = -j (1-|z|^2)/(1+|z|^2), <J_+> = 2j conj(z)/(1+|z|^2),
     <J_-> = 2j z/(1+|z|^2).  The induced Bloch vector has length j exactly.
-    Python complex scalars, because the flow's right-hand side calls this
-    twice per evaluation.  The label is not range-checked: the flow checks
-    it on entry and exit.
+    The generators are hermitian conjugate pairs (A_0 hermitian, A_- the
+    adjoint of A_+), so <A_0> is real and <A_-> is not returned.  Python
+    scalars, because the flow's right-hand side calls this twice per
+    evaluation.  The label is not range-checked: the flow checks it on
+    entry and exit.
     """
     z = complex(z)
     zc = z.conjugate()
     r2 = abs(z) ** 2
     if not group.is_spin:
-        return complex(r2), zc, z
+        return r2, zc
     j = group.j
     den = 1.0 + r2
-    # <J_+> scales by 1/den and <J_-> divides by it: the roundings that the
-    # recorded reference outputs of the fig1 labels were made with
-    return complex(-j * (1.0 - r2) / den), 2.0 * j * zc * (1.0 / den), 2.0 * j * z / den
+    # <J_+> scales by 1/den: the rounding that the recorded reference
+    # outputs of the fig1 labels were made with
+    return -j * (1.0 - r2) / den, 2.0 * j * zc * (1.0 / den)
 
 
 def group_relation_coeffs(group: GroupKind, z) -> tuple[np.ndarray, np.ndarray]:

@@ -6,28 +6,31 @@ with complex labels (x, y) and accumulated phases.  The labels obey
     oscillator: dx/dt = -i (a_0 x + a_+)
     spin:       dy/dt = -i b_+ - i b_0 y + i conj(b_+) y^2
 
-with the self-consistent coefficients of model.mean_field_coeffs.  Each
+with the self-consistent coefficients of model.mean_field_coeffs: a_0 and
+b_0 real, a_- = conj(a_+) and b_- = conj(b_+) on a hermitian model.  Each
 degree also accumulates two action-like phases: the fiducial phase rate
 (eta) that makes exp(i eta) D(z)|0> solve the one-body Schroedinger
 equation, and the first-excited rate (s1) doing the same for D(z)|1>.
 Their closed forms are
 
-    oscillator: deta = -Im(dz conj(z)) - (a_0 |z|^2 + a_+ conj(z) + a_- z)
+    oscillator: deta = -Im(dz conj(z)) - a_0 |z|^2 - 2 Re(a_+ conj(z))
                 ds1  = deta - a_0
     spin:       deta = [-2j Im(dz conj(z))
-                        + j (b_0 (1-|z|^2) - 2 b_+ conj(z) - 2 b_- z)] / (1+|z|^2)
+                        + j (b_0 (1-|z|^2) - 4 Re(b_+ conj(z)))] / (1+|z|^2)
                 ds1  = deta (j-1)/j
 
 both validated against numerically differentiated matrix elements in the
 tests.
 
-The right-hand side is written in Python complex scalars.  One call of
-model.mean_field_coeffs gives both degrees' coefficients and the coupling
-counterterm, with its two guards (the zero components and the coupling
-energy must stay real); one call per degree gives the label velocity and
-the phase rates.  The 9-vector handed back to the integrator is the only
-array it builds.  It stays general over the bilinear class: either degree
-may be an oscillator or a spin, and every alpha, beta and gamma entry enters.
+The right-hand side is written in Python real and complex scalars, on the
+independent half of the mean field only: one call of
+model.mean_field_coeffs gives both degrees' (c_0, c_+) and the coupling
+counterterm, each zero component and the counterterm real by
+construction; one call per degree gives the label velocity and the phase
+rates.  It returns a tuple of nine floats, which VODE converts itself, and
+builds no array.  It stays general over the bilinear class: either degree
+may be an oscillator or a spin, and every independent alpha, beta and
+gamma entry enters.
 
 Labels are validated where they enter and leave the flow, not in the RHS:
 ProductState requires them finite with |z| <= 1e6, and integrate raises
@@ -40,9 +43,11 @@ flow is not stiff, and VODE's stepping loop runs in compiled code, where
 scipy's Runge-Kutta loop costs more than the RHS itself.  The RHS must
 not raise inside VODE: scipy's C VODE loses an exception raised in its
 callback, keeps stepping, and a SystemError later surfaces as an
-unrelated ValueError.  The model guards (HermiticityError) do run inside
-the RHS, so _solve catches the first exception, returns NaNs until VODE
-stops, and raises that exception again once VODE has returned.
+unrelated ValueError.  The RHS checks nothing itself, but an interrupt
+(KeyboardInterrupt) or an arithmetic error (an OverflowError from |z|^2)
+can still arise in it, so _solve catches the first exception, returns
+NaNs until VODE stops, and raises that exception again once VODE has
+returned.
 """
 
 from __future__ import annotations
@@ -143,23 +148,23 @@ class Trajectory:
         )
 
 
-def _degree_rates(group: GroupKind, z: complex, coeffs: tuple[complex, ...]) -> tuple[complex, float, float]:
+def _degree_rates(group: GroupKind, z: complex, coeffs: tuple[float, complex]) -> tuple[complex, float, float]:
     """Label velocity dz and the real rates (deta, ds1) of the fiducial and first-excited phases.
 
-    coeffs are the one-body coefficients (c_0, c_+, c_-) acting on this
-    degree; see the module docstring for the forms.
+    coeffs are the independent one-body coefficients (c_0 real, c_+) acting
+    on this degree, c_- = conj(c_+); see the module docstring for the forms.
     """
-    c0, cp, cm = coeffs
+    c0, cp = coeffs
     zc = z.conjugate()
     r2 = abs(z) ** 2
     if not group.is_spin:
         dz = -1j * (c0 * z + cp)
-        eta_rate = -(dz * zc).imag - (c0 * r2 + cp * zc + cm * z).real
-        return dz, eta_rate, eta_rate - c0.real
+        eta_rate = -(dz * zc).imag - c0 * r2 - 2.0 * (cp * zc).real
+        return dz, eta_rate, eta_rate - c0
     j = group.j
     dz = -1j * cp - 1j * c0 * z + 1j * cp.conjugate() * z * z
     geom = -(dz * zc).imag
-    eta_rate = (2.0 * j * geom + j * (c0 * (1.0 - r2) - 2.0 * cp * zc - 2.0 * cm * z).real) / (1.0 + r2)
+    eta_rate = (2.0 * j * geom + j * (c0 * (1.0 - r2) - 4.0 * (cp * zc).real)) / (1.0 + r2)
     return dz, eta_rate, eta_rate * (j - 1.0) / j
 
 
@@ -167,8 +172,8 @@ def _pack(s: ProductState) -> np.ndarray:
     return np.array([s.x.real, s.x.imag, s.y.real, s.y.imag, s.eta_x, s.eta_y, 0.0, 0.0, 0.0])
 
 
-def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
-    # Python scalars throughout: the returned vector is the only array built
+def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> tuple[float, ...]:
+    # Python scalars throughout, and a tuple back: VODE converts it itself
     xr, xi, yr, yi = v.tolist()[:4]
     x = complex(xr, xi)
     y = complex(yr, yi)
@@ -177,13 +182,13 @@ def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     a, b, dphi = mean_field_coeffs(h, expectations(h.group_a, x), expectations(h.group_b, y))
     dx, deta_x, ds1_x = _degree_rates(h.group_a, x, a)
     dy, deta_y, ds1_y = _degree_rates(h.group_b, y, b)
-    return np.array([dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi])
+    return dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi
 
 
-def _pair_rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
+def _pair_rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> tuple[float, ...]:
     # two independent states stacked, so that one step-size and order
     # sequence serves both and their errors largely cancel in the difference
-    return np.concatenate((_rhs(t, v[:9], h), _rhs(t, v[9:], h)))
+    return _rhs(t, v[:9], h) + _rhs(t, v[9:], h)
 
 
 # A step below _MIN_STEP ends VODE's call; this is what stops it within
@@ -210,7 +215,7 @@ def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: Bil
     evals = 0
     nan = np.full(len(v0), np.nan)
 
-    def guarded(t: float, v: np.ndarray) -> np.ndarray:
+    def guarded(t: float, v: np.ndarray) -> tuple[float, ...] | np.ndarray:
         nonlocal evals
         evals += 1
         if not caught:
@@ -276,8 +281,7 @@ def integrate(
     Uses VODE's variable-order Adams method (see the module docstring). A
     failed step (a label running into the coordinate singularity,
     typically) or a sampled label out of range raises IntegrationError
-    with the time; an exception from the model guards in the RHS is raised
-    as it is.
+    with the time; an exception raised in the RHS is raised as it is.
     """
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")

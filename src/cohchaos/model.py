@@ -8,7 +8,9 @@ terms linear in each algebra,
 with i, j running over (ZERO, PLUS, MINUS).  Self-consistent mean-field
 coefficients replace the partner operators by coherent expectation values,
 which is exactly the factorized limit of the Heisenberg equations of motion
-for product coherent states.
+for product coherent states.  Hermiticity, checked once at construction,
+makes every zero component real and every MINUS component the conjugate of
+its PLUS partner, so the reduction computes only the independent half.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ class BilinearHamiltonian:
     couples A_i to B_j.  Construction rejects any violation of hermiticity:
     alpha_0, beta_0 real, alpha_- = conj(alpha_+) (same for beta), and
     gamma[dag(i), dag(j)] = conj(gamma[i, j]) where dag swaps PLUS and MINUS.
-    The arrays serve the exact oracle and classical_energy.  The mean-field
-    right-hand side reads `scalars` instead: alpha, beta and gamma
-    (row-major) as one flat tuple of Python complex numbers, built once here.
+    The arrays are copies of the arguments, made read-only, and serve the
+    exact oracle.  mean_field_coeffs and classical_energy read `scalars`
+    instead: the nine independent entries (alpha_0, alpha_+, beta_0, beta_+,
+    gamma_00, gamma_0+, gamma_+0, gamma_++, gamma_+-) as Python numbers,
+    built once here, the three zero entries as real floats.  Hermiticity
+    fixes every other entry as the conjugate of one of these.
     """
 
     group_a: GroupKind
@@ -45,12 +50,13 @@ class BilinearHamiltonian:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    scalars: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    scalars: tuple[float | complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arrays = {}
         for name, shape in (("alpha", (3,)), ("beta", (3,)), ("gamma", (3, 3))):
-            arr = arrays[name] = np.asarray(getattr(self, name), dtype=complex)
+            # a copy, so that the caller's array stays writable and scalars stays in step
+            arr = arrays[name] = np.array(getattr(self, name), dtype=complex)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr.view(float))):
@@ -72,7 +78,16 @@ class BilinearHamiltonian:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "scalars", tuple(np.concatenate([alpha, beta, gamma.ravel()]).tolist()))
+        zero, plus, minus = Gen
+        object.__setattr__(
+            self,
+            "scalars",
+            (
+                float(alpha[zero].real), complex(alpha[plus]), float(beta[zero].real), complex(beta[plus]),
+                float(gamma[zero, zero].real), complex(gamma[zero, plus]), complex(gamma[plus, zero]),
+                complex(gamma[plus, plus]), complex(gamma[plus, minus]),
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -121,58 +136,50 @@ def maser_hamiltonian(p: MaserParams) -> BilinearHamiltonian:
 
 
 def mean_field_coeffs(
-    h: BilinearHamiltonian, ev_a: tuple[complex, ...], ev_b: tuple[complex, ...]
-) -> tuple[tuple[complex, ...], tuple[complex, ...], float]:
-    """Coefficients a_i = alpha_i + sum_j gamma_ij <B_j>, the mirrored b_j, and the coupling energy.
+    h: BilinearHamiltonian, ev_a: tuple[float, complex], ev_b: tuple[float, complex]
+) -> tuple[tuple[float, complex], tuple[float, complex], float]:
+    """Independent mean-field coefficients (a_0, a_+), (b_0, b_+) and the coupling energy.
 
-    ev_a and ev_b are the two sides' algebra.expectations.  The zero
-    components stay real and the raising/lowering components stay
-    conjugate because the partner expectations are themselves conjugate
-    pairs on a hermitian model.  The coupling energy, the c-number the
+    a_i = alpha_i + sum_j gamma_ij <B_j> and b_j = beta_j + sum_i gamma_ij <A_i>,
+    with ev_a and ev_b the two sides' algebra.expectations (<A_0>, <A_+>).
+    On a hermitian model the partner expectations are conjugate pairs, so
+    the zero components are real and a_- = conj(a_+), b_- = conj(b_+):
+
+        a_0 = alpha_0 + gamma_00 <B_0> + 2 Re(gamma_0+ <B_+>)
+        a_+ = alpha_+ + gamma_+0 <B_0> + gamma_++ <B_+> + gamma_+- conj(<B_+>)
+        b_0 = beta_0 + s_0,  b_+ = beta_+ + s_+,  with the partner sums
+        s_0 = gamma_00 <A_0> + 2 Re(gamma_+0 <A_+>)
+        s_+ = gamma_0+ <A_0> + gamma_++ <A_+> + conj(gamma_+- <A_+>)
+
+    (gamma_-+ = conj(gamma_+-)).  The coupling energy, the c-number the
     decoupled single-factor Hamiltonians count twice, is
-    sum_j (sum_i gamma_ij <A_i>) <B_j> with b's partner sums.  Python
-    complex arithmetic on h.scalars, with the 3x3 sums written out: numpy's
+    E_c = sum_ij gamma_ij <A_i><B_j> = s_0 <B_0> + 2 Re(s_+ <B_+>).  Real
+    and complex Python scalars on h.scalars, the sums written out: numpy's
     set-up cost on 3-vectors would be most of the flow's right-hand side.
     """
-    a0, ap, am, b0, bp, bm, g00, g0p, g0m, gp0, gpp, gpm, gm0, gmp, gmm = h.scalars
-    ea0, eap, eam = ev_a
-    eb0, ebp, ebm = ev_b
-    s0 = g00 * ea0 + gp0 * eap + gm0 * eam
-    sp = g0p * ea0 + gpp * eap + gmp * eam
-    sm = g0m * ea0 + gpm * eap + gmm * eam
-    c0 = a0 + g00 * eb0 + g0p * ebp + g0m * ebm
-    d0 = b0 + s0
-    # hermiticity of h guarantees these analytically; guard against drift
-    # beyond 1e-10 max(1, |c|), testing the cheap half of the bound first
-    for z in (c0, d0):
-        if abs(z.imag) > 1e-10 and abs(z.imag) > 1e-10 * abs(z):
-            raise HermiticityError("mean-field zero component acquired an imaginary part")
+    a0, ap, b0, bp, g00, g0p, gp0, gpp, gpm = h.scalars
+    ea0, eap = ev_a
+    eb0, ebp = ev_b
+    s0 = g00 * ea0 + 2.0 * (gp0 * eap).real
+    sp = g0p * ea0 + gpp * eap + (gpm * eap).conjugate()
     return (
-        (c0.real, ap + gp0 * eb0 + gpp * ebp + gpm * ebm, am + gm0 * eb0 + gmp * ebp + gmm * ebm),
-        (d0.real, bp + sp, bm + sm),
-        _real(s0 * eb0 + sp * ebp + sm * ebm, "coupling energy"),
+        (a0 + g00 * eb0 + 2.0 * (g0p * ebp).real, ap + gp0 * eb0 + gpp * ebp + gpm * ebp.conjugate()),
+        (b0 + s0, bp + sp),
+        s0 * eb0 + 2.0 * (sp * ebp).real,
     )
 
 
 def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     """Energy of the product coherent state with labels (x, y).
 
-    E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>,
-    the last sum being mean_field_coeffs' coupling energy.  The imaginary
-    residue is asserted tiny (hermiticity) and discarded.  Python complex
-    arithmetic on h.scalars, like the flow's right-hand side.
+    E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>
+      = alpha_0 <A_0> + beta_0 <B_0> + 2 Re(alpha_+ <A_+> + beta_+ <B_+>) + E_c,
+    E_c being mean_field_coeffs' coupling energy; real by construction.
+    Python scalar arithmetic on h.scalars, like the flow's right-hand side.
     """
     ev_a = expectations(h.group_a, x)
     ev_b = expectations(h.group_b, y)
-    a0, ap, am, b0, bp, bm = h.scalars[:6]
-    ea0, eap, eam = ev_a
-    eb0, ebp, ebm = ev_b
-    e = a0 * ea0 + ap * eap + am * eam + b0 * eb0 + bp * ebp + bm * ebm
-    return _real(e, "energy") + mean_field_coeffs(h, ev_a, ev_b)[2]
-
-
-def _real(e: complex, what: str) -> float:
-    # the bound is 1e-12 max(1, |e|), its cheap half tested first
-    if abs(e.imag) > 1e-12 and abs(e.imag) > 1e-12 * abs(e):
-        raise HermiticityError(f"{what} has imaginary residue {e.imag:.3e}; hermiticity bug")
-    return float(e.real)
+    a0, ap, b0, bp = h.scalars[:4]
+    ea0, eap = ev_a
+    eb0, ebp = ev_b
+    return a0 * ea0 + b0 * eb0 + 2.0 * (ap * eap + bp * ebp).real + mean_field_coeffs(h, ev_a, ev_b)[2]

@@ -119,7 +119,8 @@ class OracleState:
     truncation_deficit: float = 0.0
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        # a read-only view: no copy, and the caller's own array stays writable
+        amps = np.asarray(self.amplitudes, dtype=complex).view()
         if amps.shape[-1:] != (self.config.dim,):
             raise ValueError(f"amplitudes shape {amps.shape} does not match dimension {self.config.dim}")
         amps.setflags(write=False)

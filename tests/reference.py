@@ -108,17 +108,28 @@ def rhs_term_magnitudes(v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     """
     x = abs(complex(v[0], v[1]))
     y = abs(complex(v[2], v[3]))
+    a, b = mean_field_coeff_magnitudes(h, x, y)
     ev_a = _expectation_magnitudes(h.group_a, x)
     ev_b = _expectation_magnitudes(h.group_b, y)
-    alpha, beta, gamma = np.abs(h.alpha), np.abs(h.beta), np.abs(h.gamma)
-    a = alpha + gamma @ ev_b
-    b = beta + gamma.T @ ev_a
     dx = _one_label_magnitude(h.group_a, x, a)
     dy = _one_label_magnitude(h.group_b, y, b)
     deta_x, ds1_x = _action_rate_magnitudes(h.group_a, x, dx, a)
     deta_y, ds1_y = _action_rate_magnitudes(h.group_b, y, dy, b)
-    dphi = ev_a @ gamma @ ev_b
+    dphi = ev_a @ np.abs(h.gamma) @ ev_b
     return np.array([dx, dx, dy, dy, deta_x, deta_y, ds1_x, ds1_y, dphi])
+
+
+def mean_field_coeff_magnitudes(h: BilinearHamiltonian, x: complex, y: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes of the terms each of mean_field_coeffs' a_i and b_j sums, at labels x and y.
+
+    The expectations are replaced by the sizes of their own terms, so a
+    small multiple of eps times these bounds the rounding error of any
+    evaluation order of the coefficients.
+    """
+    ev_a = _expectation_magnitudes(h.group_a, abs(x))
+    ev_b = _expectation_magnitudes(h.group_b, abs(y))
+    gamma = np.abs(h.gamma)
+    return np.abs(h.alpha) + gamma @ ev_b, np.abs(h.beta) + gamma.T @ ev_a
 
 
 def _expectation_magnitudes(group: GroupKind, r: float) -> np.ndarray:

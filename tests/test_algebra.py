@@ -101,18 +101,26 @@ def test_overlap_monotone_in_separation(rng):
             assert m2 <= m1 + 1e-12
 
 
+def full_expectations(group, z):
+    """(<A_0>, <A_+>, <A_->) from the independent pair, <A_-> = conj(<A_+>)."""
+    e0, ep = expectations(group, z)
+    return e0, ep, ep.conjugate()
+
+
 def test_expectation_against_matrix(rng):
     n_op, ad, a = generator_matrices(HEISENBERG, truncation=DIM)
     for _ in range(5):
         z = complex(*rng.uniform(-1, 1, 2))
         v = field_vec(z)
         for idx, op in ((Gen.ZERO, n_op), (Gen.PLUS, ad), (Gen.MINUS, a)):
-            assert abs(np.vdot(v, op @ v) - expectations(HEISENBERG, z)[idx]) < 1e-10
+            assert abs(np.vdot(v, op @ v) - full_expectations(HEISENBERG, z)[idx]) < 1e-10
         g = spin(1.5)
         jz, jp, jm = generator_matrices(g)
         w = displaced_basis_vector(g, z).vector
         for idx, op in ((Gen.ZERO, jz), (Gen.PLUS, jp), (Gen.MINUS, jm)):
-            assert abs(np.vdot(w, op @ w) - expectations(g, z)[idx]) < 1e-12
+            assert abs(np.vdot(w, op @ w) - full_expectations(g, z)[idx]) < 1e-12
+        # the zero components are returned real
+        assert type(expectations(HEISENBERG, z)[Gen.ZERO]) is float and type(expectations(g, z)[Gen.ZERO]) is float
 
 
 def test_spin_bloch_vector_length(rng):

@@ -22,7 +22,7 @@ from cohchaos.dynamics import (
     scale_to_classical,
     trajectory_energy,
 )
-from cohchaos.model import BilinearHamiltonian, HermiticityError, MaserParams, maser_hamiltonian, mean_field_coeffs
+from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
 from reference import displaced_basis_vector, from_classical
 
 DECOUPLED = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.0, g_prime=0.0, j=1.5))
@@ -52,7 +52,7 @@ def test_label_rhs_coupled_spin_nonlinearity():
 
 
 def test_action_rate_stationary_fiducial():
-    coeffs = (1.3, 0j, 0j)
+    coeffs = (1.3, 0j)
     dz, eta, s1 = _degree_rates(HEISENBERG, 0j, coeffs)
     assert dz == 0.0 and eta == 0.0
     assert s1 == pytest.approx(-1.3, abs=1e-15)
@@ -67,7 +67,8 @@ def fd_rate(group, z, dz, coeffs, fiducial, delta=1e-5, dim=40):
     """Numerically differentiated matrix element <k|D^+(i d/dt - h)D|k>."""
     trunc = None if group.is_spin else dim
     mats = generator_matrices(group, truncation=trunc)
-    h = coeffs[0] * mats[0] + coeffs[1] * mats[1] + coeffs[2] * mats[2]
+    c0, cp = coeffs
+    h = c0 * mats[0] + cp * mats[1] + cp.conjugate() * mats[2]
 
     def vec(tau):
         return displaced_basis_vector(group, z + tau * dz, fiducial, truncation=trunc).vector
@@ -78,14 +79,14 @@ def fd_rate(group, z, dz, coeffs, fiducial, delta=1e-5, dim=40):
 
 
 def drive_for_velocity(group, z, dz, c0):
-    """One-body coefficients (c_0, c_+, conj c_+) under which the flow moves z with velocity dz."""
+    """One-body coefficients (c_0, c_+) under which the flow moves z with velocity dz."""
     if not group.is_spin:
         cp = 1j * dz - c0 * z  # dz = -i (c_0 z + c_+)
     else:
         # dz = -i c_+ - i c_0 z + i conj(c_+) z^2, solved together with its conjugate (|z| != 1)
         r = dz + 1j * c0 * z
         cp = (r - z * z * r.conjugate()) / (1j * (abs(z) ** 4 - 1.0))
-    return c0, cp, cp.conjugate()
+    return c0, cp
 
 
 @pytest.mark.parametrize(
@@ -110,7 +111,7 @@ def test_action_rate_circular_orbit_is_constant():
     # |z| = 1 orbit under the bare number operator: geometric and energy
     # terms cancel for the fiducial and leave -omega for the first level
     omega = 1.0
-    coeffs = (omega, 0j, 0j)
+    coeffs = (omega, 0j)
     for t in (0.0, 0.7, 2.1):
         z = complex(np.exp(-1j * omega * t))
         dz, eta, s1 = _degree_rates(HEISENBERG, z, coeffs)
@@ -322,12 +323,13 @@ def test_label_leaving_the_valid_range_raises_integration_error():
 
 @pytest.mark.parametrize("t_fail", [-1.0, 1.0], ids=["first-call", "after-t-1"])
 def test_model_guard_raised_inside_the_integrator_is_raised_after_it(fig1_h, fig1_states, monkeypatch, t_fail):
-    # VODE loses an exception raised in its callback; integrate must raise
-    # the guard's own error, with VODE stopped soon after the guard fired
+    # VODE loses an exception raised in its callback (an interrupt, or an
+    # OverflowError from |z|^2); integrate must raise the model call's own
+    # error, with VODE stopped soon after it was raised
     evals = 0
     at_failure = []
     now = 0.0
-    message = "mean-field zero component acquired an imaginary part"
+    message = "math range error in the model call"
     vode = dynamics.ode
 
     def counting_ode(f):
@@ -346,13 +348,13 @@ def test_model_guard_raised_inside_the_integrator_is_raised_after_it(fig1_h, fig
     def failing_coeffs(h, ev_a, ev_b):
         if now > t_fail:
             at_failure.append(evals)
-            raise HermiticityError(message)
+            raise OverflowError(message)
         return mean_field_coeffs(h, ev_a, ev_b)
 
     monkeypatch.setattr(dynamics, "ode", counting_ode)
     monkeypatch.setattr(dynamics, "_rhs", timed_rhs)
     monkeypatch.setattr(dynamics, "mean_field_coeffs", failing_coeffs)
-    with pytest.raises(HermiticityError, match=f"^{message}$"):
+    with pytest.raises(OverflowError, match=f"^{message}$"):
         integrate(fig1_h, fig1_states[0], 5.0)
     assert len(at_failure) == 1
     assert evals - at_failure[0] <= 1000  # about 100 measured
@@ -394,6 +396,20 @@ def test_lyapunov_rhs_evals_count_both_states(fig1_h, fig1_states, monkeypatch):
     monkeypatch.setattr(dynamics, "mean_field_coeffs", counted)
     series = lyapunov_series(fig1_h, fig1_states[0], t_total=2.0)
     assert series.rhs_evals == calls > 0
+
+
+def test_integrate_rhs_evals_count_the_model_calls(fig1_h, fig1_states, monkeypatch):
+    # one dynamics.mean_field_coeffs lookup per evaluation: the count a trace of it sees
+    calls = 0
+
+    def counted(h, ev_a, ev_b):
+        nonlocal calls
+        calls += 1
+        return mean_field_coeffs(h, ev_a, ev_b)
+
+    monkeypatch.setattr(dynamics, "mean_field_coeffs", counted)
+    traj = integrate(fig1_h, fig1_states[0], 2.0)
+    assert traj.rhs_evals == calls > 0
 
 
 def test_energy_drift_at_default_tolerances_strong_coupling(rng):

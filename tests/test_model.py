@@ -91,12 +91,33 @@ def test_coefficients_are_frozen():
         h.alpha[0] = 2.0
 
 
+def test_construction_copies_the_callers_complex_arrays():
+    alpha = np.array([1.0, 0.2 + 0.1j, 0.2 - 0.1j])
+    beta = np.array([0.5, 0.0, 0.0], dtype=complex)
+    gamma = np.zeros((3, 3), dtype=complex)
+    h = BilinearHamiltonian(group_a=HEISENBERG, group_b=spin(1.0), alpha=alpha, beta=beta, gamma=gamma)
+    for arr in (alpha, beta, gamma):
+        assert arr.flags.writeable
+    for stored in (h.alpha, h.beta, h.gamma):
+        assert not stored.flags.writeable
+    # a later write in the caller reaches neither the arrays nor the scalars the flow reads
+    alpha[0] = 7.0
+    gamma[1, 1] = 3.0
+    assert h.alpha[0] == 1.0 and h.gamma[1, 1] == 0.0
+    assert h.scalars[0] == 1.0 and h.scalars[7] == 0.0
+
+
 def test_mean_field_coeffs_decoupled():
     h = decoupled(epsilon=0.7, omega=1.3)
     a, b, coupling = mean_field_coeffs(h, expectations(h.group_a, 0.4 + 0.2j), expectations(h.group_b, -0.1j))
-    assert np.allclose(a, h.alpha)
-    assert np.allclose(b, h.beta)
+    assert np.allclose(a, h.alpha[:2])
+    assert np.allclose(b, h.beta[:2])
     assert coupling == 0.0
+
+
+def full(ev):
+    """The three-component expectation vector of an independent pair (<A_0>, <A_+>)."""
+    return np.array([ev[0], ev[1], ev[1].conjugate()])
 
 
 def test_mean_field_coeffs_manual():
@@ -106,13 +127,16 @@ def test_mean_field_coeffs_manual():
     eva = expectations(h.group_a, x)
     evb = expectations(h.group_b, y)
     a, b, coupling = mean_field_coeffs(h, eva, evb)
-    assert np.allclose(a, h.alpha + h.gamma @ evb, atol=1e-14)
-    assert np.allclose(b, h.beta + h.gamma.T @ eva, atol=1e-14)
-    assert coupling == pytest.approx((np.array(eva) @ h.gamma @ np.array(evb)).real, abs=1e-14)
-    # hermitian structure survives the contraction
-    assert a[Gen.ZERO].imag == 0.0
-    assert abs(a[Gen.MINUS] - np.conj(a[Gen.PLUS])) < 1e-14
-    assert abs(b[Gen.MINUS] - np.conj(b[Gen.PLUS])) < 1e-14
+    a_full = h.alpha + h.gamma @ full(evb)
+    b_full = h.beta + h.gamma.T @ full(eva)
+    assert np.allclose(a, a_full[:2], atol=1e-14)
+    assert np.allclose(b, b_full[:2], atol=1e-14)
+    assert coupling == pytest.approx((full(eva) @ h.gamma @ full(evb)).real, abs=1e-14)
+    # the hermitian structure the reduced form relies on survives the full contraction
+    assert type(a[Gen.ZERO]) is float and type(b[Gen.ZERO]) is float and type(coupling) is float
+    assert abs(a_full[Gen.ZERO].imag) < 1e-14 and abs(b_full[Gen.ZERO].imag) < 1e-14
+    assert abs(a_full[Gen.MINUS] - np.conj(a_full[Gen.PLUS])) < 1e-14
+    assert abs(b_full[Gen.MINUS] - np.conj(b_full[Gen.PLUS])) < 1e-14
 
 
 def test_classical_energy_reference_points():

@@ -82,6 +82,16 @@ def test_oracle_state_shape_guard():
         st.amplitudes[0] = 2.0
 
 
+def test_oracle_state_freezes_a_view_of_the_callers_array():
+    amps = np.eye(SMALL.dim, dtype=complex)[0]
+    st = OracleState(amplitudes=amps, config=SMALL)
+    # no copy is made, yet the caller's own array stays writable
+    assert np.shares_memory(st.amplitudes, amps)
+    assert amps.flags.writeable and not st.amplitudes.flags.writeable
+    amps[1] = 0.5
+    assert st.amplitudes[1] == 0.5
+
+
 def test_hamiltonian_matches_entrywise_assembly(fig1_cfg, fig1_hilbert, fig1_h_matrix):
     """Independent slow construction from explicit ladder matrix elements."""
     p = fig1_cfg.model
