@@ -12,6 +12,7 @@ from cohchaos.model import (
     maser_hamiltonian,
     mean_field_coeffs,
 )
+from reference import expectations as numpy_expectations
 
 
 def decoupled(j=1.0, epsilon=1.0, omega=1.0):
@@ -115,11 +116,6 @@ def test_mean_field_coeffs_decoupled():
     assert coupling == 0.0
 
 
-def full(ev):
-    """The three-component expectation vector of an independent pair (<A_0>, <A_+>)."""
-    return np.array([ev[0], ev[1], ev[1].conjugate()])
-
-
 def test_mean_field_coeffs_manual():
     p = MaserParams(epsilon=1.0, omega=1.0, g=0.4, g_prime=0.15, j=2.0)
     h = maser_hamiltonian(p)
@@ -127,11 +123,13 @@ def test_mean_field_coeffs_manual():
     eva = expectations(h.group_a, x)
     evb = expectations(h.group_b, y)
     a, b, coupling = mean_field_coeffs(h, eva, evb)
-    a_full = h.alpha + h.gamma @ full(evb)
-    b_full = h.beta + h.gamma.T @ full(eva)
+    # the three-component contraction, with the numpy expectations of the reference
+    eva_full, evb_full = numpy_expectations(h.group_a, x), numpy_expectations(h.group_b, y)
+    a_full = h.alpha + h.gamma @ evb_full
+    b_full = h.beta + h.gamma.T @ eva_full
     assert np.allclose(a, a_full[:2], atol=1e-14)
     assert np.allclose(b, b_full[:2], atol=1e-14)
-    assert coupling == pytest.approx((full(eva) @ h.gamma @ full(evb)).real, abs=1e-14)
+    assert coupling == pytest.approx((eva_full @ h.gamma @ evb_full).real, abs=1e-14)
     # the hermitian structure the reduced form relies on survives the full contraction
     assert type(a[Gen.ZERO]) is float and type(b[Gen.ZERO]) is float and type(coupling) is float
     assert abs(a_full[Gen.ZERO].imag) < 1e-14 and abs(b_full[Gen.ZERO].imag) < 1e-14
