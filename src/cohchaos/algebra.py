@@ -176,28 +176,27 @@ def _split(a: float) -> tuple[float, float]:
     return hi, a - hi
 
 
-def expectations(group: GroupKind, z: complex) -> tuple[float, complex]:
-    """The independent coherent expectation values (<A_0>, <A_+>); <A_-> = conj(<A_+>).
+def expectations(group: GroupKind, zr: float, zi: float) -> tuple[float, float, float]:
+    """The independent coherent expectation values (<A_0>, Re <A_+>, Im <A_+>) at z = zr + i zi.
 
     Oscillator: <a^dag a> = |z|^2, <a^dag> = conj(z), <a> = z.
     Spin: <J_z> = -j (1-|z|^2)/(1+|z|^2), <J_+> = 2j conj(z)/(1+|z|^2),
     <J_-> = 2j z/(1+|z|^2).  The induced Bloch vector has length j exactly.
     The generators are hermitian conjugate pairs (A_0 hermitian, A_- the
-    adjoint of A_+), so <A_0> is real and <A_-> is not returned.  Python
-    scalars, because the flow's right-hand side calls this twice per
-    evaluation.  The label is not range-checked: the flow checks it on
-    entry and exit.
+    adjoint of A_+), so <A_0> is real and <A_-> = conj(<A_+>) is not
+    returned.  Real Python floats, with |z|^2 taken as zr*zr + zi*zi,
+    because the flow's right-hand side calls this twice per evaluation.
+    The label is not range-checked: the flow checks it on entry and exit.
     """
-    z = complex(z)
-    zc = z.conjugate()
-    r2 = abs(z) ** 2
+    r2 = zr * zr + zi * zi
     if not group.is_spin:
-        return r2, zc
+        return r2, zr, -zi
     j = group.j
     den = 1.0 + r2
     # <J_+> scales by 1/den: the rounding that the recorded reference
     # outputs of the fig1 labels were made with
-    return -j * (1.0 - r2) / den, 2.0 * j * zc * (1.0 / den)
+    inv = 1.0 / den
+    return -j * (1.0 - r2) / den, 2.0 * j * zr * inv, -2.0 * j * zi * inv
 
 
 def group_relation_coeffs(group: GroupKind, z) -> tuple[np.ndarray, np.ndarray]:

@@ -14,23 +14,30 @@ equation, and the first-excited rate (s1) doing the same for D(z)|1>.
 Their closed forms are
 
     oscillator: deta = -Im(dz conj(z)) - a_0 |z|^2 - 2 Re(a_+ conj(z))
+                     = -Re(a_+ conj(z))
                 ds1  = deta - a_0
     spin:       deta = [-2j Im(dz conj(z))
                         + j (b_0 (1-|z|^2) - 4 Re(b_+ conj(z)))] / (1+|z|^2)
+                     = j (b_0 - 2 Re(b_+ conj(z)))
                 ds1  = deta (j-1)/j
 
 both validated against numerically differentiated matrix elements in the
-tests.
+tests.  The first form of deta is the geometric phase less the energy;
+with dz the flow's own velocity the |z|^2 terms cancel exactly and it
+reduces to the second, which the right-hand side computes.
 
-The right-hand side is written in Python real and complex scalars, on the
-independent half of the mean field only: one call of
-model.mean_field_coeffs gives both degrees' (c_0, c_+) and the coupling
-counterterm, each zero component and the counterterm real by
-construction; one call per degree gives the label velocity and the phase
-rates.  It returns a tuple of nine floats, which VODE converts itself, and
-builds no array.  It stays general over the bilinear class: either degree
-may be an oscillator or a spin, and every independent alpha, beta and
-gamma entry enters.
+The right-hand side is written in Python real floats, on the independent
+half of the mean field only, and builds no complex object: each label
+enters as its real and imaginary parts, |z|^2 as zr*zr + zi*zi, and each
+complex product above is taken on real and imaginary parts.  One call of
+algebra.expectations per degree gives (<A_0>, Re <A_+>, Im <A_+>); one
+call of model.mean_field_coeffs gives both degrees' (c_0, Re c_+, Im c_+)
+and the coupling counterterm, each zero component and the counterterm
+real by construction; one call per degree gives the label velocity's two
+parts and the phase rates.  It returns a tuple of nine floats, which VODE
+converts itself, and builds no array.  It stays general over the bilinear
+class: either degree may be an oscillator or a spin, and every
+independent alpha, beta and gamma entry enters.
 
 Labels are validated where they enter and leave the flow, not in the RHS:
 ProductState requires them finite with |z| <= 1e6, and integrate raises
@@ -148,24 +155,30 @@ class Trajectory:
         )
 
 
-def _degree_rates(group: GroupKind, z: complex, coeffs: tuple[float, complex]) -> tuple[complex, float, float]:
-    """Label velocity dz and the real rates (deta, ds1) of the fiducial and first-excited phases.
+def _degree_rates(
+    group: GroupKind, zr: float, zi: float, coeffs: tuple[float, float, float]
+) -> tuple[float, float, float, float]:
+    """Label velocity (Re dz, Im dz) and the rates (deta, ds1) of the fiducial and first-excited phases.
 
-    coeffs are the independent one-body coefficients (c_0 real, c_+) acting
-    on this degree, c_- = conj(c_+); see the module docstring for the forms.
+    coeffs are the independent one-body coefficients (c_0, Re c_+, Im c_+)
+    acting on the degree at z = zr + i zi, c_- = conj(c_+); see the module
+    docstring for the forms, here taken on real and imaginary parts, deta
+    in its reduced form.
     """
-    c0, cp = coeffs
-    zc = z.conjugate()
-    r2 = abs(z) ** 2
+    c0, cpr, cpi = coeffs
+    drive = cpr * zr + cpi * zi  # Re(c_+ conj(z))
     if not group.is_spin:
-        dz = -1j * (c0 * z + cp)
-        eta_rate = -(dz * zc).imag - c0 * r2 - 2.0 * (cp * zc).real
-        return dz, eta_rate, eta_rate - c0
+        # dz = -i (c_0 z + c_+)
+        eta_rate = -drive
+        return c0 * zi + cpi, -(c0 * zr + cpr), eta_rate, eta_rate - c0
     j = group.j
-    dz = -1j * cp - 1j * c0 * z + 1j * cp.conjugate() * z * z
-    geom = -(dz * zc).imag
-    eta_rate = (2.0 * j * geom + j * (c0 * (1.0 - r2) - 4.0 * (cp * zc).real)) / (1.0 + r2)
-    return dz, eta_rate, eta_rate * (j - 1.0) / j
+    # dz = i (conj(c_+) z^2 - c_+ - c_0 z), with z^2 = wr + i wi
+    wr = zr * zr - zi * zi
+    wi = 2.0 * zr * zi
+    dzr = cpi + c0 * zi - (cpr * wi - cpi * wr)
+    dzi = (cpr * wr + cpi * wi) - cpr - c0 * zr
+    eta_rate = j * (c0 - 2.0 * drive)
+    return dzr, dzi, eta_rate, eta_rate * (j - 1.0) / j
 
 
 def _pack(s: ProductState) -> np.ndarray:
@@ -173,16 +186,14 @@ def _pack(s: ProductState) -> np.ndarray:
 
 
 def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> tuple[float, ...]:
-    # Python scalars throughout, and a tuple back: VODE converts it itself
+    # Python floats throughout, and a tuple back: VODE converts it itself
     xr, xi, yr, yi = v.tolist()[:4]
-    x = complex(xr, xi)
-    y = complex(yr, yi)
     # the factorized one-body Hamiltonians each count the coupling energy
     # dphi once, so the physical phases carry it back as a counterterm
-    a, b, dphi = mean_field_coeffs(h, expectations(h.group_a, x), expectations(h.group_b, y))
-    dx, deta_x, ds1_x = _degree_rates(h.group_a, x, a)
-    dy, deta_y, ds1_y = _degree_rates(h.group_b, y, b)
-    return dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi
+    a, b, dphi = mean_field_coeffs(h, expectations(h.group_a, xr, xi), expectations(h.group_b, yr, yi))
+    dxr, dxi, deta_x, ds1_x = _degree_rates(h.group_a, xr, xi, a)
+    dyr, dyi, deta_y, ds1_y = _degree_rates(h.group_b, yr, yi, b)
+    return dxr, dxi, dyr, dyi, deta_x, deta_y, ds1_x, ds1_y, dphi
 
 
 def _pair_rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> tuple[float, ...]:

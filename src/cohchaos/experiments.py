@@ -294,7 +294,8 @@ def project_with_fallback(
     """Shift Im x, or else Re x, of the field label onto the target energy shell.
 
     Along x + step u the energy is E(s) + c0 u^2 + b u, with c0, c_- = conj(c_+)
-    the field's mean-field coefficients and b = 2 Re(step (c0 conj(x) + c_-)).
+    the field's mean-field coefficients and b = 2 Re(step (c0 conj(x) + c_-)),
+    taken on real parts: 2 (c0 Im x + Im c_+) for step i, 2 (c0 Re x + Re c_+) for 1.
     The shift is the root closest to zero with |u| <= _MAX_SHIFT (-r when
     b = 0 gives +-r). Why Im x failed is appended to reasons, if given; if
     Re x fails too, the error gives both directions' ranges.
@@ -304,10 +305,11 @@ def project_with_fallback(
     gap = classical_energy(h, s.x, s.y) - target
     if abs(gap) <= 1e-12 * max(1.0, abs(target)):
         return s, "im_x"
-    (c0, c_plus), _, _ = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
+    ev_a = expectations(h.group_a, s.x.real, s.x.imag)
+    ev_b = expectations(h.group_b, s.y.real, s.y.imag)
+    (c0, cpr, cpi), _, _ = mean_field_coeffs(h, ev_a, ev_b)
     failures = []
-    for direction, step in (("im_x", 1j), ("re_x", 1.0)):
-        b = 2.0 * (step * (c0 * s.x.conjugate() + c_plus.conjugate())).real
+    for direction, step, b in (("im_x", 1j, 2.0 * (c0 * s.x.imag + cpi)), ("re_x", 1.0, 2.0 * (c0 * s.x.real + cpr))):
         disc = b * b - 4.0 * c0 * gap
         if c0 == 0.0:
             roots = [-gap / b] if b else []

@@ -40,9 +40,10 @@ class BilinearHamiltonian:
     The arrays are copies of the arguments, made read-only, and serve the
     exact oracle.  mean_field_coeffs and classical_energy read `scalars`
     instead: the nine independent entries (alpha_0, alpha_+, beta_0, beta_+,
-    gamma_00, gamma_0+, gamma_+0, gamma_++, gamma_+-) as Python numbers,
-    built once here, the three zero entries as real floats.  Hermiticity
-    fixes every other entry as the conjugate of one of these.
+    gamma_00, gamma_0+, gamma_+0, gamma_++, gamma_+-) as 15 Python floats,
+    built once here: each zero entry as one real float, each PLUS entry as
+    its real part followed by its imaginary part.  Hermiticity fixes every
+    other entry as the conjugate of one of these.
     """
 
     group_a: GroupKind
@@ -50,7 +51,7 @@ class BilinearHamiltonian:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    scalars: tuple[float | complex, ...] = field(init=False, repr=False, compare=False)
+    scalars: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -83,11 +84,15 @@ class BilinearHamiltonian:
             self,
             "scalars",
             (
-                float(alpha[zero].real), complex(alpha[plus]), float(beta[zero].real), complex(beta[plus]),
-                float(gamma[zero, zero].real), complex(gamma[zero, plus]), complex(gamma[plus, zero]),
-                complex(gamma[plus, plus]), complex(gamma[plus, minus]),
+                float(alpha[zero].real), *_parts(alpha[plus]), float(beta[zero].real), *_parts(beta[plus]),
+                float(gamma[zero, zero].real), *_parts(gamma[zero, plus]), *_parts(gamma[plus, zero]),
+                *_parts(gamma[plus, plus]), *_parts(gamma[plus, minus]),
             ),
         )
+
+
+def _parts(c: complex) -> tuple[float, float]:
+    return float(c.real), float(c.imag)
 
 
 @dataclass(frozen=True)
@@ -136,14 +141,15 @@ def maser_hamiltonian(p: MaserParams) -> BilinearHamiltonian:
 
 
 def mean_field_coeffs(
-    h: BilinearHamiltonian, ev_a: tuple[float, complex], ev_b: tuple[float, complex]
-) -> tuple[tuple[float, complex], tuple[float, complex], float]:
-    """Independent mean-field coefficients (a_0, a_+), (b_0, b_+) and the coupling energy.
+    h: BilinearHamiltonian, ev_a: tuple[float, float, float], ev_b: tuple[float, float, float]
+) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
+    """Independent mean-field coefficients (a_0, Re a_+, Im a_+), (b_0, Re b_+, Im b_+) and the coupling energy.
 
     a_i = alpha_i + sum_j gamma_ij <B_j> and b_j = beta_j + sum_i gamma_ij <A_i>,
-    with ev_a and ev_b the two sides' algebra.expectations (<A_0>, <A_+>).
-    On a hermitian model the partner expectations are conjugate pairs, so
-    the zero components are real and a_- = conj(a_+), b_- = conj(b_+):
+    with ev_a and ev_b the two sides' algebra.expectations
+    (<A_0>, Re <A_+>, Im <A_+>).  On a hermitian model the partner
+    expectations are conjugate pairs, so the zero components are real and
+    a_- = conj(a_+), b_- = conj(b_+):
 
         a_0 = alpha_0 + gamma_00 <B_0> + 2 Re(gamma_0+ <B_+>)
         a_+ = alpha_+ + gamma_+0 <B_0> + gamma_++ <B_+> + gamma_+- conj(<B_+>)
@@ -153,19 +159,26 @@ def mean_field_coeffs(
 
     (gamma_-+ = conj(gamma_+-)).  The coupling energy, the c-number the
     decoupled single-factor Hamiltonians count twice, is
-    E_c = sum_ij gamma_ij <A_i><B_j> = s_0 <B_0> + 2 Re(s_+ <B_+>).  Real
-    and complex Python scalars on h.scalars, the sums written out: numpy's
-    set-up cost on 3-vectors would be most of the flow's right-hand side.
+    E_c = sum_ij gamma_ij <A_i><B_j> = s_0 <B_0> + 2 Re(s_+ <B_+>).  Every
+    complex product above is taken on its real and imaginary parts, in
+    Python floats on h.scalars, the sums written out: numpy's set-up cost
+    on 3-vectors would be most of the flow's right-hand side, and Python
+    complex objects would make it about a quarter slower.
     """
-    a0, ap, b0, bp, g00, g0p, gp0, gpp, gpm = h.scalars
-    ea0, eap = ev_a
-    eb0, ebp = ev_b
-    s0 = g00 * ea0 + 2.0 * (gp0 * eap).real
-    sp = g0p * ea0 + gpp * eap + (gpm * eap).conjugate()
+    a0, apr, api, b0, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppr, gppi, gpmr, gpmi = h.scalars
+    ea0, ear, eai = ev_a
+    eb0, ebr, ebi = ev_b
+    s0 = g00 * ea0 + 2.0 * (gp0r * ear - gp0i * eai)
+    spr = g0pr * ea0 + (gppr * ear - gppi * eai) + (gpmr * ear - gpmi * eai)
+    spi = g0pi * ea0 + (gppr * eai + gppi * ear) - (gpmr * eai + gpmi * ear)
     return (
-        (a0 + g00 * eb0 + 2.0 * (g0p * ebp).real, ap + gp0 * eb0 + gpp * ebp + gpm * ebp.conjugate()),
-        (b0 + s0, bp + sp),
-        s0 * eb0 + 2.0 * (sp * ebp).real,
+        (
+            a0 + g00 * eb0 + 2.0 * (g0pr * ebr - g0pi * ebi),
+            apr + gp0r * eb0 + (gppr * ebr - gppi * ebi) + (gpmr * ebr + gpmi * ebi),
+            api + gp0i * eb0 + (gppr * ebi + gppi * ebr) + (gpmi * ebr - gpmr * ebi),
+        ),
+        (b0 + s0, bpr + spr, bpi + spi),
+        s0 * eb0 + 2.0 * (spr * ebr - spi * ebi),
     )
 
 
@@ -175,11 +188,14 @@ def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>
       = alpha_0 <A_0> + beta_0 <B_0> + 2 Re(alpha_+ <A_+> + beta_+ <B_+>) + E_c,
     E_c being mean_field_coeffs' coupling energy; real by construction.
-    Python scalar arithmetic on h.scalars, like the flow's right-hand side.
+    Python float arithmetic on the labels' parts and h.scalars, like the
+    flow's right-hand side: Re(c <A_+>) = Re c Re <A_+> - Im c Im <A_+>.
     """
-    ev_a = expectations(h.group_a, x)
-    ev_b = expectations(h.group_b, y)
-    a0, ap, b0, bp = h.scalars[:4]
-    ea0, eap = ev_a
-    eb0, ebp = ev_b
-    return a0 * ea0 + b0 * eb0 + 2.0 * (ap * eap + bp * ebp).real + mean_field_coeffs(h, ev_a, ev_b)[2]
+    x, y = complex(x), complex(y)
+    ev_a = expectations(h.group_a, x.real, x.imag)
+    ev_b = expectations(h.group_b, y.real, y.imag)
+    a0, apr, api, b0, bpr, bpi = h.scalars[:6]
+    ea0, ear, eai = ev_a
+    eb0, ebr, ebi = ev_b
+    one_body = a0 * ea0 + b0 * eb0 + 2.0 * ((apr * ear - api * eai) + (bpr * ebr - bpi * ebi))
+    return one_body + mean_field_coeffs(h, ev_a, ev_b)[2]

@@ -109,8 +109,8 @@ def rhs_term_magnitudes(v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     x = abs(complex(v[0], v[1]))
     y = abs(complex(v[2], v[3]))
     a, b = mean_field_coeff_magnitudes(h, x, y)
-    ev_a = _expectation_magnitudes(h.group_a, x)
-    ev_b = _expectation_magnitudes(h.group_b, y)
+    ev_a = expectation_magnitudes(h.group_a, x)
+    ev_b = expectation_magnitudes(h.group_b, y)
     dx = _one_label_magnitude(h.group_a, x, a)
     dy = _one_label_magnitude(h.group_b, y, b)
     deta_x, ds1_x = _action_rate_magnitudes(h.group_a, x, dx, a)
@@ -126,13 +126,14 @@ def mean_field_coeff_magnitudes(h: BilinearHamiltonian, x: complex, y: complex) 
     small multiple of eps times these bounds the rounding error of any
     evaluation order of the coefficients.
     """
-    ev_a = _expectation_magnitudes(h.group_a, abs(x))
-    ev_b = _expectation_magnitudes(h.group_b, abs(y))
+    ev_a = expectation_magnitudes(h.group_a, abs(x))
+    ev_b = expectation_magnitudes(h.group_b, abs(y))
     gamma = np.abs(h.gamma)
     return np.abs(h.alpha) + gamma @ ev_b, np.abs(h.beta) + gamma.T @ ev_a
 
 
-def _expectation_magnitudes(group: GroupKind, r: float) -> np.ndarray:
+def expectation_magnitudes(group: GroupKind, r: float) -> np.ndarray:
+    """Sizes of the terms each of expectations' three components sums, at |z| = r."""
     if not group.is_spin:
         return np.array([r * r, r, r])
     # the terms of -j (1 - r^2) / (1 + r^2) add up to j

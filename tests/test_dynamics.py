@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cohchaos import dynamics
-from cohchaos.algebra import HEISENBERG, Gen, expectations, generator_matrices, spin
+from cohchaos.algebra import HEISENBERG, expectations, generator_matrices, spin
 from cohchaos.dynamics import (
     IntegrationError,
     IntegratorConfig,
@@ -44,21 +44,22 @@ def test_label_rhs_decoupled():
 def test_label_rhs_coupled_spin_nonlinearity():
     h = maser_hamiltonian(MaserParams(g=0.4, g_prime=0.1, j=2.0))
     s = ProductState(x=1.0 + 0.5j, y=0.3 - 0.2j)
-    _, b, _ = mean_field_coeffs(h, expectations(h.group_a, s.x), expectations(h.group_b, s.y))
+    ev_a, ev_b = expectations(h.group_a, s.x.real, s.x.imag), expectations(h.group_b, s.y.real, s.y.imag)
+    _, (b0, bp_re, bp_im), _ = mean_field_coeffs(h, ev_a, ev_b)
     _, dy = label_velocities(h, s)
-    b0, bp = b[Gen.ZERO], b[Gen.PLUS]
+    bp = complex(bp_re, bp_im)
     manual = -1j * bp - 1j * b0 * s.y + 1j * np.conj(bp) * s.y * s.y
     assert dy == pytest.approx(manual, abs=1e-14)
 
 
 def test_action_rate_stationary_fiducial():
-    coeffs = (1.3, 0j)
-    dz, eta, s1 = _degree_rates(HEISENBERG, 0j, coeffs)
-    assert dz == 0.0 and eta == 0.0
+    coeffs = (1.3, 0.0, 0.0)
+    dzr, dzi, eta, s1 = _degree_rates(HEISENBERG, 0.0, 0.0, coeffs)
+    assert dzr == dzi == 0.0 and eta == 0.0
     assert s1 == pytest.approx(-1.3, abs=1e-15)
     # spin fiducial |j,-j> has energy -j*b0, so the phase rate is +j*b0
-    dz_s, eta_s, s1_s = _degree_rates(spin(2.0), 0j, coeffs)
-    assert dz_s == 0.0
+    dzr_s, dzi_s, eta_s, s1_s = _degree_rates(spin(2.0), 0.0, 0.0, coeffs)
+    assert dzr_s == dzi_s == 0.0
     assert eta_s == pytest.approx(2.0 * 1.3, abs=1e-14)
     assert s1_s == pytest.approx(eta_s * (2.0 - 1.0) / 2.0, abs=1e-14)
 
@@ -67,7 +68,8 @@ def fd_rate(group, z, dz, coeffs, fiducial, delta=1e-5, dim=40):
     """Numerically differentiated matrix element <k|D^+(i d/dt - h)D|k>."""
     trunc = None if group.is_spin else dim
     mats = generator_matrices(group, truncation=trunc)
-    c0, cp = coeffs
+    c0, cp_re, cp_im = coeffs
+    cp = complex(cp_re, cp_im)
     h = c0 * mats[0] + cp * mats[1] + cp.conjugate() * mats[2]
 
     def vec(tau):
@@ -79,14 +81,14 @@ def fd_rate(group, z, dz, coeffs, fiducial, delta=1e-5, dim=40):
 
 
 def drive_for_velocity(group, z, dz, c0):
-    """One-body coefficients (c_0, c_+) under which the flow moves z with velocity dz."""
+    """One-body coefficients (c_0, Re c_+, Im c_+) under which the flow moves z with velocity dz."""
     if not group.is_spin:
         cp = 1j * dz - c0 * z  # dz = -i (c_0 z + c_+)
     else:
         # dz = -i c_+ - i c_0 z + i conj(c_+) z^2, solved together with its conjugate (|z| != 1)
         r = dz + 1j * c0 * z
         cp = (r - z * z * r.conjugate()) / (1j * (abs(z) ** 4 - 1.0))
-    return c0, cp
+    return c0, cp.real, cp.imag
 
 
 @pytest.mark.parametrize(
@@ -101,8 +103,8 @@ def drive_for_velocity(group, z, dz, c0):
 def test_action_rate_matches_finite_difference(group, z, dz, coeffs):
     # coeffs holds c_0; the drive c_+ is solved for so that the flow's velocity at z is dz
     coeffs = drive_for_velocity(group, z, dz, *coeffs)
-    flow_dz, eta, s1 = _degree_rates(group, z, coeffs)
-    assert abs(flow_dz - dz) < 1e-15
+    dzr, dzi, eta, s1 = _degree_rates(group, z.real, z.imag, coeffs)
+    assert abs(complex(dzr, dzi) - dz) < 1e-15
     assert abs(eta - fd_rate(group, z, dz, coeffs, 0)) < 1e-8
     assert abs(s1 - fd_rate(group, z, dz, coeffs, 1)) < 1e-8
 
@@ -111,11 +113,11 @@ def test_action_rate_circular_orbit_is_constant():
     # |z| = 1 orbit under the bare number operator: geometric and energy
     # terms cancel for the fiducial and leave -omega for the first level
     omega = 1.0
-    coeffs = (omega, 0j)
+    coeffs = (omega, 0.0, 0.0)
     for t in (0.0, 0.7, 2.1):
         z = complex(np.exp(-1j * omega * t))
-        dz, eta, s1 = _degree_rates(HEISENBERG, z, coeffs)
-        assert dz == pytest.approx(-1j * omega * z, abs=1e-15)
+        dzr, dzi, eta, s1 = _degree_rates(HEISENBERG, z.real, z.imag, coeffs)
+        assert complex(dzr, dzi) == pytest.approx(-1j * omega * z, abs=1e-15)
         assert eta == pytest.approx(0.0, abs=1e-14)
         assert s1 == pytest.approx(-omega, abs=1e-14)
 
@@ -169,9 +171,8 @@ def test_bloch_vector_stays_on_sphere(fig1_h, fig1_states):
     g = fig1_h.group_b
     traj = integrate(fig1_h, fig1_states[0], 5.0, IntegratorConfig(sample_dt=0.5))
     for y in traj.y:
-        jz = expectations(g, y)[Gen.ZERO].real
-        jp = expectations(g, y)[Gen.PLUS]
-        length = math.sqrt(jp.real**2 + jp.imag**2 + jz * jz)
+        jz, jp_re, jp_im = expectations(g, y.real, y.imag)
+        length = math.sqrt(jp_re**2 + jp_im**2 + jz * jz)
         assert abs(length - g.j) < 1e-10
 
 

@@ -105,14 +105,26 @@ def test_construction_copies_the_callers_complex_arrays():
     alpha[0] = 7.0
     gamma[1, 1] = 3.0
     assert h.alpha[0] == 1.0 and h.gamma[1, 1] == 0.0
-    assert h.scalars[0] == 1.0 and h.scalars[7] == 0.0
+    assert h.scalars[0] == 1.0 and h.scalars[11] == 0.0
+
+
+def test_scalars_hold_the_independent_entries_as_real_floats():
+    alpha = np.array([1.5, 0.2 + 0.1j, 0.2 - 0.1j])
+    beta = np.array([-0.5, 0.3 - 0.7j, 0.3 + 0.7j])
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[0, 0] = 0.25
+    for (i, k), c in zip(((0, 1), (1, 0), (1, 1), (1, 2)), (1 + 2j, 3 + 4j, 5 + 6j, 7 + 8j)):
+        gamma[i, k], gamma[(0, 2, 1)[i], (0, 2, 1)[k]] = c, np.conj(c)
+    h = BilinearHamiltonian(group_a=HEISENBERG, group_b=spin(1.0), alpha=alpha, beta=beta, gamma=gamma)
+    # each zero entry once, each PLUS entry as (real, imaginary)
+    assert h.scalars == (1.5, 0.2, 0.1, -0.5, 0.3, -0.7, 0.25, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+    assert all(type(c) is float for c in h.scalars)
 
 
 def test_mean_field_coeffs_decoupled():
     h = decoupled(epsilon=0.7, omega=1.3)
-    a, b, coupling = mean_field_coeffs(h, expectations(h.group_a, 0.4 + 0.2j), expectations(h.group_b, -0.1j))
-    assert np.allclose(a, h.alpha[:2])
-    assert np.allclose(b, h.beta[:2])
+    a, b, coupling = mean_field_coeffs(h, expectations(h.group_a, 0.4, 0.2), expectations(h.group_b, 0.0, -0.1))
+    assert a == (1.3, 0.0, 0.0) and b == (0.7, 0.0, 0.0)
     assert coupling == 0.0
 
 
@@ -120,18 +132,19 @@ def test_mean_field_coeffs_manual():
     p = MaserParams(epsilon=1.0, omega=1.0, g=0.4, g_prime=0.15, j=2.0)
     h = maser_hamiltonian(p)
     x, y = 0.8 - 0.3j, 0.2 + 0.5j
-    eva = expectations(h.group_a, x)
-    evb = expectations(h.group_b, y)
+    eva = expectations(h.group_a, x.real, x.imag)
+    evb = expectations(h.group_b, y.real, y.imag)
     a, b, coupling = mean_field_coeffs(h, eva, evb)
     # the three-component contraction, with the numpy expectations of the reference
     eva_full, evb_full = numpy_expectations(h.group_a, x), numpy_expectations(h.group_b, y)
     a_full = h.alpha + h.gamma @ evb_full
     b_full = h.beta + h.gamma.T @ eva_full
-    assert np.allclose(a, a_full[:2], atol=1e-14)
-    assert np.allclose(b, b_full[:2], atol=1e-14)
+    assert np.allclose((a[0], complex(a[1], a[2])), a_full[:2], atol=1e-14)
+    assert np.allclose((b[0], complex(b[1], b[2])), b_full[:2], atol=1e-14)
     assert coupling == pytest.approx((eva_full @ h.gamma @ evb_full).real, abs=1e-14)
-    # the hermitian structure the reduced form relies on survives the full contraction
-    assert type(a[Gen.ZERO]) is float and type(b[Gen.ZERO]) is float and type(coupling) is float
+    # every returned entry is a real float, and the hermitian structure the
+    # reduced form relies on survives the full contraction
+    assert [type(c) for c in (*a, *b, coupling)] == [float] * 7
     assert abs(a_full[Gen.ZERO].imag) < 1e-14 and abs(b_full[Gen.ZERO].imag) < 1e-14
     assert abs(a_full[Gen.MINUS] - np.conj(a_full[Gen.PLUS])) < 1e-14
     assert abs(b_full[Gen.MINUS] - np.conj(b_full[Gen.PLUS])) < 1e-14
@@ -180,8 +193,8 @@ def test_interaction_energy_decomposition():
     h = maser_hamiltonian(p)
     x, y = 1.4 - 0.6j, 0.5 + 0.2j
     one_body = classical_energy(maser_hamiltonian(MaserParams(p.epsilon, p.omega, 0.0, 0.0, p.j)), x, y)
-    eva, evb = expectations(h.group_a, x), expectations(h.group_b, y)
+    eva, evb = expectations(h.group_a, x.real, x.imag), expectations(h.group_b, y.real, y.imag)
     coupling = mean_field_coeffs(h, eva, evb)[2]
     assert classical_energy(h, x, y) == pytest.approx(one_body + coupling, abs=1e-12)
     h0 = maser_hamiltonian(MaserParams(j=2.0, g=0.0, g_prime=0.0))
-    assert mean_field_coeffs(h0, eva, expectations(h0.group_b, y))[2] == 0.0
+    assert mean_field_coeffs(h0, eva, expectations(h0.group_b, y.real, y.imag))[2] == 0.0

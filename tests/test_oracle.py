@@ -517,7 +517,7 @@ def test_product_vector_expectations():
     jz = sp.kron(sp.identity(cfg.n_max + 1, format="csr"), sp.csr_matrix(generator_matrices(spin_group(1.5))[0]))
     from cohchaos.algebra import Gen, expectations
 
-    assert abs(operator_expectation(st, jz.tocsr()) - expectations(spin_group(1.5), y)[Gen.ZERO]) < 1e-10
+    assert abs(operator_expectation(st, jz.tocsr()) - expectations(spin_group(1.5), y.real, y.imag)[Gen.ZERO]) < 1e-10
     num = sp.kron(
         sp.diags(np.arange(cfg.n_max + 1, dtype=float)), sp.identity(cfg.spin_dim, format="csr")
     )

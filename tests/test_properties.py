@@ -23,7 +23,7 @@ from cohchaos.algebra import (
 )
 from cohchaos.dynamics import IntegrationError, IntegratorConfig, ProductState, _rhs, integrate, trajectory_energy
 from cohchaos.experiments import _TOP_FOCK_BOUND, ExperimentConfig, _exact_runs, _Run
-from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
+from cohchaos.model import BilinearHamiltonian, MaserParams, classical_energy, maser_hamiltonian, mean_field_coeffs
 from cohchaos.oracle import (
     ExactEvolver,
     HilbertConfig,
@@ -32,6 +32,7 @@ from cohchaos.oracle import (
     product_coherent_vector,
 )
 from reference import (
+    expectation_magnitudes,
     expectations as numpy_expectations,
     interaction_energy as numpy_interaction_energy,
     kron_hamiltonian_matrix,
@@ -235,25 +236,35 @@ def test_scalar_rhs_equals_the_numpy_reference(h, x, y, eta_x, eta_y):
 def test_reduced_mean_field_coeffs_equal_the_numpy_reference(h, x, y):
     # the independent half (a_0, a_+), (b_0, b_+) against all three numpy
     # components, on every pairing of oscillator and spin
-    got_a, got_b, _ = mean_field_coeffs(h, expectations(h.group_a, x), expectations(h.group_b, y))
+    ev_a, ev_b = expectations(h.group_a, x.real, x.imag), expectations(h.group_b, y.real, y.imag)
+    got_a, got_b, _ = mean_field_coeffs(h, ev_a, ev_b)
     want_a, want_b = numpy_mean_field_coeffs(h, numpy_expectations(h.group_a, x), numpy_expectations(h.group_b, y))
+    assert [type(c) for c in (*ev_a, *ev_b, *got_a, *got_b)] == [float] * 12
     for got, want, size in zip((got_a, got_b), (want_a, want_b), mean_field_coeff_magnitudes(h, x, y), strict=True):
         bound = 16 * EPS * size
-        assert type(got[0]) is float
-        assert abs(got[0] - want[0]) <= bound[0] and abs(got[1] - want[1]) <= bound[1]
+        assert abs(got[0] - want[0]) <= bound[0] and abs(complex(got[1], got[2]) - want[1]) <= bound[1]
         # the MINUS component the reduced form drops is the conjugate of PLUS
         assert abs(want[2] - np.conj(want[1])) <= bound[1]
 
 
 @settings(max_examples=200, deadline=None)
-@given(bilinear_models(), FLOW_LABELS, FLOW_LABELS)
+@given(bilinear_models(st.tuples(GROUPS, GROUPS)), FLOW_LABELS, FLOW_LABELS)
 def test_coupling_energy_equals_the_numpy_reference(h, x, y):
     ev_a, ev_b = numpy_expectations(h.group_a, x), numpy_expectations(h.group_b, y)
-    got = mean_field_coeffs(h, expectations(h.group_a, x), expectations(h.group_b, y))[2]
-    # forward error of a sum of nine products: eps times the size of its terms
-    # (1.8 eps was the worst of 3000 draws)
-    terms = np.abs(ev_a) @ np.abs(h.gamma) @ np.abs(ev_b)
-    assert abs(got - numpy_interaction_energy(h, ev_a, ev_b)) <= 16 * EPS * terms
+    got = mean_field_coeffs(h, expectations(h.group_a, x.real, x.imag), expectations(h.group_b, y.real, y.imag))[2]
+    # forward error of a sum of nine products: eps times the size of its
+    # terms, each expectation's own terms included (a spin's <J_z> cancels at
+    # |z| = 1, where the library's |z|^2 and the reference's round apart);
+    # 2.2 eps was the worst of 3000 draws
+    size_a, size_b = expectation_magnitudes(h.group_a, abs(x)), expectation_magnitudes(h.group_b, abs(y))
+    terms = size_a @ np.abs(h.gamma) @ size_b
+    coupling = numpy_interaction_energy(h, ev_a, ev_b)
+    assert abs(got - coupling) <= 16 * EPS * terms
+    # the whole classical energy, with the alpha and beta terms (1.6 eps was
+    # the worst of 3000 draws)
+    want = (h.alpha @ ev_a + h.beta @ ev_b).real + coupling
+    sizes = np.abs(h.alpha) @ size_a + np.abs(h.beta) @ size_b + terms
+    assert abs(classical_energy(h, x, y) - want) <= 16 * EPS * sizes
 
 
 # n_max >= 25 keeps a field label of modulus <= 0.5 inside the truncation policy
