@@ -227,7 +227,7 @@ def test_scalar_rhs_equals_the_numpy_reference(h, x, y, eta_x, eta_y):
     assert len(got) == 9 and all(type(c) is float for c in got)
     # componentwise forward error: each component is bounded by eps times
     # the size of the terms it sums, which is |want| where nothing cancels
-    # (1.8 eps was the worst of 3000 draws)
+    # (2.5 eps was the worst of 3000 draws)
     assert np.all(np.abs(np.array(got) - want) <= 16 * EPS * rhs_term_magnitudes(v, h))
 
 
@@ -255,7 +255,7 @@ def test_coupling_energy_equals_the_numpy_reference(h, x, y):
     # forward error of a sum of nine products: eps times the size of its
     # terms, each expectation's own terms included (a spin's <J_z> cancels at
     # |z| = 1, where the library's |z|^2 and the reference's round apart);
-    # 2.2 eps was the worst of 3000 draws
+    # 2.1 eps was the worst of 3000 draws
     size_a, size_b = expectation_magnitudes(h.group_a, abs(x)), expectation_magnitudes(h.group_b, abs(y))
     terms = size_a @ np.abs(h.gamma) @ size_b
     coupling = numpy_interaction_energy(h, ev_a, ev_b)
@@ -342,7 +342,7 @@ def test_mean_field_is_exact_at_zero_coupling(frequencies, two_j, x, y):
 def test_energy_drift_scales_with_the_tolerance(couplings, two_j, x_parts, y_parts):
     # VODE Adams at abs_tol = rel_tol / 100: over ten sets of 300 draws to
     # t = 5 (hypothesis seeds 1-10) the drift relative to max(1, |E0|) was at
-    # most 3.1e4 rel_tol at 1e-10 and 4.5e4 rel_tol at 1e-12, both in one
+    # most 2.6e4 rel_tol at 1e-10 and 4.1e4 rel_tol at 1e-12, both in one
     # set; the bound allows 1e5 rel_tol at both
     epsilon, omega, g, g_prime = couplings
     h = maser_hamiltonian(MaserParams(epsilon=epsilon, omega=omega, g=g, g_prime=g_prime, j=two_j / 2))
