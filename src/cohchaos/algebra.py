@@ -4,8 +4,8 @@ This module fixes the displacement conventions and is the one home of the
 closed forms the rest of the library is built on: overlaps between coherent
 states and their distance exponent, generator expectation values, the rows
 expressing a displaced generator as a combination of generators plus a
-scalar, and the generator matrices and their bands.  Every closed form here
-is cross-checked in the tests against literal truncated-basis matrix
+scalar, and the generators' bands in a truncated basis.  Every closed form
+here is cross-checked in the tests against literal truncated-basis matrix
 algebra.
 
 Conventions (see docs/conventions.md, version CONVENTIONS_VERSION):
@@ -75,7 +75,8 @@ class GroupKind:
             if self.j is None:
                 raise ValueError("spin degree needs a magnitude j")
             two_j = 2.0 * self.j
-            if self.j <= 0 or abs(two_j - round(two_j)) > 1e-12:
+            # round() raises OverflowError on an infinite 2j
+            if not (self.j > 0 and math.isfinite(two_j)) or abs(two_j - round(two_j)) > 1e-12:
                 raise ValueError(f"spin magnitude must be positive half-integer, got {self.j}")
 
     @property
@@ -236,21 +237,9 @@ def raising_matrix_element(group: GroupKind) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Truncated-basis representations: the generator matrices, their bands and
-# the coherent vectors the oracle is built from, against which the tests
-# also check the closed forms above.
-
-
-def generator_matrices(group: GroupKind, truncation: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (A_0, A_+, A_-) for one degree, ordered (ZERO, PLUS, MINUS), each filled from its band.
-
-    Oscillator: (n, a^dag, a) on the lowest `truncation` Fock states.
-    Spin: (J_z, J_+, J_-) in the basis |j,-j+k>, k = 0 .. 2j.
-    """
-    return tuple(
-        np.diag(values[max(0, -offset):len(values) - max(0, offset)], offset)
-        for offset, values in _generator_bands(group, truncation)
-    )
+# Truncated-basis representations: the generators' bands and the coherent
+# vectors the oracle is built from, against which the tests also check the
+# closed forms above.
 
 
 def _generator_bands(group: GroupKind, truncation: int | None = None) -> tuple[tuple[int, np.ndarray], ...]:
@@ -258,7 +247,8 @@ def _generator_bands(group: GroupKind, truncation: int | None = None) -> tuple[t
 
     Each generator fills one diagonal: A_0 the main one, the raising A_+
     the one below it (offset -1) and the lowering A_- the one above (+1).
-    The truncation is that of generator_matrices.
+    A spin has 2j + 1 basis states |j,-j+k>; an oscillator keeps the
+    lowest `truncation` Fock states.
     """
     if group.is_spin:
         k = np.arange(group.dim)

@@ -331,34 +331,17 @@ def mf_overlap(s1: ProductState, s2: ProductState, group_a: GroupKind, group_b: 
     return complex(phase * overlap(group_a, s1.x, s2.x) * overlap(group_b, s1.y, s2.y))
 
 
-def label_distances(s1: ProductState | Trajectory, s2: ProductState | Trajectory, group_a: GroupKind, group_b: GroupKind):
-    """Distance exponents (d_field, d_spin) of the first and second degree.
+def label_distances(t1: Trajectory, t2: Trajectory, group_a: GroupKind, group_b: GroupKind) -> tuple[np.ndarray, np.ndarray]:
+    """Distance exponents (d_field, d_spin) of two trajectories on one sample grid, one value per sample.
 
-    Each is algebra.overlap_exponent of that degree's labels, so the pair
-    overlap modulus squared is exp(-(d_field + d_spin)).  Two ProductStates
-    give two floats; two Trajectory objects on one sample grid give two
-    arrays, one value per sample.
+    Each is algebra.overlap_exponent of that degree's labels at the sample,
+    so the pair overlap modulus squared is exp(-(d_field + d_spin)).
     """
-    if isinstance(s1, Trajectory):
-        # the scalar form per sample: numpy's log1p and abs round some inputs an ulp apart from it
-        return tuple(
-            np.array([overlap_exponent(g, a, b) for a, b in zip(z1.tolist(), z2.tolist(), strict=True)])
-            for g, z1, z2 in ((group_a, s1.x, s2.x), (group_b, s1.y, s2.y))
-        )
-    return overlap_exponent(group_a, s1.x, s2.x), overlap_exponent(group_b, s1.y, s2.y)
-
-
-class ScaledState(NamedTuple):
-    """Classical-limit coordinates: oscillator label over sqrt(4j), spin label as is."""
-
-    z_field: complex
-    z_spin: complex
-
-
-def scale_to_classical(s: ProductState, j: float) -> ScaledState:
-    """Map labels to the classical-limit coordinates (x/sqrt(4j), y)."""
-    root = math.sqrt(4.0 * j)
-    return ScaledState(z_field=s.x / root, z_spin=s.y)
+    # the scalar form per sample: numpy's log1p and abs round some inputs an ulp apart from it
+    return tuple(
+        np.array([overlap_exponent(g, a, b) for a, b in zip(z1.tolist(), z2.tolist(), strict=True)])
+        for g, z1, z2 in ((group_a, t1.x, t2.x), (group_b, t1.y, t2.y))
+    )
 
 
 def window_count(t_total: float, window: float) -> int:
@@ -386,48 +369,48 @@ def lyapunov_series(
     renorm_interval: float = 1.0,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> LyapunovSeries:
-    """Two-trajectory largest-Lyapunov estimate in scaled classical coordinates.
+    """Two-trajectory largest-Lyapunov estimate in the scaled classical coordinates (x / sqrt(4j), y).
 
     A partner trajectory offset by delta0 along the scaled real field
     direction is integrated alongside the reference, both as one stacked
-    system so that they share every step; after every window the log
-    stretch of the scaled separation is accumulated and the partner is
-    pulled back to distance delta0 along the current separation direction.
-    t_total must be a whole number of windows.
+    system so that they share every step, and both from zero phases each
+    window; after every window the log stretch of the scaled separation is
+    accumulated and the partner is pulled back to distance delta0 along the
+    current separation direction.  t_total must be a whole number of
+    windows.  A label out of range where a window starts the partner, or
+    where it ends either state, raises IntegrationError with the time.
     """
     if not (delta0 > 0.0 and t_total > 0.0 and 0.0 < renorm_interval <= t_total):
         raise ValueError("need delta0 > 0, t_total > 0, 0 < renorm_interval <= t_total")
     j = h.group_b.j if h.group_b.is_spin else (h.group_a.j if h.group_a.is_spin else 0.25)
     root = math.sqrt(4.0 * j)
+    # (Re x, Im x, Re y, Im y) over scale are the scaled coordinates
+    scale = np.array([root, root, 1.0, 1.0])
     n_windows = window_count(t_total, renorm_interval)
-    ref = ProductState(x=s0.x, y=s0.y)
-    pert = ProductState(x=s0.x + delta0 * root, y=s0.y)
+    ref = np.array([s0.x.real, s0.x.imag, s0.y.real, s0.y.imag])
+    partner = ref + np.array([delta0 * root, 0.0, 0.0, 0.0])
     log_sum = 0.0
     rhs_evals = 0
     ends = np.empty(n_windows)
     running = np.empty(n_windows)
     for w in range(n_windows):
         times = renorm_interval * np.array([w, w + 1.0])
-        v, evals = _solve(_pair_rhs, np.concatenate((_pack(ref), _pack(pert))), times, cfg, h)
+        # the reference, then the partner, each laid out as _pack lays a state out
+        state = np.zeros(18)
+        state[:4], state[9:13] = ref, partner
+        _check_labels(times[:1], state[[9]] + 1j * state[[10]], state[[11]] + 1j * state[[12]])
+        v, evals = _solve(_pair_rhs, state, times, cfg, h)
         rhs_evals += 2 * evals  # one evaluation per state, as mean_field_coeffs counts them
-        x = v[[0, 9], 1] + 1j * v[[1, 10], 1]
-        y = v[[2, 11], 1] + 1j * v[[3, 12], 1]
-        _check_labels(np.repeat(times[1], 2), x, y)
-        ref = ProductState(x=x[0], y=y[0])
-        p_end = ProductState(x=x[1], y=y[1])
-        end, start = scale_to_classical(p_end, j), scale_to_classical(ref, j)
-        # (re, im) of the field and of the spin separation, as one real 4-vector
-        sep = np.array([end.z_field - start.z_field, end.z_spin - start.z_spin]).view(float)
+        end = v[:, 1]
+        _check_labels(np.repeat(times[1], 2), end[[0, 9]] + 1j * end[[1, 10]], end[[2, 11]] + 1j * end[[3, 12]])
+        ref, partner = end[:4], end[9:13]
+        # scaled per state, then subtracted: the order the recorded exponents were made with
+        sep = partner / scale - ref / scale
         dist = float(np.linalg.norm(sep))
         if dist == 0.0:
             raise IntegrationError("perturbed trajectory collapsed onto the reference")
         log_sum += math.log(dist / delta0)
         ends[w] = (w + 1) * renorm_interval
         running[w] = log_sum / ends[w]
-        sep *= delta0 / dist
-        pert = ProductState(
-            x=ref.x + complex(sep[0], sep[1]) * root,
-            y=ref.y + complex(sep[2], sep[3]),
-        )
+        partner = ref + (sep * (delta0 / dist)) * scale
     return LyapunovSeries(window_ends=ends, running=running, rhs_evals=rhs_evals)
-

@@ -241,11 +241,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_raw(path) -> dict:
-    """Read a config file into a raw mapping, with located JSON errors."""
+    """Read a UTF-8 config file into a raw mapping, with located JSON errors."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -297,12 +297,14 @@ def project_with_fallback(
     the field's mean-field coefficients and b = 2 Re(step (c0 conj(x) + c_-)),
     taken on real parts: 2 (c0 Im x + Im c_+) for step i, 2 (c0 Re x + Re c_+) for 1.
     The shift is the root closest to zero with |u| <= _MAX_SHIFT (-r when
-    b = 0 gives +-r). Why Im x failed is appended to reasons, if given; if
-    Re x fails too, the error gives both directions' ranges.
+    b = 0 gives +-r); a discriminant that overflows counts as no root. Why
+    Im x failed is appended to reasons, if given; if Re x fails too, the
+    error gives both directions' ranges.
     """
     if h.group_a.is_spin:
         raise ValueError("the energy is quadratic in the shift only for an oscillator field label")
-    gap = classical_energy(h, s.x, s.y) - target
+    energy = classical_energy(h, s.x, s.y)
+    gap = energy - target
     if abs(gap) <= 1e-12 * max(1.0, abs(target)):
         return s, "im_x"
     ev_a = expectations(h.group_a, s.x.real, s.x.imag)
@@ -315,9 +317,12 @@ def project_with_fallback(
             roots = [-gap / b] if b else []
         elif b == 0.0:
             roots = [-math.sqrt(-gap / c0)] if disc >= 0.0 else []
+        elif 0.0 <= disc < math.inf:
+            # an overflowed discriminant would make q infinite and gap / q a spurious zero shift
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = [q / c0, gap / q]
         else:
-            q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
-            roots = [q / c0, gap / q] if disc >= 0.0 else []
+            roots = []
         shifts = [u for u in roots if abs(u) <= _MAX_SHIFT]
         if shifts:
             if reasons is not None:
@@ -325,10 +330,12 @@ def project_with_fallback(
             return replace(s, x=s.x + step * min(shifts, key=abs)), direction
         # the energy's extremes over the allowed shifts lie at the two ends and the vertex
         us = (-_MAX_SHIFT, _MAX_SHIFT, -b / (2.0 * c0) if c0 else 0.0)
-        gaps = [c0 * u * u + b * u + gap for u in us if abs(u) <= _MAX_SHIFT]
+        rises = [c0 * u * u + b * u for u in us if abs(u) <= _MAX_SHIFT]
+        # the range from the state's energy: gap + target cancels to 0 for a target far above it
         failures.append(
             f"no {direction} shift in [{-_MAX_SHIFT}, {_MAX_SHIFT}] reaches energy {target}: attained range "
-            f"[{min(gaps) + target:.6g}, {max(gaps) + target:.6g}] comes no closer than {min(map(abs, gaps)):.2g}"
+            f"[{min(rises) + energy:.6g}, {max(rises) + energy:.6g}] comes no closer than "
+            f"{min(abs(r + gap) for r in rises):.2g}"
         )
     raise EnergyProjectionError("; ".join(failures))
 

@@ -126,11 +126,6 @@ class OracleState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def norm(self) -> float | np.ndarray:
-        """The vector's norm: a float, or an array over the stack."""
-        return np.linalg.norm(self.amplitudes, axis=-1)
-
     def _matrices(self) -> np.ndarray:
         # amplitudes as (..., Fock level, spin index) matrices
         return self.amplitudes.reshape(self.amplitudes.shape[:-1] + (self.config.n_max + 1, self.config.spin_dim))
@@ -302,22 +297,10 @@ class ExactEvolver:
                 yield chunk[:bad[0]], amplitudes[:bad[0]]
             raise CohChaosError(f"evolution norm drift {drift[bad[0]]:.3e} at t = {float(chunk[bad[0]])}")
 
-    def evolve_grid(self, states: Sequence[OracleState], times: Iterable[float]) -> Iterator[tuple[OracleState, ...]]:
-        """Yield, for each of times in order, the states evolved from t = 0 to it.
-
-        The states, times and errors are those of evolve_chunks; the
-        yielded states are copies that later times leave alone.
-        """
-        states = tuple(states)
-        for _, amplitudes in self.evolve_chunks(states, times):
-            for row in amplitudes.copy():
-                yield tuple(
-                    OracleState(amplitudes=amps, config=st.config, truncation_deficit=st.truncation_deficit)
-                    for amps, st in zip(row, states)
-                )
-
     def evolve(self, state: OracleState, t: float) -> OracleState:
-        return next(self.evolve_grid([state], [t]))[0]
+        """state evolved from t = 0 to t; the errors are those of evolve_chunks."""
+        ((_, amplitudes),) = self.evolve_chunks([state], [t])
+        return OracleState(amplitudes[0, 0], state.config, state.truncation_deficit)
 
 
 def _gershgorin_interval(h: sp.csr_matrix) -> tuple[float, float]:

@@ -2,14 +2,17 @@
 
 Nothing here is imported by the library. Each object is either an earlier
 form of a library closed form kept verbatim (the numpy mean-field
-right-hand side) or a construction that only the tests need (single-degree
-coherent vectors with their norm deficit, matrix exponentials, excited
-fiducials, nested quadrature, a scanned energy-shell crossing).
+right-hand side) or a construction that only the tests need (dense
+generator matrices, single-degree coherent vectors with their norm
+deficit, matrix exponentials, excited fiducials, the exact evolution one
+time at a time, the classical-limit scaling and its inverse, nested
+quadrature, a scanned energy-shell crossing).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -21,9 +24,9 @@ from scipy.optimize import brentq, minimize_scalar
 from cohchaos import algebra
 from cohchaos.algebra import HEISENBERG, CohChaosError, Gen, GroupKind, TruncationError, spin
 from cohchaos.corrections import CorrectionKernel
-from cohchaos.dynamics import ProductState, ScaledState
+from cohchaos.dynamics import ProductState
 from cohchaos.model import BilinearHamiltonian, HermiticityError, MaserParams, classical_energy
-from cohchaos.oracle import HilbertConfig, OracleState
+from cohchaos.oracle import ExactEvolver, HilbertConfig, OracleState
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +163,22 @@ def _action_rate_magnitudes(group: GroupKind, r: float, dz: float, coeffs: np.nd
 
 
 # ---------------------------------------------------------------------------
+# The generators as dense matrices, filled from the bands the library keeps.
+
+
+def generator_matrices(group: GroupKind, truncation: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (A_0, A_+, A_-) for one degree, ordered (ZERO, PLUS, MINUS), each filled from its band.
+
+    Oscillator: (n, a^dag, a) on the lowest `truncation` Fock states.
+    Spin: (J_z, J_+, J_-) in the basis |j,-j+k>, k = 0 .. 2j.
+    """
+    return tuple(
+        np.diag(values[max(0, -offset):len(values) - max(0, offset)], offset)
+        for offset, values in algebra._generator_bands(group, truncation)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Coherent states beyond the fiducial, and the exact-state helpers built on
 # them.
 
@@ -171,7 +190,7 @@ def overlap_modulus_sq(group: GroupKind, z1: complex, z2: complex) -> float:
 
 def displacement_matrix(group: GroupKind, z: complex, truncation: int | None = None) -> np.ndarray:
     """Matrix of D(z), exact for spins, truncated for the oscillator."""
-    _, ap, am = algebra.generator_matrices(group, truncation)
+    _, ap, am = generator_matrices(group, truncation)
     xi = complex(z)
     if group.is_spin:
         r = abs(xi)
@@ -248,8 +267,8 @@ def doorway_vector(s: ProductState, cfg: HilbertConfig) -> OracleState:
 
 def maser_matrix_reference(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
     """The maser Hamiltonian written out with ladder operators, as a reference."""
-    num, ad, a = (sp.csr_matrix(m) for m in algebra.generator_matrices(HEISENBERG, cfg.n_max + 1))
-    jz, jp, jm = (sp.csr_matrix(m) for m in algebra.generator_matrices(spin(cfg.j)))
+    num, ad, a = (sp.csr_matrix(m) for m in generator_matrices(HEISENBERG, cfg.n_max + 1))
+    jz, jp, jm = (sp.csr_matrix(m) for m in generator_matrices(spin(cfg.j)))
     eye_f = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
     eye_s = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
     root_j = math.sqrt(p.j)
@@ -265,8 +284,8 @@ def maser_matrix_reference(p: MaserParams, cfg: HilbertConfig) -> sp.csr_matrix:
 
 def kron_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.csr_matrix:
     """H as a sum of Kronecker products, one per nonzero coefficient: what the band assembly must equal bit for bit."""
-    a_ops = [sp.csr_matrix(m) for m in algebra.generator_matrices(HEISENBERG, cfg.n_max + 1)]
-    b_ops = [sp.csr_matrix(m) for m in algebra.generator_matrices(h.group_b)]
+    a_ops = [sp.csr_matrix(m) for m in generator_matrices(HEISENBERG, cfg.n_max + 1)]
+    b_ops = [sp.csr_matrix(m) for m in generator_matrices(h.group_b)]
     eye_a = sp.identity(cfg.n_max + 1, dtype=complex, format="csr")
     eye_b = sp.identity(cfg.spin_dim, dtype=complex, format="csr")
     terms = [(h.alpha[i], a, eye_b) for i, a in enumerate(a_ops)]
@@ -282,6 +301,18 @@ def kron_hamiltonian_matrix(h: BilinearHamiltonian, cfg: HilbertConfig) -> sp.cs
 
 def operator_expectation(state: OracleState, op: sp.spmatrix) -> complex:
     return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
+
+
+def evolve_grid(evolver: ExactEvolver, states: Sequence[OracleState], times: Iterable[float]) -> Iterator[tuple[OracleState, ...]]:
+    """Yield, for each of times in order, the states evolved from t = 0 to it.
+
+    The states, times and errors are those of evolver.evolve_chunks; the
+    yielded states are copies that later times leave alone.
+    """
+    states = tuple(states)
+    for _, amplitudes in evolver.evolve_chunks(states, times):
+        for row in amplitudes.copy():
+            yield tuple(OracleState(amps, st.config, st.truncation_deficit) for amps, st in zip(row, states))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +340,21 @@ def vector_linear_entropy(amps: np.ndarray, cfg: HilbertConfig) -> float:
     return float(1.0 - np.sum(np.abs(m @ m.conj().T) ** 2))
 
 
+class ScaledState(NamedTuple):
+    """Classical-limit coordinates: oscillator label over sqrt(4j), spin label as is."""
+
+    z_field: complex
+    z_spin: complex
+
+
+def scale_to_classical(s: ProductState, j: float) -> ScaledState:
+    """Map labels to the classical-limit coordinates (x/sqrt(4j), y), those of dynamics.lyapunov_series."""
+    root = math.sqrt(4.0 * j)
+    return ScaledState(z_field=s.x / root, z_spin=s.y)
+
+
 def from_classical(scaled: ScaledState, j: float, eta_x: float = 0.0, eta_y: float = 0.0) -> ProductState:
-    """Inverse of dynamics.scale_to_classical; recovers the bare labels exactly."""
+    """Inverse of scale_to_classical; recovers the bare labels exactly."""
     root = math.sqrt(4.0 * j)
     return ProductState(x=scaled.z_field * root, y=scaled.z_spin, eta_x=eta_x, eta_y=eta_y)
 

@@ -11,13 +11,12 @@ from cohchaos.algebra import (
     GroupKind,
     TruncationError,
     expectations,
-    generator_matrices,
     group_relation_coeffs,
     overlap,
     raising_matrix_element,
     spin,
 )
-from reference import displaced_basis_vector, displacement_matrix, overlap_modulus_sq
+from reference import displaced_basis_vector, displacement_matrix, generator_matrices, overlap_modulus_sq
 
 DIM = 40
 

@@ -99,7 +99,10 @@ def test_bad_config_key_reports_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "override",
-    ["model.j=1.3", "rel_tol=0", "model.g=1e400", "lyapunov.window=0", "t_final=Infinity", "n_max=0", "n_max=-3"],
+    [
+        "model.j=1.3", "model.j=1e308", "rel_tol=0", "model.g=1e400", "lyapunov.window=0", "t_final=Infinity",
+        "n_max=0", "n_max=-3",
+    ],
 )
 def test_bad_config_value_reports_error(tmp_path, capsys, override):
     cfg = write_config(tmp_path)
@@ -132,9 +135,10 @@ def test_a_grid_past_the_cap_reports_error(tmp_path, capsys, override, keys):
         ("oracle-compare", "pairs=[[4, 0, 0.1, 0]]", "oracle-compare needs 2 initial states, got 1"),
         ("fig1", f"pairs={[[4, 0, 0.1, 0]] * 3}", "fig1 needs 4 initial states, got 3"),
         ("trajectory", "energy_target=1e6", "no im_x shift"),
+        ("trajectory", "energy_target=1e308", "no im_x shift"),
         ("entropy", "n_max=10000000", "dimension 100000010 exceeds cap"),
     ],
-    ids=["overlap-pair", "oracle-compare", "fig1", "projection", "basis-cap"],
+    ids=["overlap-pair", "oracle-compare", "fig1", "projection", "projection-overflow", "basis-cap"],
 )
 def test_a_run_failing_before_its_verb_leaves_no_out_directory(tmp_path, capsys, verb, override, error):
     # the state count, the projection and the basis size are all settled before --out is created
@@ -155,6 +159,14 @@ def test_a_basis_too_small_for_the_evolution_stops_the_run_and_leaves_no_files(t
     err = capsys.readouterr().err
     assert err.startswith("error: top Fock population ")
     assert err.endswith(" of state 1 at t = 4.85 exceeds 1e-10 at n_max = 48; raise n_max\n")
+    assert list(out.iterdir()) == []
+
+
+def test_a_lyapunov_partner_out_of_range_stops_the_run_at_t0_and_leaves_no_files(tmp_path, capsys):
+    # delta0 = 1e6 puts the partner's field label at |x| = 4.2e6, past the 1e6 bound, as it enters the flow
+    out = tmp_path / "out"
+    assert main(["lyapunov", "--preset", "fig1", "--out", str(out), "--override", "lyapunov.delta0=1e6"]) == 2
+    assert capsys.readouterr().err == "error: label non-finite or beyond |z| = 1e+06 at t = 0\n"
     assert list(out.iterdir()) == []
 
 
@@ -182,6 +194,16 @@ def test_missing_config_file(tmp_path, capsys):
     code = main(["trajectory", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_reports_error(tmp_path, capsys):
+    # Latin-1 text, whose bytes 0xe9 and 0xe0 are not valid UTF-8
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes('{"t_final": 1.0, "note": "d\u00e9j\u00e0 vu"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["trajectory", "--config", str(cfg), "--preset", "fig1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec can't decode")
+    assert not out.exists()
 
 
 def test_parser_metadata():

@@ -10,7 +10,7 @@ from cohchaos.dynamics import IntegratorConfig, ProductState, Trajectory, integr
 from cohchaos.experiments import ExperimentConfig, _Run, save_kernel_csv
 from cohchaos.model import MaserParams, maser_hamiltonian
 from cohchaos.oracle import exact_overlap_pair, product_coherent_vector
-from reference import doorway_vector, linear_entropy_2nd
+from reference import doorway_vector, evolve_grid, linear_entropy_2nd
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +206,7 @@ def test_doorway_amplitude_matches_exact_projection(fig1_h, fig1_states, fig1_hi
 
     psi0 = product_coherent_vector(state.x, state.y, fig1_hilbert)
     idx = [2, 6, 10]
-    for i, (psi_t,) in zip(idx, fig1_evolver.evolve_grid([psi0], traj.times[idx]), strict=True):
+    for i, (psi_t,) in zip(idx, evolve_grid(fig1_evolver, [psi0], traj.times[idx]), strict=True):
         moving = traj.state_at(i)
         door = doorway_vector(ProductState(x=moving.x, y=moving.y), fig1_hilbert)
         amp_exact = exact_overlap_pair(door, psi_t) * np.exp(-1j * traj.s1[i])

@@ -246,6 +246,20 @@ def test_project_unreachable_reports_range():
     assert reasons == []
 
 
+@pytest.mark.parametrize("target", [1e200, 1e308])
+def test_project_to_a_target_far_out_of_reach_fails_with_the_attained_range(target):
+    # at 1e308 the discriminant overflows, and its root gap / q = -0 must not
+    # pass as a shift; the range comes from the state's energy (here 0 to
+    # rounding), since gap + target cancels to 0 at both targets
+    h = maser_hamiltonian(MaserParams(g=0.0, g_prime=0.0, j=0.5))
+    s = ProductState(x=0.7 + 0.1j, y=0.0j)
+    with pytest.raises(EnergyProjectionError) as exc:
+        project_with_fallback(s, h, target)
+    # along im_x the energy is u^2 + 0.2 u, along re_x u^2 + 1.4 u, for |u| <= 8
+    ranges = re.findall(r"attained range \[([^,]+), ([^\]]+)\]", str(exc.value))
+    assert ranges == [("-0.01", "65.6"), ("-0.49", "75.2")]
+
+
 def test_project_finds_a_shell_crossed_twice_inside_one_scan_cell():
     # along im_x the energy is E(0.7, y) + (u - 0.05)^2, so the target
     # E(0.7, y) + 0.001 is crossed at u = 0.05 -+ sqrt(0.001), 0.018 and
