@@ -39,6 +39,10 @@ converts itself, and builds no array.  It stays general over the bilinear
 class: either degree may be an oscillator or a spin, and every
 independent alpha, beta and gamma entry enters.
 
+_rhs is the one definition of the flow: _tangent_rhs evaluates it once
+at label parts a complex step off the real ones, whose imaginary parts
+then carry the Jacobian-vector product.
+
 Labels are validated where they enter and leave the flow, not in the RHS:
 ProductState requires them finite with |z| <= 1e6, and integrate raises
 IntegrationError at the first sample time where a label breaks that.
@@ -185,9 +189,11 @@ def _pack(s: ProductState) -> np.ndarray:
     return np.array([s.x.real, s.x.imag, s.y.real, s.y.imag, s.eta_x, s.eta_y, 0.0, 0.0, 0.0])
 
 
-def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> tuple[float, ...]:
-    # Python floats throughout, and a tuple back: VODE converts it itself
-    xr, xi, yr, yi = v.tolist()[:4]
+def _rhs(t: float, v: list[float], h: BilinearHamiltonian) -> tuple[float, ...]:
+    # v is the state as Python floats (_solve converts VODE's array), and a
+    # tuple goes back: VODE converts it itself.  Only + - * / act on the
+    # label parts, so _tangent_rhs may pass them complex.
+    xr, xi, yr, yi = v[:4]
     # the factorized one-body Hamiltonians each count the coupling energy
     # dphi once, so the physical phases carry it back as a counterterm
     a, b, dphi = mean_field_coeffs(h, expectations(h.group_a, xr, xi), expectations(h.group_b, yr, yi))
@@ -196,10 +202,28 @@ def _rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> tuple[float, ...]:
     return dxr, dxi, dyr, dyi, deta_x, deta_y, ds1_x, ds1_y, dphi
 
 
-def _pair_rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> tuple[float, ...]:
-    # two independent states stacked, so that one step-size and order
-    # sequence serves both and their errors largely cancel in the difference
-    return _rhs(t, v[:9], h) + _rhs(t, v[9:], h)
+# The complex step: its square (1e-200) is lost against every real part
+# the flow sums, while _STEP times a unit tangent's component stays normal.
+_STEP = 1e-100
+
+
+def _tangent_rhs(t: float, v: list[float], h: BilinearHamiltonian) -> tuple[float, ...]:
+    """Rates of the flow, its unit tangent u in (x / sqrt(4j), y) and rho = log |tangent|: 9 + 4 + 1 floats.
+
+    _rhs at the labels plus i _STEP (sqrt(4j) u_x, u_y) gives the rates as
+    real parts and J u, over the step, as imaginary parts, exact to rounding
+    (Squire & Trapp, SIAM Rev. 40, 110, 1998).  With r = u . J u / |u|^2,
+    du/dt = J u - r u holds |u| fixed and drho/dt = r.  The division keeps
+    |u| = 1 neutral: without it, a contraction (u . J u reaches -6e3 where
+    a spin label passes |y| = 100) drives |u| away from 1 and VODE fails.
+    """
+    xr, xi, yr, yi, *_, ur, ui, wr, wi, _ = v
+    g = h.group_b if h.group_b.is_spin else h.group_a  # j = 1/4 if neither degree is a spin
+    sx = _STEP * (math.sqrt(4.0 * g.j) if g.is_spin else 1.0)
+    f = _rhs(t, [complex(xr, sx * ur), complex(xi, sx * ui), complex(yr, _STEP * wr), complex(yi, _STEP * wi)], h)
+    jur, jui, jwr, jwi = f[0].imag / sx, f[1].imag / sx, f[2].imag / _STEP, f[3].imag / _STEP
+    rate = (ur * jur + ui * jui + wr * jwr + wi * jwi) / (ur * ur + ui * ui + wr * wr + wi * wi)
+    return (*(c.real for c in f), jur - rate * ur, jui - rate * ui, jwr - rate * wr, jwi - rate * wi, rate)
 
 
 # A step below _MIN_STEP ends VODE's call; this is what stops it within
@@ -216,11 +240,13 @@ _MAX_COUNT = 10**6
 def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: BilinearHamiltonian):
     """Integrate dv/dt = rhs(t, v, h) from v0 at times[0]; return (samples, evaluations).
 
-    samples[:, i] is the state at times[i].  VODE's Adams method runs once
-    per sample time and ends before this returns, so no two VODE instances
-    ever interleave (older scipy builds of VODE are not re-entrant).  The
-    first exception the RHS raises is raised again, unchanged, after VODE's
-    call returns; a VODE failure raises IntegrationError with the time.
+    rhs gets v as a list of Python floats, converted from VODE's array once
+    per evaluation.  samples[:, i] is the state at times[i].  VODE's Adams
+    method runs once per sample time and ends before this returns, so no two
+    VODE instances ever interleave (older scipy builds of VODE are not
+    re-entrant).  The first exception the RHS raises is raised again,
+    unchanged, after VODE's call returns; a VODE failure raises
+    IntegrationError with the time.
     """
     caught: list[BaseException] = []
     evals = 0
@@ -232,7 +258,7 @@ def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: Bil
         if not caught:
             # every exception, interrupts included: VODE would lose it
             try:
-                return rhs(t, v, h)
+                return rhs(t, v.tolist(), h)
             except BaseException as exc:
                 caught.append(exc)
         return nan
@@ -353,8 +379,8 @@ def window_count(t_total: float, window: float) -> int:
 
 
 class LyapunovSeries(NamedTuple):
-    """Renormalization-window ends, the running exponent estimate, and the
-    right-hand-side evaluations of both trajectories over all windows."""
+    """Window ends, the running exponent estimate at each, and the
+    right-hand-side evaluations of the one integration."""
 
     window_ends: np.ndarray
     running: np.ndarray
@@ -364,53 +390,22 @@ class LyapunovSeries(NamedTuple):
 def lyapunov_series(
     h: BilinearHamiltonian,
     s0: ProductState,
-    delta0: float = 1e-6,
     t_total: float = 300.0,
-    renorm_interval: float = 1.0,
+    window: float = 1.0,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> LyapunovSeries:
-    """Two-trajectory largest-Lyapunov estimate in the scaled classical coordinates (x / sqrt(4j), y).
+    """Largest-Lyapunov estimate in the scaled classical coordinates (x / sqrt(4j), y).
 
-    A partner trajectory offset by delta0 along the scaled real field
-    direction is integrated alongside the reference, both as one stacked
-    system so that they share every step, and both from zero phases each
-    window; after every window the log stretch of the scaled separation is
-    accumulated and the partner is pulled back to distance delta0 along the
-    current separation direction.  t_total must be a whole number of
-    windows.  A label out of range where a window starts the partner, or
-    where it ends either state, raises IntegrationError with the time.
+    One VODE call carries the unit tangent from the scaled real field
+    direction with the flow from s0 (_tangent_rhs; Benettin et al.,
+    Meccanica 15, 9, 1980); the running exponent at window end t is rho(t)
+    / t.  t_total must be a whole number of windows.  A label out of range
+    at a window end raises IntegrationError with the time.
     """
-    if not (delta0 > 0.0 and t_total > 0.0 and 0.0 < renorm_interval <= t_total):
-        raise ValueError("need delta0 > 0, t_total > 0, 0 < renorm_interval <= t_total")
-    j = h.group_b.j if h.group_b.is_spin else (h.group_a.j if h.group_a.is_spin else 0.25)
-    root = math.sqrt(4.0 * j)
-    # (Re x, Im x, Re y, Im y) over scale are the scaled coordinates
-    scale = np.array([root, root, 1.0, 1.0])
-    n_windows = window_count(t_total, renorm_interval)
-    ref = np.array([s0.x.real, s0.x.imag, s0.y.real, s0.y.imag])
-    partner = ref + np.array([delta0 * root, 0.0, 0.0, 0.0])
-    log_sum = 0.0
-    rhs_evals = 0
-    ends = np.empty(n_windows)
-    running = np.empty(n_windows)
-    for w in range(n_windows):
-        times = renorm_interval * np.array([w, w + 1.0])
-        # the reference, then the partner, each laid out as _pack lays a state out
-        state = np.zeros(18)
-        state[:4], state[9:13] = ref, partner
-        _check_labels(times[:1], state[[9]] + 1j * state[[10]], state[[11]] + 1j * state[[12]])
-        v, evals = _solve(_pair_rhs, state, times, cfg, h)
-        rhs_evals += 2 * evals  # one evaluation per state, as mean_field_coeffs counts them
-        end = v[:, 1]
-        _check_labels(np.repeat(times[1], 2), end[[0, 9]] + 1j * end[[1, 10]], end[[2, 11]] + 1j * end[[3, 12]])
-        ref, partner = end[:4], end[9:13]
-        # scaled per state, then subtracted: the order the recorded exponents were made with
-        sep = partner / scale - ref / scale
-        dist = float(np.linalg.norm(sep))
-        if dist == 0.0:
-            raise IntegrationError("perturbed trajectory collapsed onto the reference")
-        log_sum += math.log(dist / delta0)
-        ends[w] = (w + 1) * renorm_interval
-        running[w] = log_sum / ends[w]
-        partner = ref + (sep * (delta0 / dist)) * scale
-    return LyapunovSeries(window_ends=ends, running=running, rhs_evals=rhs_evals)
+    if not (t_total > 0.0 and 0.0 < window <= t_total):
+        raise ValueError("need t_total > 0, 0 < window <= t_total")
+    times = window * np.arange(window_count(t_total, window) + 1.0)
+    v0 = np.concatenate([_pack(s0), [1.0, 0.0, 0.0, 0.0, 0.0]])
+    v, rhs_evals = _solve(_tangent_rhs, v0, times, cfg, h)
+    _check_labels(times, v[0] + 1j * v[1], v[2] + 1j * v[3])
+    return LyapunovSeries(window_ends=times[1:], running=v[13, 1:] / times[1:], rhs_evals=rhs_evals)

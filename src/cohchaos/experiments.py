@@ -115,7 +115,7 @@ class ExperimentConfig:
     n_max: int | None = None
     rel_tol: float = IntegratorConfig.rel_tol
     abs_tol: float = IntegratorConfig.abs_tol
-    lyapunov_delta0: float = 1e-6
+    lyapunov_delta0: float = 1e-6  # validated and recorded; only perfbench's two-trajectory reference reads it
     lyapunov_window: float = 1.0
     lyapunov_t_total: float = 300.0
     integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
@@ -297,7 +297,8 @@ def project_with_fallback(
     the field's mean-field coefficients and b = 2 Re(step (c0 conj(x) + c_-)),
     taken on real parts: 2 (c0 Im x + Im c_+) for step i, 2 (c0 Re x + Re c_+) for 1.
     The shift is the root closest to zero with |u| <= _MAX_SHIFT (-r when
-    b = 0 gives +-r); a discriminant that overflows counts as no root. Why
+    b = 0 gives +-r), solved with c0, b and gap scaled by one power of two so
+    that the discriminant cannot overflow. Why
     Im x failed is appended to reasons, if given; if Re x fails too, the
     error gives both directions' ranges.
     """
@@ -312,15 +313,18 @@ def project_with_fallback(
     (c0, cpr, cpi), _, _ = mean_field_coeffs(h, ev_a, ev_b)
     failures = []
     for direction, step, b in (("im_x", 1j, 2.0 * (c0 * s.x.imag + cpi)), ("re_x", 1.0, 2.0 * (c0 * s.x.real + cpr))):
-        disc = b * b - 4.0 * c0 * gap
-        if c0 == 0.0:
-            roots = [-gap / b] if b else []
-        elif b == 0.0:
-            roots = [-math.sqrt(-gap / c0)] if disc >= 0.0 else []
-        elif 0.0 <= disc < math.inf:
-            # an overflowed discriminant would make q infinite and gap / q a spurious zero shift
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots = [q / c0, gap / q]
+        # c0 u^2 + b u + gap over the power of two that brings the largest below 1: the
+        # discriminant stays finite, and the scaling is exact, so the roots keep their bits
+        shift = -math.frexp(max(abs(c0), abs(b), abs(gap)))[1]
+        qa, qb, qc = (math.ldexp(v, shift) for v in (c0, b, gap))
+        disc = qb * qb - 4.0 * qa * qc
+        if qa == 0.0:
+            roots = [-qc / qb] if qb else []
+        elif qb == 0.0:
+            roots = [-math.sqrt(-qc / qa)] if disc >= 0.0 else []
+        elif disc >= 0.0:
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            roots = [q / qa, qc / q]
         else:
             roots = []
         shifts = [u for u in roots if abs(u) <= _MAX_SHIFT]
@@ -341,8 +345,6 @@ def project_with_fallback(
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return f"{float(value):.12g}"
 
 
@@ -490,18 +492,12 @@ def save_kernel_csv(run: _Run, kernel: CorrectionKernel, delta2: np.ndarray) -> 
 
 
 def _lyapunov(run: _Run) -> None:
-    """two-trajectory largest-Lyapunov estimate for each state"""
+    """largest-Lyapunov estimate for each state, from the unit tangent carried with the flow"""
     cfg = run.cfg
     estimates = []
     rhs_evals = run.manifest["rhs_evals"] = []
     for i, s in enumerate(run.states):
-        series = lyapunov_series(
-            run.h, s,
-            delta0=cfg.lyapunov_delta0,
-            t_total=cfg.lyapunov_t_total,
-            renorm_interval=cfg.lyapunov_window,
-            cfg=cfg.integrator,
-        )
+        series = lyapunov_series(run.h, s, t_total=cfg.lyapunov_t_total, window=cfg.lyapunov_window, cfg=cfg.integrator)
         estimates.append(float(series.running[-1]))
         rhs_evals.append(series.rhs_evals)
         run.emit(f"lyapunov_{i}.csv", ["window_end", "running_exponent"], zip(series.window_ends, series.running))

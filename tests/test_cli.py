@@ -162,14 +162,6 @@ def test_a_basis_too_small_for_the_evolution_stops_the_run_and_leaves_no_files(t
     assert list(out.iterdir()) == []
 
 
-def test_a_lyapunov_partner_out_of_range_stops_the_run_at_t0_and_leaves_no_files(tmp_path, capsys):
-    # delta0 = 1e6 puts the partner's field label at |x| = 4.2e6, past the 1e6 bound, as it enters the flow
-    out = tmp_path / "out"
-    assert main(["lyapunov", "--preset", "fig1", "--out", str(out), "--override", "lyapunov.delta0=1e6"]) == 2
-    assert capsys.readouterr().err == "error: label non-finite or beyond |z| = 1e+06 at t = 0\n"
-    assert list(out.iterdir()) == []
-
-
 @pytest.mark.parametrize("blocked", ["out", "out/run_manifest.json"])
 def test_unwritable_output_reports_error(tmp_path, capsys, blocked):
     # a file where the output directory belongs, or a directory where an output file belongs

@@ -14,6 +14,7 @@ from cohchaos.dynamics import (
     _degree_rates,
     _pack,
     _rhs,
+    _tangent_rhs,
     integrate,
     label_distances,
     lyapunov_series,
@@ -22,13 +23,14 @@ from cohchaos.dynamics import (
 )
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
 from reference import ScaledState, displaced_basis_vector, from_classical, generator_matrices, scale_to_classical
+from reference import rhs as numpy_rhs
 
 DECOUPLED = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.0, g_prime=0.0, j=1.5))
 
 
 def label_velocities(h, s):
     """(dx, dy) from the first four components of the flow's RHS."""
-    v = _rhs(0.0, _pack(s), h)
+    v = _rhs(0.0, _pack(s).tolist(), h)
     return complex(v[0], v[1]), complex(v[2], v[3])
 
 
@@ -48,6 +50,23 @@ def test_label_rhs_coupled_spin_nonlinearity():
     bp = complex(bp_re, bp_im)
     manual = -1j * bp - 1j * b0 * s.y + 1j * np.conj(bp) * s.y * s.y
     assert dy == pytest.approx(manual, abs=1e-14)
+
+
+def test_tangent_rhs_carries_the_flow_and_its_jacobian(fig1_h, fig1_states):
+    # the first nine rates are _rhs's, bit for bit; J u matches a central
+    # difference of the numpy reference RHS (2.3e-11 apart at this label)
+    s = fig1_states[0]
+    u = np.array([0.3, -0.5, 0.6, 0.2]) / math.sqrt(0.74)
+    rates = _tangent_rhs(0.0, [*_pack(s).tolist(), *u.tolist(), 0.7], fig1_h)
+    assert rates[:9] == _rhs(0.0, _pack(s).tolist(), fig1_h)
+    root = math.sqrt(18.0)  # sqrt(4j) at j = 9/2
+    scale = np.array([root, root, 1.0, 1.0])
+    step = np.zeros(9)
+    step[:4] = 1e-5 * scale * u
+    ju = (numpy_rhs(0.0, _pack(s) + step, fig1_h) - numpy_rhs(0.0, _pack(s) - step, fig1_h))[:4] / (2e-5 * scale)
+    stretch = float(u @ ju)
+    np.testing.assert_allclose(rates[9:13], ju - stretch * u, rtol=0.0, atol=1e-9)
+    assert rates[13] == pytest.approx(stretch, abs=1e-9)
 
 
 def test_action_rate_stationary_fiducial():
@@ -279,29 +298,38 @@ def test_scaled_flow_independent_of_magnitude():
 
 
 def test_lyapunov_decoupled_is_zero():
-    est = lyapunov_series(
-        DECOUPLED,
-        ProductState(x=1.0 + 0.3j, y=0.4 - 0.1j),
-        delta0=1e-6,
-        t_total=50.0,
-        renorm_interval=1.0,
-    ).running[-1]
+    est = lyapunov_series(DECOUPLED, ProductState(x=1.0 + 0.3j, y=0.4 - 0.1j), t_total=50.0, window=1.0).running[-1]
     assert abs(est) < 1e-4
+
+
+def test_lyapunov_tangent_passes_near_a_spin_pole():
+    # the spin label passes |y| = 117 near t = 2, where u . J u reaches
+    # -6e3: without _tangent_rhs's division by |u|^2, VODE fails at t = 2.45.
+    # The two-trajectory estimate it replaced (delta0 = 1e-6, renormalized
+    # every window) gave these running exponents; the tangent's agree to
+    # 8e-6, inside perfbench's 1e-4 between the two estimators
+    h = maser_hamiltonian(
+        MaserParams(
+            epsilon=0.7205579900046, omega=0.6107772977897246, g=-1.4332839994754614, g_prime=-1.7665592865701867, j=5.0
+        )
+    )
+    s = ProductState(x=-1.2593504655493986 + 4.196679196470479j, y=0.8921737011998414 + 1.748126928297859j)
+    two_trajectory = [4.498814, 2.224217, 3.175881, 3.648282, 1.420003, 1.279363, 1.793008, 2.402602, 1.277138, 1.22307]
+    series = lyapunov_series(h, s, t_total=5.0, window=0.5)
+    np.testing.assert_allclose(series.running, two_trajectory, rtol=0.0, atol=1e-4)
 
 
 def test_lyapunov_argument_validation():
     with pytest.raises(ValueError):
-        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), delta0=0.0, t_total=10.0)
-    with pytest.raises(ValueError):
-        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=1.0, renorm_interval=2.0)
+        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=1.0, window=2.0)
     # rounding 2.6 windows would run to t = 3, past the requested horizon
     with pytest.raises(ValueError, match="whole number"):
-        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=2.6, renorm_interval=1.0)
+        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=2.6, window=1.0)
     # a window count past the cap fails before any array is built
     with pytest.raises(ValueError, match="more than 1000000 windows"):
-        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=1.0, renorm_interval=1e-300)
+        lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=1.0, window=1e-300)
     # 0.3 / 0.1 is 2.9999999999999996 in floating point: three windows
-    series = lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=0.3, renorm_interval=0.1)
+    series = lyapunov_series(DECOUPLED, ProductState(x=0.1, y=0.1), t_total=0.3, window=0.1)
     assert len(series.window_ends) == 3
     assert series.window_ends[-1] == pytest.approx(0.3, abs=1e-15)
 
@@ -384,7 +412,7 @@ def test_integrator_failure_raises_integration_error_with_the_time():
         integrate(rotated, ProductState(x=0.0, y=0.0), 3.0)
 
 
-def test_lyapunov_rhs_evals_count_both_states(fig1_h, fig1_states, monkeypatch):
+def test_lyapunov_rhs_evals_count_the_model_calls(fig1_h, fig1_states, monkeypatch):
     calls = 0
 
     def counted(h, ev_a, ev_b):

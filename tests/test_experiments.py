@@ -248,9 +248,9 @@ def test_project_unreachable_reports_range():
 
 @pytest.mark.parametrize("target", [1e200, 1e308])
 def test_project_to_a_target_far_out_of_reach_fails_with_the_attained_range(target):
-    # at 1e308 the discriminant overflows, and its root gap / q = -0 must not
-    # pass as a shift; the range comes from the state's energy (here 0 to
-    # rounding), since gap + target cancels to 0 at both targets
+    # at 1e308 the unscaled discriminant would overflow; the range comes
+    # from the state's energy (here 0 to rounding), since gap + target
+    # cancels to 0 at both targets
     h = maser_hamiltonian(MaserParams(g=0.0, g_prime=0.0, j=0.5))
     s = ProductState(x=0.7 + 0.1j, y=0.0j)
     with pytest.raises(EnergyProjectionError) as exc:
@@ -258,6 +258,18 @@ def test_project_to_a_target_far_out_of_reach_fails_with_the_attained_range(targ
     # along im_x the energy is u^2 + 0.2 u, along re_x u^2 + 1.4 u, for |u| <= 8
     ranges = re.findall(r"attained range \[([^,]+), ([^\]]+)\]", str(exc.value))
     assert ranges == [("-0.01", "65.6"), ("-0.49", "75.2")]
+
+
+def test_project_finds_a_root_whose_unscaled_discriminant_overflows():
+    # b^2 - 4 c0 gap is about 1e601 here; scaled by a power of two it stays
+    # finite, and the shift of 3 along im_x is found
+    h = maser_hamiltonian(MaserParams(omega=1e300, g=0.0, g_prime=0.0, j=0.5))
+    s = ProductState(x=0.7 + 0.1j, y=0.0j)
+    target = classical_energy(h, s.x + 3j, s.y)
+    out, direction = project_with_fallback(s, h, target)
+    assert direction == "im_x" and out.x.real == s.x.real and out.y == s.y
+    assert out.x.imag == pytest.approx(3.1, rel=1e-15)
+    assert classical_energy(h, out.x, out.y) == pytest.approx(target, rel=1e-15)
 
 
 def test_project_finds_a_shell_crossed_twice_inside_one_scan_cell():
@@ -617,7 +629,7 @@ def test_integrating_verbs_record_rhs_evals_per_trajectory(tmp_path, verb, state
     assert len(counts) == states and all(isinstance(n, int) and n > 0 for n in counts)
     h = maser_hamiltonian(cfg.model)
     if verb == "lyapunov":
-        series = lyapunov_series(h, cfg.states[1], t_total=1.0, renorm_interval=0.5, cfg=IntegratorConfig())
+        series = lyapunov_series(h, cfg.states[1], t_total=1.0, window=0.5, cfg=IntegratorConfig())
         assert counts[1] == series.rhs_evals
     else:
         icfg = IntegratorConfig(sample_dt=cfg.sampling_dt)
