@@ -9,9 +9,12 @@ expansion of exp(-i H t) at every dimension (Tal-Ezer and Kosloff, J.
 Chem. Phys. 81, 3967 (1984)): H is scaled once into [-1, 1] by its
 Gershgorin interval, and each chunk of consecutive sample times is
 expanded about the previous chunk's last time. The vectors (-i)^k T_k(H_s)
-psi of one recurrence, one sparse product each, are shared by every time
-of the chunk; only their Bessel weights, from Miller's backward
-recurrence, depend on the time. Each time's series stops at its own first
+psi of one recurrence are shared by every time of the chunk; only their
+Bessel weights, from Miller's backward recurrence, depend on the time.
+Each order multiplies by the scaled H through its few diagonals (at most
+nine for a bilinear model, five for the maser), as contiguous numpy
+products summed in the order of a CSR row, so that it agrees bit for bit
+with a CSR product. Each time's series stops at its own first
 order whose neglected coefficients add up to machine epsilon, and the
 recurrence runs to the largest of these. All states of a run evolve
 together, chunk by chunk, and their norms are checked as they go; the
@@ -55,7 +58,7 @@ _DIMENSION_CAP = 20000
 _GRID_CHUNK = 1 << 17
 # Truncation of the Chebyshev series: the neglected tail of its coefficients.
 _EPS = float(np.finfo(float).eps)
-# Most Chebyshev orders one chunk may take (a sparse product each); a longer
+# Most Chebyshev orders one chunk may take (a product with H each); a longer
 # chunk raises instead of allocating a coefficient table without bound.
 _MAX_CHEBYSHEV_ORDERS = 100_000
 # Bessel arguments below this are taken as 0 (J_0 = 1, the rest 0): above it
@@ -193,9 +196,13 @@ class ExactEvolver:
 
     A Chebyshev expansion of exp(-i H t) acts on all states at once, one
     series per chunk of consecutive times, expanded about the last time of
-    the chunk before. spectral_interval is the Gershgorin interval the
-    matrix is scaled by; chebyshev_orders counts the sparse products taken
-    so far.
+    the chunk before. Each order of a series takes one product with the
+    scaled matrix, stored as its diagonals: a pass over the states per
+    diagonal, which suits the few diagonals of build_hamiltonian_matrix's
+    matrices, while a matrix with many (a random sparse one) stores dim
+    entries for each and steps slowly. spectral_interval is the Gershgorin
+    interval the matrix is scaled by; chebyshev_orders counts the products
+    taken so far.
     """
 
     def __init__(self, h_matrix: sp.spmatrix):
@@ -204,11 +211,43 @@ class ExactEvolver:
         self.spectral_interval = low, high = _gershgorin_interval(h)
         self.chebyshev_orders = 0
         # H = centre + half_width * h_s, the spectrum of h_s in [-1, 1]; a
-        # multiple of the identity gets half-width 1, so the scaling stays defined
-        self._centre, self._half_width = 0.5 * (low + high), 0.5 * (high - low) or 1.0
-        identity = sp.identity(self._dim, dtype=complex, format="csr")
-        # -2i h_s, exactly: U_k = (-i)^k T_k(h_s) psi obeys U_{k+1} = -2i h_s U_k + U_{k-1}
-        self._step = (h.astype(complex) - self._centre * identity) / self._half_width * -2j
+        # multiple of the identity has half-width 0, and a subnormal half-width
+        # an infinite reciprocal: both get half-width 1, so the scaling stays finite
+        half_width = 0.5 * (high - low)
+        if half_width == 0.0 or math.isinf(1.0 / half_width):
+            half_width = 1.0
+        self._centre, self._half_width = 0.5 * (low + high), half_width
+        # -2i h_s, which takes U_k = (-i)^k T_k(h_s) psi to U_{k+1} - U_{k-1},
+        # kept as H's few diagonals: each entry goes through the steps of the
+        # sparse form (H - centre I) / half_width * -2j, whose division
+        # multiplies by the reciprocal, so it keeps its bits. A column of H's
+        # DIA data holds H's entries in one column, and the main diagonal is
+        # kept even where H stores none.
+        dia = h.todia()
+        offsets = np.union1d(dia.offsets, [0])
+        values = np.zeros((offsets.size, self._dim), dtype=complex)
+        values[np.searchsorted(offsets, dia.offsets), :dia.data.shape[1]] = dia.data
+        values[np.searchsorted(offsets, 0)] -= self._centre
+        values *= 1.0 / self._half_width
+        values *= -2j
+        # Each diagonal in ascending offset d: the rows [start, stop) it
+        # reaches, d, and its entries in those rows as columns, the real part
+        # and the imaginary part apart. numpy may fuse the multiply and add of
+        # a complex product, where a CSR product rounds each real product; by
+        # a real or an imaginary factor both round alike, and the two parts'
+        # products add up to the CSR term. A part (or a diagonal) that is 0
+        # throughout is left out, as the sparse form stores nothing for it.
+        diagonals = []
+        for d, row in zip(offsets.tolist(), values):
+            reach = row[max(0, d):self._dim + min(0, d), None]
+            parts = []
+            if reach.real.any():
+                parts.append(reach.real + 0j)
+            if reach.imag.any():
+                parts.append(1j * reach.imag)
+            if parts:
+                diagonals.append((max(0, -d), self._dim - max(0, d), d, tuple(parts)))
+        self._diagonals = tuple(diagonals)
 
     def _chebyshev_chunk(self, psi: np.ndarray, tau: np.ndarray, out: np.ndarray, block_size: int) -> np.ndarray:
         """exp(-i H tau_m) psi for a (dim, states) psi and each tau_m, written to out and shaped (times, dim, states).
@@ -226,15 +265,30 @@ class ExactEvolver:
         flat = out.view(float)
         group = -(-tau.size // 4)
         partial = np.empty((group, flat.shape[1]))
+        # U_k fills slot k % block_size. Each diagonal's parts hold each entry
+        # once per state, contiguously, so that their products run over
+        # contiguous rows; each slot has its own views of the rows the
+        # diagonals read. -2i h_s U_k goes to a buffer of its own, since
+        # U_{k+1} may take the slot of U_{k-1}.
+        slots = [block[i].reshape(psi.shape) for i in range(block_size)]
+        diagonals = [
+            (start, stop, d, tuple(np.ascontiguousarray(np.broadcast_to(part, (stop - start,) + psi.shape[1:])) for part in parts))
+            for start, stop, d, parts in self._diagonals
+        ]
+        terms = np.zeros((len(diagonals),) + psi.shape, dtype=complex)
+        factors = [_diagonal_factors(diagonals, slot, terms) for slot in slots]
+        product = np.empty(psi.shape, dtype=complex)
         prev = cur = None
         for k in range(len(weights)):
-            nxt = block[k % block_size].reshape(psi.shape)
+            nxt = slots[k % block_size]
             if k == 0:
                 nxt[...] = psi
-            elif k == 1:
-                np.multiply(self._step @ cur, 0.5, out=nxt)
             else:
-                np.add(self._step @ cur, prev, out=nxt)
+                _diagonal_product(factors[(k - 1) % block_size], terms, product)
+                if k == 1:
+                    np.multiply(product, 0.5, out=nxt)
+                else:
+                    np.add(product, prev, out=nxt)
             prev, cur = cur, nxt
             if k % block_size != block_size - 1 and k != len(weights) - 1:
                 continue
@@ -301,6 +355,31 @@ class ExactEvolver:
         """state evolved from t = 0 to t; the errors are those of evolve_chunks."""
         ((_, amplitudes),) = self.evolve_chunks([state], [t])
         return OracleState(amplitudes[0, 0], state.config, state.truncation_deficit)
+
+
+def _diagonal_factors(diagonals, u: np.ndarray, terms: np.ndarray) -> list:
+    """What _diagonal_product multiplies for a banded matrix times u: per diagonal, its parts, u's rows and its terms' rows.
+
+    diagonals lists (start, stop, d, parts) in ascending offset d; the
+    diagonal's term in row r, for start <= r < stop, is the sum over its
+    parts of part[r - start] * u[r + d]. Each diagonal's terms fill its own
+    entry of terms, whose other rows must be 0. The factors are views, so
+    they serve every vector that u's buffer holds.
+    """
+    return [(parts, u[start + d:stop + d], term[start:stop]) for (start, stop, d, parts), term in zip(diagonals, terms)]
+
+
+def _diagonal_product(factors, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The banded matrix times u of _diagonal_factors, written to out: each row adds its terms to 0 in ascending offset.
+
+    A CSR row adds its entries in the same order, so for a finite u the two
+    products agree bit for bit.
+    """
+    for parts, source, rows in factors:
+        np.multiply(parts[0], source, out=rows)
+        for part in parts[1:]:
+            rows += part * source
+    return np.add.reduce(terms, axis=0, out=out, initial=0.0)
 
 
 def _gershgorin_interval(h: sp.csr_matrix) -> tuple[float, float]:

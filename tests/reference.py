@@ -5,8 +5,9 @@ form of a library closed form kept verbatim (the numpy mean-field
 right-hand side) or a construction that only the tests need (dense
 generator matrices, single-degree coherent vectors with their norm
 deficit, matrix exponentials, excited fiducials, the exact evolution one
-time at a time, the classical-limit scaling and its inverse, nested
-quadrature, a scanned energy-shell crossing).
+time at a time or stepped by the CSR form of its Chebyshev step, the
+classical-limit scaling and its inverse, nested quadrature, a scanned
+energy-shell crossing).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +23,7 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from cohchaos import algebra
+from cohchaos import algebra, oracle
 from cohchaos.algebra import HEISENBERG, CohChaosError, Gen, GroupKind, TruncationError, spin
 from cohchaos.corrections import CorrectionKernel
 from cohchaos.dynamics import ProductState
@@ -313,6 +315,39 @@ def evolve_grid(evolver: ExactEvolver, states: Sequence[OracleState], times: Ite
     for _, amplitudes in evolver.evolve_chunks(states, times):
         for row in amplitudes.copy():
             yield tuple(OracleState(amps, st.config, st.truncation_deficit) for amps, st in zip(row, states))
+
+
+def csr_step(evolver: ExactEvolver, h: sp.spmatrix) -> sp.csr_matrix:
+    """The Chebyshev step -2i h_s of an evolver of h in the CSR form the propagator once took."""
+    identity = sp.identity(h.shape[0], dtype=complex, format="csr")
+    return (h.tocsr().astype(complex) - evolver._centre * identity) / evolver._half_width * -2j
+
+
+def diagonal_step(evolver: ExactEvolver, u: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """-2i h_s u + prev for a (dim, 1) u, from the evolver's diagonals as a Chebyshev order takes it."""
+    terms = np.zeros((len(evolver._diagonals),) + u.shape, dtype=complex)
+    factors = oracle._diagonal_factors(evolver._diagonals, u, terms)
+    return oracle._diagonal_product(factors, terms, np.empty_like(u)) + prev
+
+
+def evolved_chunks(evolver: ExactEvolver, states: Sequence[OracleState], times: Iterable[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Copies of the (times, amplitudes) chunks that evolver.evolve_chunks yields."""
+    return [(chunk.copy(), amplitudes.copy()) for chunk, amplitudes in evolver.evolve_chunks(states, times)]
+
+
+def csr_stepped_chunks(h: sp.spmatrix, states: Sequence[OracleState], times: Iterable[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """evolved_chunks of a new evolver of h whose every order takes the CSR product of csr_step."""
+    evolver = ExactEvolver(h)
+    step = csr_step(evolver, h)
+
+    # each vector stands in for its own factors, which the CSR product multiplies
+    def product(u, terms, out):
+        np.copyto(out, step @ u)
+        return out
+
+    with mock.patch.object(oracle, "_diagonal_factors", lambda diagonals, u, terms: u), \
+            mock.patch.object(oracle, "_diagonal_product", product):
+        return evolved_chunks(evolver, states, times)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,12 @@ from cohchaos.oracle import (
     top_fock_population,
 )
 from reference import (
+    csr_step,
+    csr_stepped_chunks,
+    diagonal_step,
     doorway_vector,
     evolve_grid,
+    evolved_chunks,
     generator_matrices,
     kron_hamiltonian_matrix,
     maser_matrix_reference,
@@ -262,22 +266,91 @@ def test_states_evolved_together_equal_each_alone(grid_chunk, monkeypatch):
 
 
 def test_chebyshev_orders_count_the_sparse_products(monkeypatch):
-    class Counting:
-        def __init__(self, m):
-            self.m, self.products = m, 0
+    applications = []
 
-        def __matmul__(self, v):
-            self.products += 1
-            return self.m @ v
+    def counting(*args):
+        applications.append(1)
+        return product(*args)
 
     # chunks of two times each, and a second grid on the same evolver
+    product = oracle._diagonal_product
+    monkeypatch.setattr(oracle, "_diagonal_product", counting)
     monkeypatch.setattr(oracle, "_GRID_CHUNK", 4 * SMALL.dim)
     ev = ExactEvolver(build_hamiltonian_matrix(small_model(), SMALL))
-    ev._step = counting = Counting(ev._step)
     st = product_coherent_vector(0.5 + 0.2j, 0.3 - 0.1j, SMALL)
     list(evolve_grid(ev, [st], [0.0, 0.5, 1.0, 3.0, 3.5]))
     list(evolve_grid(ev, [st], [2.0]))
-    assert ev.chebyshev_orders == counting.products > 0
+    assert ev.chebyshev_orders == len(applications) > 0
+
+
+def assert_steps_equal_the_csr_steps(h, states, times, rng):
+    """The diagonal step, and a run of evolve_chunks, equal the CSR-stepped ones bit for bit."""
+    ev = ExactEvolver(h)
+    u, prev = (rng.normal(size=(h.shape[0], 1)) + 1j * rng.normal(size=(h.shape[0], 1)) for _ in range(2))
+    assert np.array_equal(diagonal_step(ev, u, prev), csr_step(ev, h) @ u + prev)
+    got, want = evolved_chunks(ev, states, times), csr_stepped_chunks(h, states, times)
+    assert len(got) == len(want) > 0
+    assert all(np.array_equal(a, b) for chunks in zip(got, want) for a, b in zip(*chunks))
+
+
+def _driven_half_spin_model() -> BilinearHamiltonian:
+    # a spin drive fills band (0, +1) and a coupling band (+1, -1): at j = 1/2
+    # both lie at offset 1, so one diagonal holds the two
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[1, 2], gamma[2, 1] = 0.4 + 0.3j, 0.4 - 0.3j
+    gamma[1, 1], gamma[2, 2] = 0.2 - 0.5j, 0.2 + 0.5j
+    return BilinearHamiltonian(
+        group_a=HEISENBERG, group_b=spin_group(0.5),
+        alpha=np.array([1.0, 0.3 - 0.2j, 0.3 + 0.2j]), beta=np.array([0.7, 0.25 + 0.1j, 0.25 - 0.1j]), gamma=gamma,
+    )
+
+
+@pytest.mark.parametrize("grid_chunk", [12, 4], ids=["dense", "krylov"])
+@pytest.mark.parametrize(
+    "h_model, n_max",
+    [
+        (_driven_half_spin_model(), 6),
+        # no term at all: H has no diagonals, and the step is 0
+        (maser_hamiltonian(MaserParams(epsilon=0.0, omega=0.0, g=0.0, g_prime=0.0, j=1.5)), 5),
+        # couplings only: H stores no main diagonal
+        (maser_hamiltonian(MaserParams(epsilon=0.0, omega=0.0, g=0.3, g_prime=0.2, j=1.5)), 7),
+        # one coupling: H's last columns are empty, so its DIA data is narrower than H
+        (maser_hamiltonian(MaserParams(epsilon=0.0, omega=0.0, g=1.0, g_prime=0.0, j=0.5)), 4),
+        (small_model(), 8),
+    ],
+    ids=["shared-offset", "zero", "no-main-diagonal", "narrow-dia", "maser"],
+)
+def test_diagonal_steps_equal_the_csr_steps(h_model, n_max, grid_chunk, rng, monkeypatch):
+    cfg = HilbertConfig(n_max=n_max, j=h_model.group_b.j)
+    h = build_hamiltonian_matrix(h_model, cfg)
+    if n_max == 4:
+        assert h.todia().data.shape[1] < cfg.dim
+    if not h.nnz:
+        assert ExactEvolver(h)._diagonals == ()
+    # chunks of 8 or 2 times for one state, 4 or 1 for the pair; "krylov"
+    # runs blocks of two vectors, where U_{k+1} takes the slot of U_{k-1}
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", grid_chunk * cfg.dim)
+    raw = rng.normal(size=(2, cfg.dim)) + 1j * rng.normal(size=(2, cfg.dim))
+    pair = [OracleState(v / np.linalg.norm(v), cfg) for v in raw]
+    times = [0.0, 0.1, 0.7, 2.5, 2.5, 3.0, 4.0]
+    assert_steps_equal_the_csr_steps(h, pair[:1], times, rng)
+    assert_steps_equal_the_csr_steps(h, pair, times, rng)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_subnormal_half_width_scales_like_a_zero_one():
+    # the Gershgorin half-width is 6.3e-313, whose reciprocal overflows
+    h_model = maser_hamiltonian(MaserParams(epsilon=0.0, omega=0.0, g=0.0, g_prime=2.2250738585e-313, j=0.5))
+    cfg = HilbertConfig(n_max=4, j=0.5)
+    h = build_hamiltonian_matrix(h_model, cfg)
+    ev = ExactEvolver(h)
+    low, high = ev.spectral_interval
+    assert 0.0 < high - low < 1e-300 and ev._half_width == 1.0
+    assert all(np.isfinite(part).all() for *_, parts in ev._diagonals for part in parts)
+    st = OracleState(np.eye(cfg.dim, dtype=complex)[3], cfg)
+    times = [0.5, 2.0]
+    for t, (out,) in zip(times, evolve_grid(ev, [st], times), strict=True):
+        assert np.abs(out.amplitudes - sla.expm(-1j * t * h.toarray()) @ st.amplitudes).max() < 1e-12
 
 
 def test_chebyshev_steps_match_expm():

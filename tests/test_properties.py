@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from cohchaos import oracle
 from cohchaos.algebra import (
     HEISENBERG,
     TruncationError,
@@ -38,12 +39,17 @@ from cohchaos.model import BilinearHamiltonian, MaserParams, classical_energy, m
 from cohchaos.oracle import (
     ExactEvolver,
     HilbertConfig,
+    OracleState,
     build_hamiltonian_matrix,
     exact_overlap_pair,
     product_coherent_vector,
 )
 from reference import (
+    csr_step,
+    csr_stepped_chunks,
+    diagonal_step,
     evolve_grid,
+    evolved_chunks,
     expectation_magnitudes,
     expectations as numpy_expectations,
     interaction_energy as numpy_interaction_energy,
@@ -326,6 +332,28 @@ def test_band_assembly_equals_the_kronecker_sum_bit_for_bit(h, n_max):
     assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(bilinear_models(st.tuples(st.just(HEISENBERG), SPINS)), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_diagonal_chebyshev_steps_equal_the_csr_steps_bit_for_bit(h, n_max, seed):
+    # complex drives and couplings: the step's diagonals have real and
+    # imaginary parts, which a fused complex multiply would round differently
+    cfg = HilbertConfig(n_max=n_max, j=h.group_b.j)
+    h_matrix = build_hamiltonian_matrix(h, cfg)
+    ev = ExactEvolver(h_matrix)
+    gen = np.random.default_rng(seed)
+    u, prev = (gen.normal(size=(cfg.dim, 1)) + 1j * gen.normal(size=(cfg.dim, 1)) for _ in range(2))
+    assert np.array_equal(diagonal_step(ev, u, prev), csr_step(ev, h_matrix) @ u + prev)
+    # a run of the pair over three chunks, against one stepped by the CSR product
+    raw = gen.normal(size=(2, cfg.dim)) + 1j * gen.normal(size=(2, cfg.dim))
+    pair = [OracleState(v / np.linalg.norm(v), cfg) for v in raw]
+    times = [0.0, 0.4, 1.1, 1.5, 2.0, 3.0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_GRID_CHUNK", 2 * 2 * cfg.dim * 3 // 2)
+        got, want = evolved_chunks(ev, pair, times), csr_stepped_chunks(h_matrix, pair, times)
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(a, b) for chunks in zip(got, want) for a, b in zip(*chunks))
 
 
 @settings(max_examples=15, deadline=None)
