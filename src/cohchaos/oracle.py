@@ -218,28 +218,26 @@ class ExactEvolver:
             half_width = 1.0
         self._centre, self._half_width = 0.5 * (low + high), half_width
         # -2i h_s, which takes U_k = (-i)^k T_k(h_s) psi to U_{k+1} - U_{k-1},
-        # kept as H's few diagonals: each entry goes through the steps of the
-        # sparse form (H - centre I) / half_width * -2j, whose division
-        # multiplies by the reciprocal, so it keeps its bits. A column of H's
-        # DIA data holds H's entries in one column, and the main diagonal is
-        # kept even where H stores none.
-        dia = h.todia()
-        offsets = np.union1d(dia.offsets, [0])
-        values = np.zeros((offsets.size, self._dim), dtype=complex)
-        values[np.searchsorted(offsets, dia.offsets), :dia.data.shape[1]] = dia.data
-        values[np.searchsorted(offsets, 0)] -= self._centre
-        values *= 1.0 / self._half_width
-        values *= -2j
-        # Each diagonal in ascending offset d: the rows [start, stop) it
-        # reaches, d, and its entries in those rows as columns, the real part
-        # and the imaginary part apart. numpy may fuse the multiply and add of
-        # a complex product, where a CSR product rounds each real product; by
-        # a real or an imaginary factor both round alike, and the two parts'
-        # products add up to the CSR term. A part (or a diagonal) that is 0
-        # throughout is left out, as the sparse form stores nothing for it.
+        # kept as H's few diagonals, in ascending offset d: those H stores an
+        # entry on, and the main one even where it stores none. h.diagonal(d)
+        # holds H[r, r + d] for the rows [start, stop) that d reaches; each
+        # entry goes through the steps of the sparse form
+        # (H - centre I) / half_width * -2j, whose division multiplies by the
+        # reciprocal, so it keeps its bits. Each diagonal keeps its entries as
+        # a column, the real part and the imaginary part apart. numpy may fuse
+        # the multiply and add of a complex product, where a CSR product
+        # rounds each real product; by a real or an imaginary factor both
+        # round alike, and the two parts' products add up to the CSR term. A
+        # part (or a diagonal) that is 0 throughout is left out, as the sparse
+        # form stores nothing for it.
+        rows = np.repeat(np.arange(self._dim), np.diff(h.indptr))
         diagonals = []
-        for d, row in zip(offsets.tolist(), values):
-            reach = row[max(0, d):self._dim + min(0, d), None]
+        for d in np.union1d(h.indices - rows, [0]).tolist():
+            reach = np.array(h.diagonal(d), dtype=complex)[:, None]
+            if d == 0:
+                reach -= self._centre
+            reach *= 1.0 / self._half_width
+            reach *= -2j
             parts = []
             if reach.real.any():
                 parts.append(reach.real + 0j)
