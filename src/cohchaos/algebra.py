@@ -75,8 +75,8 @@ class GroupKind:
             if self.j is None:
                 raise ValueError("spin degree needs a magnitude j")
             two_j = 2.0 * self.j
-            # round() raises OverflowError on an infinite 2j
-            if not (self.j > 0 and math.isfinite(two_j)) or abs(two_j - round(two_j)) > 1e-12:
+            # round() raises OverflowError on an infinite 2j; a 2j that rounds to 0 has no states
+            if not math.isfinite(two_j) or round(two_j) < 1 or abs(two_j - round(two_j)) > 1e-12:
                 raise ValueError(f"spin magnitude must be positive half-integer, got {self.j}")
 
     @property

@@ -548,14 +548,18 @@ def run_experiment(verb: str, cfg: ExperimentConfig, out_dir) -> dict:
         raise ConfigError(f"unknown verb '{verb}'; available: {', '.join(VERBS)}")
     if len(cfg.states) < _PAIR_STATES.get(verb, 0):
         raise ConfigError(f"{verb} needs {_PAIR_STATES[verb]} initial states, got {len(cfg.states)}")
-    h = maser_hamiltonian(cfg.model)
+    h = _checked("model", maser_hamiltonian, cfg.model)
 
     states = list(cfg.states)
+    energies = [float(classical_energy(h, s.x, s.y)) for s in states]
+    for i, energy in enumerate(energies):
+        if not math.isfinite(energy):
+            raise ConfigError(f"'pairs[{i}]' has classical energy {energy!r}, which is not finite")
     manifest: dict = {
         "verb": verb,
         "conventions_version": CONVENTIONS_VERSION,
         "config": config_to_dict(cfg),
-        "initial_energies": [float(classical_energy(h, s.x, s.y)) for s in states],
+        "initial_energies": energies,
         "outputs": [],
     }
     if cfg.energy_target is not None:

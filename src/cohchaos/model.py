@@ -15,6 +15,7 @@ its PLUS partner, so the reduction computes only the independent half.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +126,8 @@ def maser_hamiltonian(p: MaserParams) -> BilinearHamiltonian:
     number; the counter-rotating part g' (a^dag J_+ + a J_-)/sqrt(j) breaks
     it and is what opens the door to classical chaos.
     """
-    root_j = np.sqrt(p.j)
+    # a Python float, so that a coupling that overflows gives inf without a warning
+    root_j = math.sqrt(p.j)
     gamma = np.zeros((3, 3), dtype=complex)
     gamma[Gen.PLUS, Gen.MINUS] = p.g / root_j
     gamma[Gen.MINUS, Gen.PLUS] = p.g / root_j

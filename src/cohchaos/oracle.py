@@ -428,10 +428,16 @@ def _bessel_table(x: np.ndarray, size: int) -> np.ndarray:
 
     The backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} starts from 1 at
     the first order n (at most size) whose bound |J_n(x)| <= (|x|/2)^n / n!
-    is below eps^2: what it neglects is below eps^2, and for small x the
-    values it passes through stay finite. Each column is then normalised by
+    is below eps^2, or at the column's own search range
+    |x| + 10|x|^(1/3) + 41 if that is lower: what it neglects is below
+    eps^2, or far enough past the turning point, and the values it passes
+    through stay finite. (A column begun at a larger argument's range grows
+    past the float range on its way down.) Each column is then normalised by
     the Neumann sum J_0 + 2 sum_k J_2k = 1; it costs O(size), not the O(k)
-    per value of a direct evaluation. A negative argument uses
+    per value of a direct evaluation. The table is column-major, so that
+    numpy adds this sum, and any other along a column, pairwise: the
+    identity then holds to a few eps, where a sum over C-ordered rows, one
+    row at a time, left it 11 eps off. A negative argument uses
     J_k(-x) = (-1)^k J_k(x); one below _SMALLEST_ARGUMENT gives J_0 = 1.
     """
     zero = np.abs(x) < _SMALLEST_ARGUMENT
@@ -439,17 +445,22 @@ def _bessel_table(x: np.ndarray, size: int) -> np.ndarray:
     orders = np.arange(1, size + 1)
     bound = orders[:, None] * np.log(0.5 * a) - gammaln(orders + 1.0)[:, None]
     below = bound <= 2.0 * math.log(_EPS)
-    start = np.where(below.any(axis=0), below.argmax(axis=0) + 1, size)
+    own_range = (a + 10.0 * a ** (1.0 / 3.0)).astype(int) + 41
+    start = np.minimum(np.where(below.any(axis=0), below.argmax(axis=0) + 1, size), own_range)
     table = np.zeros((size + 2, a.size))
     table[start, np.arange(a.size)] = 1.0
-    ratio = orders[:, None] * (2.0 / a)
+    # one row per order, each updated in place through one buffer
+    rows, ratios, tmp = list(table), list(orders[:, None] * (2.0 / a)), np.empty(a.size)
     for k in range(size, 0, -1):
-        table[k - 1] += ratio[k - 1] * table[k] - table[k + 1]
-    table = table[:size] / (table[0] + 2.0 * table[2::2].sum(axis=0))
-    table[1::2, x < 0] *= -1.0
-    table[:, zero] = 0.0
-    table[0, zero] = 1.0
-    return table
+        np.multiply(ratios[k - 1], rows[k], out=tmp)
+        tmp -= rows[k + 1]
+        rows[k - 1] += tmp
+    table = table[:size].T.copy()  # rows are columns from here on
+    table /= (table[:, 0] + 2.0 * table[:, 2::2].sum(axis=1))[:, None]
+    table[x < 0, 1::2] *= -1.0
+    table[zero] = 0.0
+    table[zero, 0] = 1.0
+    return table.T
 
 
 def _field_truncation_deficit(x: complex, n_max: int) -> float:

@@ -34,9 +34,14 @@ def test_group_kind_validation():
         spin(0.3)
     with pytest.raises(ValueError):
         spin(-1.0)
+    # 2j within 1e-12 of 0 is no spin, though it lies within 1e-12 of an integer
+    for tiny in (1e-300, 1e-17, 5e-13, 0.0, -1e-17):
+        with pytest.raises(ValueError):
+            spin(tiny)
     with pytest.raises(ValueError):
         GroupKind("other")
     assert spin(4.5).dim == 10
+    assert spin(0.5 - 1e-13).dim == 2
     with pytest.raises(ValueError):
         HEISENBERG.dim
 

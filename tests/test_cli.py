@@ -129,23 +129,48 @@ def test_a_grid_past_the_cap_reports_error(tmp_path, capsys, override, keys):
 
 
 @pytest.mark.parametrize(
-    ("verb", "override", "error"),
+    ("verb", "overrides", "error"),
     [
-        ("overlap-pair", "pairs=[[4, 0, 0.1, 0]]", "overlap-pair needs 2 initial states, got 1"),
-        ("oracle-compare", "pairs=[[4, 0, 0.1, 0]]", "oracle-compare needs 2 initial states, got 1"),
-        ("fig1", f"pairs={[[4, 0, 0.1, 0]] * 3}", "fig1 needs 4 initial states, got 3"),
-        ("trajectory", "energy_target=1e6", "no im_x shift"),
-        ("trajectory", "energy_target=1e308", "no im_x shift"),
-        ("entropy", "n_max=10000000", "dimension 100000010 exceeds cap"),
+        ("overlap-pair", ["pairs=[[4, 0, 0.1, 0]]"], "overlap-pair needs 2 initial states, got 1"),
+        ("oracle-compare", ["pairs=[[4, 0, 0.1, 0]]"], "oracle-compare needs 2 initial states, got 1"),
+        ("fig1", [f"pairs={[[4, 0, 0.1, 0]] * 3}"], "fig1 needs 4 initial states, got 3"),
+        ("trajectory", ["energy_target=1e6"], "no im_x shift"),
+        ("trajectory", ["energy_target=1e308"], "no im_x shift"),
+        ("entropy", ["n_max=10000000"], "dimension 100000010 exceeds cap"),
+        # a spin magnitude that rounds to 2j = 0 describes no spin
+        ("trajectory", ["model.j=1e-17"], "invalid model: spin magnitude must be positive half-integer, got 1e-17"),
+        (
+            "oracle-compare", ["model.j=1e-300", "model.g_prime=-1e300"],
+            "invalid model: spin magnitude must be positive half-integer, got 1e-300",
+        ),
+        # g / sqrt(j) overflows at j = 1/2; at j = 9/2 it does not, but the energy does
+        ("trajectory", ["model.g=1.7e308", "model.j=0.5"], "invalid model: gamma must be finite"),
+        ("trajectory", ["model.g=1.7e308"], "'pairs[0]' has classical energy -inf, which is not finite"),
     ],
-    ids=["overlap-pair", "oracle-compare", "fig1", "projection", "projection-overflow", "basis-cap"],
+    ids=[
+        "overlap-pair", "oracle-compare", "fig1", "projection", "projection-overflow", "basis-cap",
+        "spin-rounds-to-zero", "spin-rounds-to-zero-overflow", "coupling-overflow", "energy-overflow",
+    ],
 )
-def test_a_run_failing_before_its_verb_leaves_no_out_directory(tmp_path, capsys, verb, override, error):
-    # the state count, the projection and the basis size are all settled before --out is created
+def test_a_run_failing_before_its_verb_leaves_no_out_directory(tmp_path, capsys, verb, overrides, error):
+    # the model, the state count, the energies, the projection and the basis
+    # size are all settled before --out is created
     out = tmp_path / "out"
-    assert main([verb, "--preset", "fig1", "--out", str(out), "--override", override]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {error}")
+    args = [verb, "--preset", "fig1", "--out", str(out), "--override", "t_final=0.1"]
+    assert main(args + [f"--override={item}" for item in overrides]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_long_coarse_steps_converge(tmp_path):
+    # a chunk's R tau run from 234 to 4682: the columns past about 3000 once
+    # began Miller's recurrence at the largest one's order, overflowed and
+    # made the series fail to converge
+    out = tmp_path / "out"
+    args = ["oracle-compare", "--preset", "fig1", "--out", str(out), "--override", "t_final=100"]
+    assert main(args + ["--override", "sampling_dt=5"]) == 0
+    assert len((out / "oracle_compare.csv").read_text().splitlines()) == 22
 
 
 def test_a_basis_too_small_for_the_evolution_stops_the_run_and_leaves_no_files(tmp_path, capsys):

@@ -356,6 +356,22 @@ def test_diagonal_chebyshev_steps_equal_the_csr_steps_bit_for_bit(h, n_max, seed
     assert all(np.array_equal(a, b) for chunks in zip(got, want) for a, b in zip(*chunks))
 
 
+# Chebyshev arguments R tau from the vanishing to orders in the thousands
+CHEBYSHEV_ARGUMENTS = st.lists(st.one_of(st.floats(-5000.0, 5000.0), st.floats(-1e-8, 1e-8)), min_size=2, max_size=8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(CHEBYSHEV_ARGUMENTS)
+@example([234.1 * k for k in range(1, 21)])  # overflowed above 3000 when each column began at the largest's order
+def test_chebyshev_coefficients_of_mixed_arguments_equal_each_alone(xs):
+    weights, orders = oracle._chebyshev_coefficients(np.array(xs))
+    for m, xm in enumerate(xs):
+        alone, (order,) = oracle._chebyshev_coefficients(np.array([xm]))
+        # the columns differ only in how the normalising sum groups its terms
+        assert orders[m] == order
+        assert np.abs(weights[:order, m] - alone[:, 0]).max() <= ULPS
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.integers(1, 20), SMALL_FIELD_LABELS, LABELS)
 def test_mean_field_is_exact_at_zero_coupling(frequencies, two_j, x, y):
