@@ -10,7 +10,8 @@ Chem. Phys. 81, 3967 (1984)): H is scaled once into [-1, 1] by its
 Gershgorin interval, and each chunk of consecutive sample times is
 expanded about the previous chunk's last time. The vectors (-i)^k T_k(H_s)
 psi of one recurrence are shared by every time of the chunk; only their
-Bessel weights, from Miller's backward recurrence, depend on the time.
+Bessel weights, from Miller's backward recurrence begun at each time's own
+order, depend on the time.
 Each order multiplies by the scaled H through its few diagonals (at most
 nine for a bilinear model, five for the maser), as contiguous numpy
 products summed in the order of a CSR row, so that it agrees bit for bit
@@ -197,10 +198,11 @@ class ExactEvolver:
     A Chebyshev expansion of exp(-i H t) acts on all states at once, one
     series per chunk of consecutive times, expanded about the last time of
     the chunk before. Each order of a series takes one product with the
-    scaled matrix, stored as its diagonals: a pass over the states per
-    diagonal, which suits the few diagonals of build_hamiltonian_matrix's
-    matrices, while a matrix with many (a random sparse one) stores dim
-    entries for each and steps slowly. spectral_interval is the Gershgorin
+    scaled matrix, stored as its diagonals, which are read from the CSR
+    form (no DIA copy): a pass over the states per diagonal, which suits
+    the few diagonals of build_hamiltonian_matrix's matrices, while a
+    matrix with many (a random sparse one) stores up to dim entries for
+    each and steps slowly. spectral_interval is the Gershgorin
     interval the matrix is scaled by; chebyshev_orders counts the products
     taken so far.
     """

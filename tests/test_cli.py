@@ -1,12 +1,18 @@
 """End-to-end command line tests, run in process through main()."""
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohchaos.cli import build_parser, main
-from cohchaos.experiments import expand_preset
+from cohchaos.experiments import VERBS, expand_preset
 
 
 def write_config(tmp_path, **extra):
@@ -229,3 +235,57 @@ def test_parser_metadata():
     help_text = parser.format_help()
     for verb in ("trajectory", "overlap-pair", "entropy", "lyapunov", "oracle-compare", "fig1"):
         assert verb in help_text
+
+
+# Override values as a fuzz of the command line draws them: ordinary ones,
+# short enough for a test (t_final <= 0.5, lyapunov.t_total <= 2), with up
+# to two keys set to an extreme, subnormal or overflowing float.
+EXTREME = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585e-313, 1e-300, 1e-17, 1e-8, 1e300, -1e300, 1.7e308, -1.7e308])
+ORDINARY = {
+    **{f"model.{key}": st.floats(-2.0, 2.0) for key in ("epsilon", "omega", "g", "g_prime")},
+    "model.j": st.integers(1, 12).map(lambda two_j: two_j / 2),
+    "n_max": st.one_of(st.none(), st.integers(1, 40)),
+    "rel_tol": st.floats(1e-12, 1e-4),
+    "abs_tol": st.floats(1e-12, 1e-4),
+    "sampling_dt": st.floats(0.01, 0.5),
+    "energy_target": st.one_of(st.none(), st.floats(-5.0, 20.0)),
+}
+
+
+@st.composite
+def overrides(draw) -> dict:
+    window = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    values = {
+        "t_final": draw(st.floats(0.05, 0.5)),
+        "lyapunov.window": window,
+        "lyapunov.t_total": window * draw(st.integers(1, int(2 / window))),
+    }
+    values.update(draw(st.fixed_dictionaries({}, optional=ORDINARY)))
+    for key in draw(st.lists(st.sampled_from(sorted(values.keys() | ORDINARY.keys())), max_size=2, unique=True)):
+        values[key] = draw(EXTREME)
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(VERBS)), overrides())
+@example("trajectory", {"t_final": 0.1, "lyapunov.t_total": 2.0, "model.j": 1e-17})
+@example("oracle-compare", {"t_final": 0.1, "lyapunov.t_total": 2.0, "model.j": 1e-300, "model.g_prime": -1e300})
+@example("trajectory", {"t_final": 0.1, "lyapunov.t_total": 2.0, "model.g": 1.7e308, "model.j": 0.5})
+@example("trajectory", {"t_final": 0.1, "lyapunov.t_total": 2.0, "model.g": 1.7e308})
+def test_a_run_writes_all_its_outputs_or_one_error_line_and_no_file(verb, overrides):
+    # a RuntimeWarning, which tier-1 turns into an error, or any other
+    # exception escapes main as a traceback and fails this test
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [verb, "--preset", "fig1", "--out", str(out)]
+        argv += [f"--override={key}={json.dumps(value)}" for key, value in overrides.items()]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert sorted(path.name for path in out.iterdir()) == sorted([*manifest["outputs"], "run_manifest.json"])
+        else:
+            lines = err.getvalue().splitlines()
+            assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists() or not any(out.iterdir())
