@@ -235,7 +235,7 @@ class ExactEvolver:
         rows = np.repeat(np.arange(self._dim), np.diff(h.indptr))
         diagonals = []
         for d in np.union1d(h.indices - rows, [0]).tolist():
-            reach = np.array(h.diagonal(d), dtype=complex)[:, None]
+            reach = np.asarray(h.diagonal(d), dtype=complex)[:, None]
             if d == 0:
                 reach -= self._centre
             reach *= 1.0 / self._half_width
@@ -437,10 +437,10 @@ def _bessel_table(x: np.ndarray, size: int) -> np.ndarray:
     past the float range on its way down.) Each column is then normalised by
     the Neumann sum J_0 + 2 sum_k J_2k = 1; it costs O(size), not the O(k)
     per value of a direct evaluation. The table is column-major, so that
-    numpy adds this sum, and any other along a column, pairwise: the
-    identity then holds to a few eps, where a sum over C-ordered rows, one
-    row at a time, left it 11 eps off. A negative argument uses
-    J_k(-x) = (-1)^k J_k(x); one below _SMALLEST_ARGUMENT gives J_0 = 1.
+    numpy adds this sum, and any other along a column, pairwise, which
+    keeps the identity to a few eps; row by row it can be 10 eps off. A
+    negative argument uses J_k(-x) = (-1)^k J_k(x); one below
+    _SMALLEST_ARGUMENT gives J_0 = 1.
     """
     zero = np.abs(x) < _SMALLEST_ARGUMENT
     a = np.where(zero, 1.0, np.abs(x))
