@@ -61,7 +61,7 @@ class GroupKind:
 
     kind: str
     j: float | None = None
-    # a stored flag, not a property: the flow's right-hand side reads it six times per call
+    # a stored flag, not a property: expectations and overlap_exponent read it on every call
     is_spin: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -185,8 +185,9 @@ def expectations(group: GroupKind, zr: float, zi: float) -> tuple[float, float, 
     <J_-> = 2j z/(1+|z|^2).  The induced Bloch vector has length j exactly.
     The generators are hermitian conjugate pairs (A_0 hermitian, A_- the
     adjoint of A_+), so <A_0> is real and <A_-> = conj(<A_+>) is not
-    returned.  Real Python floats, with |z|^2 taken as zr*zr + zi*zi,
-    because the flow's right-hand side calls this twice per evaluation.
+    returned.  Real Python floats, with |z|^2 taken as zr*zr + zi*zi: the
+    flow's right-hand side (dynamics._flow_rhs) computes these in its own
+    body in the same operation order, and must keep the bits of this form.
     The label is not range-checked: the flow checks it on entry and exit.
     """
     r2 = zr * zr + zi * zi

@@ -29,19 +29,22 @@ reduces to the second, which the right-hand side computes.
 The right-hand side is written in Python real floats, on the independent
 half of the mean field only, and builds no complex object: each label
 enters as its real and imaginary parts, |z|^2 as zr*zr + zi*zi, and each
-complex product above is taken on real and imaginary parts.  One call of
-algebra.expectations per degree gives (<A_0>, Re <A_+>, Im <A_+>); one
-call of model.mean_field_coeffs gives both degrees' (c_0, Re c_+, Im c_+)
-and the coupling counterterm, each zero component and the counterterm
-real by construction; one call per degree gives the label velocity's two
-parts and the phase rates.  It returns a tuple of nine floats, which VODE
-converts itself, and builds no array.  It stays general over the bilinear
-class: either degree may be an oscillator or a spin, and every
-independent alpha, beta and gamma entry enters.
+complex product above is taken on real and imaginary parts.  _flow_rhs
+binds a model's scalars and each degree's kind and j once, and returns
+one function whose body computes each degree's expectations (<A_0>,
+Re <A_+>, Im <A_+>) as algebra.expectations does, both degrees'
+coefficients (c_0, Re c_+, Im c_+) and the coupling counterterm as
+model.mean_field_coeffs does (each zero component and the counterterm
+real by construction), and each label velocity's two parts and phase
+rates, with no further Python call: an evaluation is one call.  It
+returns a tuple of nine floats, which VODE converts itself, and builds no
+array.  It stays general over the bilinear class: either degree may be an
+oscillator or a spin, and every independent alpha, beta and gamma entry
+enters.
 
-_rhs is the one definition of the flow: _tangent_rhs evaluates it once
-at label parts a complex step off the real ones, whose imaginary parts
-then carry the Jacobian-vector product.
+_flow_rhs is the one definition of the flow: _tangent_rhs evaluates the
+function it binds once at label parts a complex step off the real ones,
+whose imaginary parts then carry the Jacobian-vector product.
 
 Labels are validated where they enter and leave the flow, not in the RHS:
 ProductState requires them finite with |z| <= 1e6, and integrate raises
@@ -58,7 +61,9 @@ unrelated ValueError.  The RHS checks nothing itself, but an interrupt
 (KeyboardInterrupt) or an arithmetic error (an OverflowError from |z|^2)
 can still arise in it, so _solve catches the first exception, returns
 NaNs until VODE stops, and raises that exception again once VODE has
-returned.
+returned.  An exception raised before the guard, by a signal handler at
+the callback's first bytecode, is lost inside VODE and surfaces later as
+a SystemError from it; _solve raises the exception itself.
 """
 
 from __future__ import annotations
@@ -74,8 +79,13 @@ import numpy as np
 # because perfbench/trace.py wraps dynamics.solve_ivp as a trace target
 from scipy.integrate import ode, solve_ivp  # noqa: F401
 
-from .algebra import _LABEL_BOUND, GroupKind, CohChaosError, _check_label, expectations, overlap, overlap_exponent
-from .model import BilinearHamiltonian, classical_energy, mean_field_coeffs
+from .algebra import _LABEL_BOUND, GroupKind, CohChaosError, _check_label, overlap, overlap_exponent
+
+# mean_field_coeffs is not called here: _flow_rhs computes the coefficients
+# in its own body.  It stays importable from this module only because
+# perfbench/trace.py counts calls of dynamics.mean_field_coeffs, and a
+# missing trace target fails a traced run
+from .model import BilinearHamiltonian, classical_energy, mean_field_coeffs  # noqa: F401
 
 
 class IntegrationError(CohChaosError):
@@ -159,47 +169,83 @@ class Trajectory:
         )
 
 
-def _degree_rates(
-    group: GroupKind, zr: float, zi: float, coeffs: tuple[float, float, float]
-) -> tuple[float, float, float, float]:
-    """Label velocity (Re dz, Im dz) and the rates (deta, ds1) of the fiducial and first-excited phases.
-
-    coeffs are the independent one-body coefficients (c_0, Re c_+, Im c_+)
-    acting on the degree at z = zr + i zi, c_- = conj(c_+); see the module
-    docstring for the forms, here taken on real and imaginary parts, deta
-    in its reduced form.
-    """
-    c0, cpr, cpi = coeffs
-    drive = cpr * zr + cpi * zi  # Re(c_+ conj(z))
-    if not group.is_spin:
-        # dz = -i (c_0 z + c_+)
-        eta_rate = -drive
-        return c0 * zi + cpi, -(c0 * zr + cpr), eta_rate, eta_rate - c0
-    j = group.j
-    # dz = i (conj(c_+) z^2 - c_+ - c_0 z), with z^2 = wr + i wi
-    wr = zr * zr - zi * zi
-    wi = 2.0 * zr * zi
-    dzr = cpi + c0 * zi - (cpr * wi - cpi * wr)
-    dzi = (cpr * wr + cpi * wi) - cpr - c0 * zr
-    eta_rate = j * (c0 - 2.0 * drive)
-    return dzr, dzi, eta_rate, eta_rate * (j - 1.0) / j
-
-
 def _pack(s: ProductState) -> np.ndarray:
     return np.array([s.x.real, s.x.imag, s.y.real, s.y.imag, s.eta_x, s.eta_y, 0.0, 0.0, 0.0])
 
 
-def _rhs(t: float, v: list[float], h: BilinearHamiltonian) -> tuple[float, ...]:
-    # v is the state as Python floats (_solve converts VODE's array), and a
-    # tuple goes back: VODE converts it itself.  Only + - * / act on the
-    # label parts, so _tangent_rhs may pass them complex.
-    xr, xi, yr, yi = v[:4]
-    # the factorized one-body Hamiltonians each count the coupling energy
-    # dphi once, so the physical phases carry it back as a counterterm
-    a, b, dphi = mean_field_coeffs(h, expectations(h.group_a, xr, xi), expectations(h.group_b, yr, yi))
-    dxr, dxi, deta_x, ds1_x = _degree_rates(h.group_a, xr, xi, a)
-    dyr, dyi, deta_y, ds1_y = _degree_rates(h.group_b, yr, yi, b)
-    return dxr, dxi, dyr, dyi, deta_x, deta_y, ds1_x, ds1_y, dphi
+def _flow_rhs(h: BilinearHamiltonian):
+    """The flow's right-hand side rhs(t, v) of model h: nine rates at the state v, a list of Python floats.
+
+    h.scalars and each degree's kind and j are bound here once.  Each
+    expression is algebra.expectations, model.mean_field_coeffs or the
+    module docstring's label velocity and phase rates, taken on real and
+    imaginary parts in the same operation order, so every rate keeps the
+    bits of that composition.  rhs returns a tuple, which VODE converts
+    itself.  Only + - * / act on the label parts, so _tangent_rhs may pass
+    them complex.
+    """
+    a0, apr, api, b0, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppr, gppi, gpmr, gpmi = h.scalars
+    spin_a, ja = h.group_a.is_spin, h.group_a.j
+    spin_b, jb = h.group_b.is_spin, h.group_b.j
+
+    def rhs(t: float, v: list[float]) -> tuple[float, ...]:
+        xr, xi, yr, yi = v[:4]
+        # the expectations (<A_0>, Re <A_+>, Im <A_+>) and (<B_0>, Re <B_+>, Im <B_+>)
+        rx = xr * xr + xi * xi
+        if spin_a:
+            den = 1.0 + rx
+            inv = 1.0 / den
+            ea0, ear, eai = -ja * (1.0 - rx) / den, 2.0 * ja * xr * inv, -2.0 * ja * xi * inv
+        else:
+            ea0, ear, eai = rx, xr, -xi
+        ry = yr * yr + yi * yi
+        if spin_b:
+            den = 1.0 + ry
+            inv = 1.0 / den
+            eb0, ebr, ebi = -jb * (1.0 - ry) / den, 2.0 * jb * yr * inv, -2.0 * jb * yi * inv
+        else:
+            eb0, ebr, ebi = ry, yr, -yi
+        # the mean-field coefficients (c_0, Re c_+, Im c_+) of each degree, and the coupling energy
+        s0 = g00 * ea0 + 2.0 * (gp0r * ear - gp0i * eai)
+        spr = g0pr * ea0 + (gppr * ear - gppi * eai) + (gpmr * ear - gpmi * eai)
+        spi = g0pi * ea0 + (gppr * eai + gppi * ear) - (gpmr * eai + gpmi * ear)
+        c0 = a0 + g00 * eb0 + 2.0 * (g0pr * ebr - g0pi * ebi)
+        cpr = apr + gp0r * eb0 + (gppr * ebr - gppi * ebi) + (gpmr * ebr + gpmi * ebi)
+        cpi = api + gp0i * eb0 + (gppr * ebi + gppi * ebr) + (gpmi * ebr - gpmr * ebi)
+        # the factorized one-body Hamiltonians each count the coupling energy
+        # dphi once, so the physical phases carry it back as a counterterm
+        dphi = s0 * eb0 + 2.0 * (spr * ebr - spi * ebi)
+        # each label's velocity and its two phase rates, deta in its reduced form
+        drive = cpr * xr + cpi * xi  # Re(c_+ conj(x))
+        if spin_a:
+            # dx = i (conj(c_+) x^2 - c_+ - c_0 x), with x^2 = wr + i wi
+            wr = xr * xr - xi * xi
+            wi = 2.0 * xr * xi
+            dxr = cpi + c0 * xi - (cpr * wi - cpi * wr)
+            dxi = (cpr * wr + cpi * wi) - cpr - c0 * xr
+            deta_x = ja * (c0 - 2.0 * drive)
+            ds1_x = deta_x * (ja - 1.0) / ja
+        else:
+            # dx = -i (c_0 x + c_+)
+            dxr, dxi = c0 * xi + cpi, -(c0 * xr + cpr)
+            deta_x = -drive
+            ds1_x = deta_x - c0
+        c0, cpr, cpi = b0 + s0, bpr + spr, bpi + spi
+        drive = cpr * yr + cpi * yi
+        if spin_b:
+            wr = yr * yr - yi * yi
+            wi = 2.0 * yr * yi
+            dyr = cpi + c0 * yi - (cpr * wi - cpi * wr)
+            dyi = (cpr * wr + cpi * wi) - cpr - c0 * yr
+            deta_y = jb * (c0 - 2.0 * drive)
+            ds1_y = deta_y * (jb - 1.0) / jb
+        else:
+            dyr, dyi = c0 * yi + cpi, -(c0 * yr + cpr)
+            deta_y = -drive
+            ds1_y = deta_y - c0
+        return dxr, dxi, dyr, dyi, deta_x, deta_y, ds1_x, ds1_y, dphi
+
+    return rhs
 
 
 # The complex step: its square (1e-200) is lost against every real part
@@ -207,23 +253,29 @@ def _rhs(t: float, v: list[float], h: BilinearHamiltonian) -> tuple[float, ...]:
 _STEP = 1e-100
 
 
-def _tangent_rhs(t: float, v: list[float], h: BilinearHamiltonian) -> tuple[float, ...]:
-    """Rates of the flow, its unit tangent u in (x / sqrt(4j), y) and rho = log |tangent|: 9 + 4 + 1 floats.
+def _tangent_rhs(h: BilinearHamiltonian):
+    """Rates of the flow of h, its unit tangent u in (x / sqrt(4j), y) and rho = log |tangent|: 9 + 4 + 1 floats.
 
-    _rhs at the labels plus i _STEP (sqrt(4j) u_x, u_y) gives the rates as
-    real parts and J u, over the step, as imaginary parts, exact to rounding
-    (Squire & Trapp, SIAM Rev. 40, 110, 1998).  With r = u . J u / |u|^2,
-    du/dt = J u - r u holds |u| fixed and drho/dt = r.  The division keeps
-    |u| = 1 neutral: without it, a contraction (u . J u reaches -6e3 where
-    a spin label passes |y| = 100) drives |u| away from 1 and VODE fails.
+    The returned tangent(t, v) evaluates _flow_rhs(h) once, at the labels
+    plus i _STEP (sqrt(4j) u_x, u_y): the rates are its real parts and J u,
+    over the step, its imaginary parts, exact to rounding (Squire & Trapp,
+    SIAM Rev. 40, 110, 1998).  With r = u . J u / |u|^2, du/dt = J u - r u
+    holds |u| fixed and drho/dt = r.  The division keeps |u| = 1 neutral:
+    without it, a contraction (u . J u reaches -6e3 where a spin label
+    passes |y| = 100) drives |u| away from 1 and VODE fails.
     """
-    xr, xi, yr, yi, *_, ur, ui, wr, wi, _ = v
+    rhs = _flow_rhs(h)
     g = h.group_b if h.group_b.is_spin else h.group_a  # j = 1/4 if neither degree is a spin
     sx = _STEP * (math.sqrt(4.0 * g.j) if g.is_spin else 1.0)
-    f = _rhs(t, [complex(xr, sx * ur), complex(xi, sx * ui), complex(yr, _STEP * wr), complex(yi, _STEP * wi)], h)
-    jur, jui, jwr, jwi = f[0].imag / sx, f[1].imag / sx, f[2].imag / _STEP, f[3].imag / _STEP
-    rate = (ur * jur + ui * jui + wr * jwr + wi * jwi) / (ur * ur + ui * ui + wr * wr + wi * wi)
-    return (*(c.real for c in f), jur - rate * ur, jui - rate * ui, jwr - rate * wr, jwi - rate * wi, rate)
+
+    def tangent(t: float, v: list[float]) -> tuple[float, ...]:
+        xr, xi, yr, yi, *_, ur, ui, wr, wi, _ = v
+        f = rhs(t, [complex(xr, sx * ur), complex(xi, sx * ui), complex(yr, _STEP * wr), complex(yi, _STEP * wi)])
+        jur, jui, jwr, jwi = f[0].imag / sx, f[1].imag / sx, f[2].imag / _STEP, f[3].imag / _STEP
+        rate = (ur * jur + ui * jui + wr * jwr + wi * jwi) / (ur * ur + ui * ui + wr * wr + wi * wi)
+        return (*(c.real for c in f), jur - rate * ur, jui - rate * ui, jwr - rate * wr, jwi - rate * wi, rate)
+
+    return tangent
 
 
 # A step below _MIN_STEP ends VODE's call; this is what stops it within
@@ -237,16 +289,32 @@ _MAX_STEPS = 10**6
 _MAX_COUNT = 10**6
 
 
-def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: BilinearHamiltonian):
-    """Integrate dv/dt = rhs(t, v, h) from v0 at times[0]; return (samples, evaluations).
+def _lost(exc: BaseException) -> BaseException:
+    """The exception that C VODE lost in a callback, if exc is how it surfaced; otherwise exc.
+
+    An exception raised in the callback before its guard (a signal
+    handler runs at its first bytecode) stays set inside VODE.  The next C
+    call that returns a result, the next callback's v.tolist() or VODE's
+    own return, raises a SystemError from it, and ode.integrate wraps a
+    SystemError of VODE's return in a ValueError.
+    """
+    system_error = exc.__cause__ if isinstance(exc, ValueError) else exc
+    if isinstance(system_error, SystemError) and system_error.__cause__ is not None:
+        return system_error.__cause__
+    return exc
+
+
+def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig):
+    """Integrate dv/dt = rhs(t, v) from v0 at times[0]; return (samples, evaluations).
 
     rhs gets v as a list of Python floats, converted from VODE's array once
     per evaluation.  samples[:, i] is the state at times[i].  VODE's Adams
     method runs once per sample time and ends before this returns, so no two
     VODE instances ever interleave (older scipy builds of VODE are not
-    re-entrant).  The first exception the RHS raises is raised again,
-    unchanged, after VODE's call returns; a VODE failure raises
-    IntegrationError with the time.
+    re-entrant).  The first exception the RHS raises, or that VODE lost
+    at the callback's entry (see _lost), is raised again, unchanged, after
+    VODE's call returns; a VODE failure raises IntegrationError with the
+    time.
     """
     caught: list[BaseException] = []
     evals = 0
@@ -258,9 +326,9 @@ def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: Bil
         if not caught:
             # every exception, interrupts included: VODE would lose it
             try:
-                return rhs(t, v.tolist(), h)
+                return rhs(t, v.tolist())
             except BaseException as exc:
-                caught.append(exc)
+                caught.append(_lost(exc))
         return nan
 
     solver = ode(guarded).set_integrator(
@@ -273,7 +341,13 @@ def _solve(rhs, v0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, h: Bil
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
         for i in range(1, len(times)):
-            out[:, i] = solver.integrate(times[i])
+            try:
+                out[:, i] = solver.integrate(times[i])
+            except (SystemError, ValueError) as exc:
+                lost = _lost(exc)
+                if lost is exc:
+                    raise
+                caught.append(lost)
             if caught:
                 raise caught[0]
             if not solver.successful():
@@ -323,7 +397,7 @@ def integrate(
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")
     times = _sample_grid(t_final, cfg.sample_dt)
-    v, rhs_evals = _solve(_rhs, _pack(s0), times, cfg, h)
+    v, rhs_evals = _solve(_flow_rhs(h), _pack(s0), times, cfg)
     x = v[0] + 1j * v[1]
     y = v[2] + 1j * v[3]
     _check_labels(times, x, y)
@@ -406,6 +480,6 @@ def lyapunov_series(
         raise ValueError("need t_total > 0, 0 < window <= t_total")
     times = window * np.arange(window_count(t_total, window) + 1.0)
     v0 = np.concatenate([_pack(s0), [1.0, 0.0, 0.0, 0.0, 0.0]])
-    v, rhs_evals = _solve(_tangent_rhs, v0, times, cfg, h)
+    v, rhs_evals = _solve(_tangent_rhs(h), v0, times, cfg)
     _check_labels(times, v[0] + 1j * v[1], v[2] + 1j * v[3])
     return LyapunovSeries(window_ends=times[1:], running=v[13, 1:] / times[1:], rhs_evals=rhs_evals)

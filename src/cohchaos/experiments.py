@@ -414,8 +414,9 @@ def _exact_runs(run: _Run, times) -> Iterator[tuple[np.ndarray, list[OracleState
     """Yield, per chunk of times, those times and the exact evolutions of the product vectors of run.exact.
 
     Each evolution is one OracleState stacked over the chunk's times, in
-    the basis run.hilbert. It, the spectral interval the evolution is
-    scaled by, the truncation deficits, and (once the times are exhausted)
+    the basis run.hilbert. It, the configured n_max where the truncation
+    policy raised it, the spectral interval the evolution is scaled by,
+    the truncation deficits, and (once the times are exhausted)
     the largest top-Fock population over every yielded state and the
     sparse products the evolution took go into the manifest. A chunk in
     which a state's top-Fock population passes _TOP_FOCK_BOUND raises
@@ -428,6 +429,9 @@ def _exact_runs(run: _Run, times) -> Iterator[tuple[np.ndarray, list[OracleState
         "n_max": hcfg.n_max, "j": hcfg.j, "dim": hcfg.dim,
         "spectral_interval": [_sig3(end) for end in evolver.spectral_interval],
     }
+    if run.cfg.n_max is not None and run.cfg.n_max < hcfg.n_max:
+        # the truncation policy raised the configured n_max to fit the field labels
+        hilbert["n_max_raised_from"] = run.cfg.n_max
     psi0 = [product_coherent_vector(s.x, s.y, hcfg) for s in run.exact]
     run.manifest["truncation_deficits"] = [p.truncation_deficit for p in psi0]
     top = 0.0

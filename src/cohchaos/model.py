@@ -39,12 +39,13 @@ class BilinearHamiltonian:
     alpha_0, beta_0 real, alpha_- = conj(alpha_+) (same for beta), and
     gamma[dag(i), dag(j)] = conj(gamma[i, j]) where dag swaps PLUS and MINUS.
     The arrays are copies of the arguments, made read-only, and serve the
-    exact oracle.  mean_field_coeffs and classical_energy read `scalars`
-    instead: the nine independent entries (alpha_0, alpha_+, beta_0, beta_+,
-    gamma_00, gamma_0+, gamma_+0, gamma_++, gamma_+-) as 15 Python floats,
-    built once here: each zero entry as one real float, each PLUS entry as
-    its real part followed by its imaginary part.  Hermiticity fixes every
-    other entry as the conjugate of one of these.
+    exact oracle.  The flow's right-hand side, mean_field_coeffs and
+    classical_energy read `scalars` instead: the nine independent entries
+    (alpha_0, alpha_+, beta_0, beta_+, gamma_00, gamma_0+, gamma_+0,
+    gamma_++, gamma_+-) as 15 Python floats, built once here: each zero
+    entry as one real float, each PLUS entry as its real part followed by
+    its imaginary part.  Hermiticity fixes every other entry as the
+    conjugate of one of these.
     """
 
     group_a: GroupKind
@@ -163,9 +164,10 @@ def mean_field_coeffs(
     decoupled single-factor Hamiltonians count twice, is
     E_c = sum_ij gamma_ij <A_i><B_j> = s_0 <B_0> + 2 Re(s_+ <B_+>).  Every
     complex product above is taken on its real and imaginary parts, in
-    Python floats on h.scalars, the sums written out: numpy's set-up cost
-    on 3-vectors would be most of the flow's right-hand side, and Python
-    complex objects would make it about a quarter slower.
+    Python floats on h.scalars, the sums written out.  The flow's
+    right-hand side (dynamics._flow_rhs) computes these sums in its own
+    body in the same operation order, and must keep the bits of this form;
+    classical_energy and the tests call this one.
     """
     a0, apr, api, b0, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppr, gppi, gpmr, gpmi = h.scalars
     ea0, ear, eai = ev_a
@@ -190,8 +192,8 @@ def classical_energy(h: BilinearHamiltonian, x: complex, y: complex) -> float:
     E = sum_i alpha_i <A_i> + sum_j beta_j <B_j> + sum_ij gamma_ij <A_i><B_j>
       = alpha_0 <A_0> + beta_0 <B_0> + 2 Re(alpha_+ <A_+> + beta_+ <B_+>) + E_c,
     E_c being mean_field_coeffs' coupling energy; real by construction.
-    Python float arithmetic on the labels' parts and h.scalars, like the
-    flow's right-hand side: Re(c <A_+>) = Re c Re <A_+> - Im c Im <A_+>.
+    Python float arithmetic on the labels' parts and h.scalars:
+    Re(c <A_+>) = Re c Re <A_+> - Im c Im <A_+>.
     """
     x, y = complex(x), complex(y)
     ev_a = expectations(h.group_a, x.real, x.imag)

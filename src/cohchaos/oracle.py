@@ -25,7 +25,6 @@ observables take a state or a stack of them.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -104,14 +103,13 @@ def recommended_n_max(x: complex) -> int:
 
 
 def hilbert_for_labels(labels, j: float, n_max: int | None = None) -> HilbertConfig:
-    """Config sized for the given field labels; raises a requested n_max with a warning if low."""
+    """Config sized for the given field labels; a requested n_max below the policy's is raised to it.
+
+    The raise is not reported here: a caller compares the config's n_max
+    with the one it asked for (an exact run records it in its manifest).
+    """
     need = max(recommended_n_max(x) for x in labels)
-    if n_max is None:
-        n_max = need
-    elif n_max < need:
-        warnings.warn(f"n_max raised from {n_max} to {need} to fit the field labels", stacklevel=2)
-        n_max = need
-    return HilbertConfig(n_max=n_max, j=j)
+    return HilbertConfig(n_max=need if n_max is None else max(n_max, need), j=j)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Nothing here is imported by the library. Each object is either an earlier
 form of a library closed form kept verbatim (the numpy mean-field
-right-hand side) or a construction that only the tests need (dense
+right-hand side, and the per-degree label velocity and phase rates that
+the scalar right-hand side composed before it was fused) or a
+construction that only the tests need (dense
 generator matrices, single-degree coherent vectors with their norm
 deficit, matrix exponentials, excited fiducials, the exact evolution one
 time at a time or stepped by the CSR form of its Chebyshev step, the
@@ -23,7 +25,7 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from cohchaos import algebra, oracle
+from cohchaos import algebra, model, oracle
 from cohchaos.algebra import HEISENBERG, CohChaosError, Gen, GroupKind, TruncationError, spin
 from cohchaos.corrections import CorrectionKernel
 from cohchaos.dynamics import ProductState
@@ -100,6 +102,44 @@ def rhs(t: float, v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:
     deta_y, ds1_y = action_rate(h.group_b, y, dy, b)
     dphi = interaction_energy(h, ev_a, ev_b)
     return np.array([dx.real, dx.imag, dy.real, dy.imag, deta_x, deta_y, ds1_x, ds1_y, dphi])
+
+
+def degree_rates(
+    group: GroupKind, zr: float, zi: float, coeffs: tuple[float, float, float]
+) -> tuple[float, float, float, float]:
+    """Label velocity (Re dz, Im dz) and the rates (deta, ds1) of the fiducial and first-excited phases.
+
+    coeffs are the independent one-body coefficients (c_0, Re c_+, Im c_+)
+    acting on the degree at z = zr + i zi, c_- = conj(c_+); see the
+    cohchaos.dynamics docstring for the forms, here taken on real and
+    imaginary parts, deta in its reduced form.  The scalar flow composed
+    algebra.expectations, model.mean_field_coeffs and this once per degree
+    before dynamics._flow_rhs fused them in the same operation order.
+    """
+    c0, cpr, cpi = coeffs
+    drive = cpr * zr + cpi * zi  # Re(c_+ conj(z))
+    if not group.is_spin:
+        # dz = -i (c_0 z + c_+)
+        eta_rate = -drive
+        return c0 * zi + cpi, -(c0 * zr + cpr), eta_rate, eta_rate - c0
+    j = group.j
+    # dz = i (conj(c_+) z^2 - c_+ - c_0 z), with z^2 = wr + i wi
+    wr = zr * zr - zi * zi
+    wi = 2.0 * zr * zi
+    dzr = cpi + c0 * zi - (cpr * wi - cpi * wr)
+    dzi = (cpr * wr + cpi * wi) - cpr - c0 * zr
+    eta_rate = j * (c0 - 2.0 * drive)
+    return dzr, dzi, eta_rate, eta_rate * (j - 1.0) / j
+
+
+def composed_rhs(h: BilinearHamiltonian, v) -> tuple[float, ...]:
+    """The nine flow rates as algebra.expectations, then model.mean_field_coeffs, then degree_rates per degree."""
+    xr, xi, yr, yi = v[:4]
+    ev_a, ev_b = algebra.expectations(h.group_a, xr, xi), algebra.expectations(h.group_b, yr, yi)
+    a, b, dphi = model.mean_field_coeffs(h, ev_a, ev_b)
+    dxr, dxi, deta_x, ds1_x = degree_rates(h.group_a, xr, xi, a)
+    dyr, dyi, deta_y, ds1_y = degree_rates(h.group_b, yr, yi, b)
+    return dxr, dxi, dyr, dyi, deta_x, deta_y, ds1_x, ds1_y, dphi
 
 
 def rhs_term_magnitudes(v: np.ndarray, h: BilinearHamiltonian) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -177,6 +178,19 @@ def test_long_coarse_steps_converge(tmp_path):
     args = ["oracle-compare", "--preset", "fig1", "--out", str(out), "--override", "t_final=100"]
     assert main(args + ["--override", "sampling_dt=5"]) == 0
     assert len((out / "oracle_compare.csv").read_text().splitlines()) == 22
+
+
+def test_a_raised_n_max_is_recorded_in_the_manifest_without_a_warning(tmp_path, capsys):
+    # the chaotic preset pair needs n_max = 70; the truncation policy raises a configured 24 to it
+    out = tmp_path / "out"
+    args = ["oracle-compare", "--preset", "fig1", "--out", str(out), "--override", "t_final=0.1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--override", "n_max=24"]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["n_max"] == 24
+    assert (manifest["hilbert"]["n_max"], manifest["hilbert"]["n_max_raised_from"]) == (70, 24)
 
 
 def test_a_basis_too_small_for_the_evolution_stops_the_run_and_leaves_no_files(tmp_path, capsys):

@@ -11,9 +11,8 @@ from cohchaos.dynamics import (
     IntegrationError,
     IntegratorConfig,
     ProductState,
-    _degree_rates,
+    _flow_rhs,
     _pack,
-    _rhs,
     _tangent_rhs,
     integrate,
     label_distances,
@@ -22,7 +21,14 @@ from cohchaos.dynamics import (
     trajectory_energy,
 )
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
-from reference import ScaledState, displaced_basis_vector, from_classical, generator_matrices, scale_to_classical
+from reference import (
+    ScaledState,
+    degree_rates,
+    displaced_basis_vector,
+    from_classical,
+    generator_matrices,
+    scale_to_classical,
+)
 from reference import rhs as numpy_rhs
 
 DECOUPLED = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.0, g_prime=0.0, j=1.5))
@@ -30,7 +36,7 @@ DECOUPLED = maser_hamiltonian(MaserParams(epsilon=1.0, omega=1.0, g=0.0, g_prime
 
 def label_velocities(h, s):
     """(dx, dy) from the first four components of the flow's RHS."""
-    v = _rhs(0.0, _pack(s).tolist(), h)
+    v = _flow_rhs(h)(0.0, _pack(s).tolist())
     return complex(v[0], v[1]), complex(v[2], v[3])
 
 
@@ -53,12 +59,12 @@ def test_label_rhs_coupled_spin_nonlinearity():
 
 
 def test_tangent_rhs_carries_the_flow_and_its_jacobian(fig1_h, fig1_states):
-    # the first nine rates are _rhs's, bit for bit; J u matches a central
+    # the first nine rates are _flow_rhs's, bit for bit; J u matches a central
     # difference of the numpy reference RHS (2.3e-11 apart at this label)
     s = fig1_states[0]
     u = np.array([0.3, -0.5, 0.6, 0.2]) / math.sqrt(0.74)
-    rates = _tangent_rhs(0.0, [*_pack(s).tolist(), *u.tolist(), 0.7], fig1_h)
-    assert rates[:9] == _rhs(0.0, _pack(s).tolist(), fig1_h)
+    rates = _tangent_rhs(fig1_h)(0.0, [*_pack(s).tolist(), *u.tolist(), 0.7])
+    assert rates[:9] == _flow_rhs(fig1_h)(0.0, _pack(s).tolist())
     root = math.sqrt(18.0)  # sqrt(4j) at j = 9/2
     scale = np.array([root, root, 1.0, 1.0])
     step = np.zeros(9)
@@ -71,11 +77,11 @@ def test_tangent_rhs_carries_the_flow_and_its_jacobian(fig1_h, fig1_states):
 
 def test_action_rate_stationary_fiducial():
     coeffs = (1.3, 0.0, 0.0)
-    dzr, dzi, eta, s1 = _degree_rates(HEISENBERG, 0.0, 0.0, coeffs)
+    dzr, dzi, eta, s1 = degree_rates(HEISENBERG, 0.0, 0.0, coeffs)
     assert dzr == dzi == 0.0 and eta == 0.0
     assert s1 == pytest.approx(-1.3, abs=1e-15)
     # spin fiducial |j,-j> has energy -j*b0, so the phase rate is +j*b0
-    dzr_s, dzi_s, eta_s, s1_s = _degree_rates(spin(2.0), 0.0, 0.0, coeffs)
+    dzr_s, dzi_s, eta_s, s1_s = degree_rates(spin(2.0), 0.0, 0.0, coeffs)
     assert dzr_s == dzi_s == 0.0
     assert eta_s == pytest.approx(2.0 * 1.3, abs=1e-14)
     assert s1_s == pytest.approx(eta_s * (2.0 - 1.0) / 2.0, abs=1e-14)
@@ -120,7 +126,7 @@ def drive_for_velocity(group, z, dz, c0):
 def test_action_rate_matches_finite_difference(group, z, dz, coeffs):
     # coeffs holds c_0; the drive c_+ is solved for so that the flow's velocity at z is dz
     coeffs = drive_for_velocity(group, z, dz, *coeffs)
-    dzr, dzi, eta, s1 = _degree_rates(group, z.real, z.imag, coeffs)
+    dzr, dzi, eta, s1 = degree_rates(group, z.real, z.imag, coeffs)
     assert abs(complex(dzr, dzi) - dz) < 1e-15
     assert abs(eta - fd_rate(group, z, dz, coeffs, 0)) < 1e-8
     assert abs(s1 - fd_rate(group, z, dz, coeffs, 1)) < 1e-8
@@ -133,7 +139,7 @@ def test_action_rate_circular_orbit_is_constant():
     coeffs = (omega, 0.0, 0.0)
     for t in (0.0, 0.7, 2.1):
         z = complex(np.exp(-1j * omega * t))
-        dzr, dzi, eta, s1 = _degree_rates(HEISENBERG, z.real, z.imag, coeffs)
+        dzr, dzi, eta, s1 = degree_rates(HEISENBERG, z.real, z.imag, coeffs)
         assert complex(dzr, dzi) == pytest.approx(-1j * omega * z, abs=1e-15)
         assert eta == pytest.approx(0.0, abs=1e-14)
         assert s1 == pytest.approx(-omega, abs=1e-14)
@@ -348,46 +354,119 @@ def test_label_leaving_the_valid_range_raises_integration_error():
         integrate(driven, ProductState(x=0.0, y=0.0), 20.0)
 
 
+def counted_callbacks(monkeypatch, raise_at: int = 0, exc: BaseException | None = None) -> list[int]:
+    """Count, in the returned calls[0], the calls of the callback that dynamics.ode receives.
+
+    With raise_at, call number raise_at raises exc before the callback
+    runs, as a signal handler does at the callback's first bytecode.
+    """
+    calls = [0]
+    vode = dynamics.ode
+
+    def wrapping_ode(f):
+        def wrapped(t, v):
+            calls[0] += 1
+            if calls[0] == raise_at:
+                raise exc
+            return f(t, v)
+
+        return vode(wrapped)
+
+    monkeypatch.setattr(dynamics, "ode", wrapping_ode)
+    return calls
+
+
+def counted_flow_calls(monkeypatch) -> list[int]:
+    """Count, in the returned calls[0], the calls of every right-hand side that dynamics._flow_rhs binds."""
+    calls = [0]
+    flow_rhs = dynamics._flow_rhs
+
+    def counting_flow_rhs(h):
+        rhs = flow_rhs(h)
+
+        def counted(t, v):
+            calls[0] += 1
+            return rhs(t, v)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_flow_rhs", counting_flow_rhs)
+    return calls
+
+
 @pytest.mark.parametrize("t_fail", [-1.0, 1.0], ids=["first-call", "after-t-1"])
 def test_model_guard_raised_inside_the_integrator_is_raised_after_it(fig1_h, fig1_states, monkeypatch, t_fail):
     # VODE loses an exception raised in its callback (an interrupt, or an
-    # OverflowError from |z|^2); integrate must raise the model call's own
-    # error, with VODE stopped soon after it was raised
-    evals = 0
+    # OverflowError from |z|^2); integrate must raise the flow's own error,
+    # with VODE stopped soon after it was raised
     at_failure = []
-    now = 0.0
     message = "math range error in the model call"
-    vode = dynamics.ode
+    evals = counted_callbacks(monkeypatch)
+    flow_rhs = dynamics._flow_rhs
 
-    def counting_ode(f):
-        def counted(t, v):
-            nonlocal evals
-            evals += 1
-            return f(t, v)
+    def failing_flow_rhs(h):
+        rhs = flow_rhs(h)
 
-        return vode(counted)
+        def failing(t, v):
+            if t > t_fail:
+                at_failure.append(evals[0])
+                raise OverflowError(message)
+            return rhs(t, v)
 
-    def timed_rhs(t, v, h):
-        nonlocal now
-        now = t
-        return _rhs(t, v, h)
+        return failing
 
-    def failing_coeffs(h, ev_a, ev_b):
-        if now > t_fail:
-            at_failure.append(evals)
-            raise OverflowError(message)
-        return mean_field_coeffs(h, ev_a, ev_b)
-
-    monkeypatch.setattr(dynamics, "ode", counting_ode)
-    monkeypatch.setattr(dynamics, "_rhs", timed_rhs)
-    monkeypatch.setattr(dynamics, "mean_field_coeffs", failing_coeffs)
+    monkeypatch.setattr(dynamics, "_flow_rhs", failing_flow_rhs)
     with pytest.raises(OverflowError, match=f"^{message}$"):
         integrate(fig1_h, fig1_states[0], 5.0)
     assert len(at_failure) == 1
-    assert evals - at_failure[0] <= 1000  # about 100 measured
+    assert evals[0] - at_failure[0] <= 1000  # about 100 measured
     monkeypatch.undo()
     traj = integrate(fig1_h, fig1_states[0], 2.0)
     assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.y))
+
+
+class SignalRaised(BaseException):
+    """What a signal handler may raise: neither an Exception nor an interrupt."""
+
+
+@pytest.mark.parametrize("exc_type", [SignalRaised, KeyboardInterrupt])
+def test_an_exception_at_the_callback_entry_is_raised_as_itself(fig1_h, fig1_states, monkeypatch, exc_type):
+    # raised before the callback's guard, the exception stays set inside C
+    # VODE, and the next callback's v.tolist() raises a SystemError from it
+    exc = exc_type("raised at the callback's entry")
+    counted_callbacks(monkeypatch, raise_at=100, exc=exc)
+    with pytest.raises(exc_type) as raised:
+        integrate(fig1_h, fig1_states[0], 5.0)
+    assert raised.value is exc
+
+
+@pytest.mark.parametrize("lost", [True, False], ids=["lost-in-vode", "other"])
+def test_an_exception_vode_returns_with_is_raised_as_itself(fig1_states, monkeypatch, lost):
+    # should VODE return with a lost exception still set, ode.integrate
+    # raises a ValueError from the SystemError from it; another ValueError
+    # of ode.integrate is raised unchanged
+    exc = KeyboardInterrupt("lost inside VODE")
+    vode = dynamics.ode
+
+    def wrapping_ode(f):
+        solver = vode(f)
+
+        def failing_integrate(t):
+            try:
+                raise SystemError("returned a result with an exception set") from (exc if lost else None)
+            except SystemError as system_error:
+                raise ValueError("Function to integrate must not return a tuple.") from system_error
+
+        solver.integrate = failing_integrate
+        return solver
+
+    monkeypatch.setattr(dynamics, "ode", wrapping_ode)
+    with pytest.raises(BaseException) as raised:
+        integrate(DECOUPLED, fig1_states[0], 1.0)
+    if lost:
+        assert raised.value is exc
+    else:
+        assert type(raised.value) is ValueError
 
 
 def test_one_long_sample_interval(fig1_h, fig1_states):
@@ -413,30 +492,17 @@ def test_integrator_failure_raises_integration_error_with_the_time():
 
 
 def test_lyapunov_rhs_evals_count_the_model_calls(fig1_h, fig1_states, monkeypatch):
-    calls = 0
-
-    def counted(h, ev_a, ev_b):
-        nonlocal calls
-        calls += 1
-        return mean_field_coeffs(h, ev_a, ev_b)
-
-    monkeypatch.setattr(dynamics, "mean_field_coeffs", counted)
+    # one call of the bound flow per evaluation, through the tangent's complex step
+    callbacks, flow_calls = counted_callbacks(monkeypatch), counted_flow_calls(monkeypatch)
     series = lyapunov_series(fig1_h, fig1_states[0], t_total=2.0)
-    assert series.rhs_evals == calls > 0
+    assert series.rhs_evals == callbacks[0] == flow_calls[0] > 0
 
 
 def test_integrate_rhs_evals_count_the_model_calls(fig1_h, fig1_states, monkeypatch):
-    # one dynamics.mean_field_coeffs lookup per evaluation: the count a trace of it sees
-    calls = 0
-
-    def counted(h, ev_a, ev_b):
-        nonlocal calls
-        calls += 1
-        return mean_field_coeffs(h, ev_a, ev_b)
-
-    monkeypatch.setattr(dynamics, "mean_field_coeffs", counted)
+    # every VODE callback is one evaluation, and one call of the bound flow
+    callbacks, flow_calls = counted_callbacks(monkeypatch), counted_flow_calls(monkeypatch)
     traj = integrate(fig1_h, fig1_states[0], 2.0)
-    assert traj.rhs_evals == calls > 0
+    assert traj.rhs_evals == callbacks[0] == flow_calls[0] > 0
 
 
 def test_energy_drift_at_default_tolerances_strong_coupling(rng):

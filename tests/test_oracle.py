@@ -1,6 +1,7 @@
 """Exact truncated-basis reference: assembly, evolution, reductions."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -72,7 +73,9 @@ def test_truncation_policy():
     assert recommended_n_max(2.0) == 40
     cfg = hilbert_for_labels([1.0 + 1.0j, 0.5], j=1.5)
     assert cfg.n_max == recommended_n_max(1.0 + 1.0j)
-    with pytest.warns(UserWarning, match="raised"):
+    # a low n_max is raised without a warning; run_experiment records the raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cfg = hilbert_for_labels([2.0], j=0.5, n_max=10)
     assert cfg.n_max == recommended_n_max(2.0)
     # an explicitly generous n_max is kept as is

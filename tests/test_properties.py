@@ -26,8 +26,9 @@ from cohchaos.dynamics import (
     IntegrationError,
     IntegratorConfig,
     ProductState,
+    _STEP,
+    _flow_rhs,
     _pack,
-    _rhs,
     _solve,
     _tangent_rhs,
     integrate,
@@ -45,6 +46,7 @@ from cohchaos.oracle import (
     product_coherent_vector,
 )
 from reference import (
+    composed_rhs,
     csr_step,
     csr_stepped_chunks,
     diagonal_step,
@@ -241,12 +243,28 @@ def _only_gamma_plus_zero(c: complex) -> BilinearHamiltonian:
 )
 def test_scalar_rhs_equals_the_numpy_reference(h, x, y, eta_x, eta_y):
     v = np.array([x.real, x.imag, y.real, y.imag, eta_x, eta_y, 0.0, 0.0, 0.0])
-    got, want = _rhs(0.0, v.tolist(), h), numpy_rhs(0.0, v, h)
+    got, want = _flow_rhs(h)(0.0, v.tolist()), numpy_rhs(0.0, v, h)
     assert len(got) == 9 and all(type(c) is float for c in got)
     # componentwise forward error: each component is bounded by eps times
     # the size of the terms it sums, which is |want| where nothing cancels
     # (2.5 eps was the worst of 3000 draws)
     assert np.all(np.abs(np.array(got) - want) <= 16 * EPS * rhs_term_magnitudes(v, h))
+
+
+# a tangent component per label part, as _tangent_rhs's complex step carries it
+TANGENTS = st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bilinear_models(st.tuples(GROUPS, GROUPS)), FLOW_LABELS, FLOW_LABELS, TANGENTS)
+def test_fused_flow_rhs_equals_the_composition_bit_for_bit(h, x, y, u):
+    # _flow_rhs fuses algebra.expectations, model.mean_field_coeffs and the
+    # per-degree rates in their operation order, so every rate keeps its
+    # bits, on real label parts and on complex-step ones alike
+    parts = [x.real, x.imag, y.real, y.imag]
+    if u is not None:
+        parts = [complex(p, _STEP * c) for p, c in zip(parts, u, strict=True)]
+    assert _flow_rhs(h)(0.0, parts) == composed_rhs(h, parts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,7 +456,7 @@ def tangent_identity_gap(
     root = math.sqrt(2.0 * two_j)
     partner = ProductState(x=s.x + delta0 * root * complex(u0[0], u0[1]), y=s.y + delta0 * complex(u0[2], u0[3]))
     t1, t2 = integrate(h, s, t_final), integrate(h, partner, t_final)
-    v, _ = _solve(_tangent_rhs, np.concatenate([_pack(s), u0, [0.0]]), t1.times, IntegratorConfig(), h)
+    v, _ = _solve(_tangent_rhs(h), np.concatenate([_pack(s), u0, [0.0]]), t1.times, IntegratorConfig())
     d_field, d_spin = label_distances(t1, t2, h.group_a, h.group_b)
     metric = two_j / (1.0 + np.abs(t1.y) ** 2) ** 2
     tangent = np.exp(2.0 * v[13]) * (root**2 * (v[9] ** 2 + v[10] ** 2) + metric * (v[11] ** 2 + v[12] ** 2))
