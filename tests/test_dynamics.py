@@ -23,6 +23,7 @@ from cohchaos.dynamics import (
 from cohchaos.model import BilinearHamiltonian, MaserParams, maser_hamiltonian, mean_field_coeffs
 from reference import (
     ScaledState,
+    composed_rhs,
     degree_rates,
     displaced_basis_vector,
     from_classical,
@@ -73,6 +74,63 @@ def test_tangent_rhs_carries_the_flow_and_its_jacobian(fig1_h, fig1_states):
     stretch = float(u @ ju)
     np.testing.assert_allclose(rates[9:13], ju - stretch * u, rtol=0.0, atol=1e-9)
     assert rates[13] == pytest.approx(stretch, abs=1e-9)
+
+
+# BilinearHamiltonian.scalars by name, and the 11 of them that are 0 on every maser model
+SCALAR_NAMES = (
+    "a0", "apr", "api", "b0", "bpr", "bpi", "g00", "g0pr", "g0pi", "gp0r", "gp0i", "gppr", "gppi", "gpmr", "gpmi"
+)
+MASER_ZEROS = ("apr", "api", "bpr", "bpi", "g00", "g0pr", "g0pi", "gp0r", "gp0i", "gppi", "gpmi")
+
+
+def model_from_scalars(group_a, group_b, scalars) -> BilinearHamiltonian:
+    """The hermitian model whose BilinearHamiltonian.scalars are the 15 floats given."""
+    a0, apr, api, b0, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppr, gppi, gpmr, gpmi = scalars
+    dag = (0, 2, 1)
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[0, 0] = g00
+    for (i, k), re, im in (((0, 1), g0pr, g0pi), ((1, 0), gp0r, gp0i), ((1, 1), gppr, gppi), ((1, 2), gpmr, gpmi)):
+        gamma[i, k] = c = complex(re, im)
+        gamma[dag[i], dag[k]] = np.conj(c)
+    drive_a, drive_b = complex(apr, api), complex(bpr, bpi)
+    h = BilinearHamiltonian(
+        group_a=group_a,
+        group_b=group_b,
+        alpha=np.array([a0, drive_a, np.conj(drive_a)]),
+        beta=np.array([b0, drive_b, np.conj(drive_b)]),
+        gamma=gamma,
+    )
+    assert h.scalars == tuple(scalars)
+    return h
+
+
+def _one_entry_set(name: str) -> BilinearHamiltonian:
+    scalars = list(maser_hamiltonian(MaserParams()).scalars)
+    scalars[SCALAR_NAMES.index(name)] = 0.3
+    return model_from_scalars(HEISENBERG, spin(4.5), scalars)
+
+
+@pytest.mark.parametrize(
+    "h, body",
+    [
+        (maser_hamiltonian(MaserParams()), "maser_rhs"),
+        (maser_hamiltonian(MaserParams(epsilon=0.0, omega=-2.0, g=0.0, g_prime=0.0, j=0.5)), "maser_rhs"),
+        *((_one_entry_set(name), "rhs") for name in MASER_ZEROS),
+        (model_from_scalars(spin(4.5), HEISENBERG, maser_hamiltonian(MaserParams()).scalars), "rhs"),
+        (model_from_scalars(spin(1.5), spin(4.5), maser_hamiltonian(MaserParams()).scalars), "rhs"),
+        (model_from_scalars(HEISENBERG, HEISENBERG, maser_hamiltonian(MaserParams()).scalars), "rhs"),
+    ],
+    ids=["maser", "maser-uncoupled", *(f"{name}-set" for name in MASER_ZEROS), "spin-oscillator", "spin-spin",
+         "oscillator-oscillator"],
+)
+def test_flow_rhs_trims_only_an_oscillator_spin_model_with_the_maser_zeros(h, body):
+    # the trimmed body is chosen from the model alone, when the field comes
+    # first and every entry the maser leaves 0 is exactly 0; either body gives
+    # the composition's bits, on real and complex-step label parts
+    rhs = _flow_rhs(h)
+    assert rhs.__name__ == body
+    for parts in ([1.0, 0.5, 0.3, -0.2], [complex(-0.7, 1e-100), complex(2.5, -3e-100), complex(0.9, 2e-100), 1.4]):
+        assert rhs(0.0, parts) == composed_rhs(h, parts)
 
 
 def test_action_rate_stationary_fiducial():
@@ -519,6 +577,17 @@ def test_product_state_validation():
         ProductState(x=complex("nan"), y=0.0)
     with pytest.raises(ValueError):
         ProductState(x=0.0, y=0.0, eta_x=float("inf"))
+
+
+def test_a_final_time_below_the_snap_tolerance_keeps_the_first_sample():
+    # the grid [0] once had its only point snapped to t_final, so a run wrote
+    # one row at t_final holding the initial labels
+    assert dynamics._sample_grid(1e-13, 0.05).tolist() == [0.0, 1e-13]
+    assert dynamics._sample_grid(1e-300, 0.05).tolist() == [0.0, 1e-300]
+    s = ProductState(x=0.8 - 0.3j, y=0.25 + 0.1j)
+    traj = integrate(DECOUPLED, s, 1e-13)
+    assert traj.times.tolist() == [0.0, 1e-13]
+    assert traj.x[0] == s.x and traj.y[0] == s.y and traj.x[1] != s.x
 
 
 def test_integrate_caps_the_sample_count():

@@ -267,6 +267,26 @@ def test_fused_flow_rhs_equals_the_composition_bit_for_bit(h, x, y, u):
     assert _flow_rhs(h)(0.0, parts) == composed_rhs(h, parts)
 
 
+# each coupling exactly 0 (of either sign) or of size [0.1, 2] and either sign
+MASER_PARAMS = st.builds(
+    MaserParams, epsilon=REALS, omega=REALS, g=REALS, g_prime=REALS, j=st.integers(1, 20).map(lambda two_j: two_j / 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MASER_PARAMS, FLOW_LABELS, FLOW_LABELS, TANGENTS)
+def test_maser_flow_rhs_equals_the_composition_bit_for_bit(p, x, y, u):
+    # the maser's body drops the terms whose coefficient is 0 and keeps the
+    # others in place, so every rate keeps the general composition's bits
+    h = maser_hamiltonian(p)
+    parts = [x.real, x.imag, y.real, y.imag]
+    if u is not None:
+        parts = [complex(part, _STEP * c) for part, c in zip(parts, u, strict=True)]
+    rhs = _flow_rhs(h)
+    assert rhs.__name__ == "maser_rhs"
+    assert rhs(0.0, parts) == composed_rhs(h, parts)
+
+
 @settings(max_examples=200, deadline=None)
 @given(bilinear_models(st.tuples(GROUPS, GROUPS)), FLOW_LABELS, FLOW_LABELS)
 def test_reduced_mean_field_coeffs_equal_the_numpy_reference(h, x, y):
