@@ -185,9 +185,10 @@ def expectations(group: GroupKind, zr: float, zi: float) -> tuple[float, float, 
     <J_-> = 2j z/(1+|z|^2).  The induced Bloch vector has length j exactly.
     The generators are hermitian conjugate pairs (A_0 hermitian, A_- the
     adjoint of A_+), so <A_0> is real and <A_-> = conj(<A_+>) is not
-    returned.  Real Python floats, with |z|^2 taken as zr*zr + zi*zi: the
-    flow's right-hand side (dynamics._flow_rhs) computes these in its own
-    body in the same operation order, and must keep the bits of this form.
+    returned.  Real Python floats, with |z|^2 taken as zr*zr + zi*zi.  The
+    flow's general right-hand side (dynamics._flow_rhs) calls this one; the
+    maser's fused body (dynamics._maser_rhs) computes these in the same
+    operation order and must keep the bits of this form.
     The label is not range-checked: the flow checks it on entry and exit.
     """
     r2 = zr * zr + zi * zi

@@ -29,24 +29,21 @@ reduces to the second, which the right-hand side computes.
 The right-hand side is written in Python real floats, on the independent
 half of the mean field only, and builds no complex object: each label
 enters as its real and imaginary parts, |z|^2 as zr*zr + zi*zi, and each
-complex product above is taken on real and imaginary parts.  _flow_rhs
-binds a model's scalars and each degree's kind and j once, and returns
-one function whose body computes each degree's expectations (<A_0>,
-Re <A_+>, Im <A_+>) as algebra.expectations does, both degrees'
-coefficients (c_0, Re c_+, Im c_+) and the coupling counterterm as
-model.mean_field_coeffs does (each zero component and the counterterm
-real by construction), and each label velocity's two parts and phase
-rates, with no further Python call: an evaluation is one call.  It
-returns a tuple of nine floats, which VODE converts itself, and builds no
-array.  That general body covers the bilinear class: either degree may be
-an oscillator or a spin, and every independent alpha, beta and gamma entry
-enters.  A model whose field comes first, whose spin comes second and
-whose only nonzero scalars are alpha_0, beta_0, Re gamma_++ and
-Re gamma_+- (every maser_hamiltonian model) gets a second body instead,
-_maser_rhs: the general body with each term of a zero coefficient
-deleted and every other term kept in its place.  For finite operands it
-returns the general body's bits, apart from the sign of an exactly zero
-rate, at about two thirds of its cost.
+complex product above is taken on real and imaginary parts.  For the
+bilinear class (either degree may be an oscillator or a spin, and every
+independent alpha, beta and gamma entry enters) _flow_rhs composes the
+one definitions: algebra.expectations of each degree,
+model.mean_field_coeffs for both degrees' coefficients (c_0, Re c_+,
+Im c_+) and the coupling counterterm, then _degree_rates of each degree
+for its label velocity's two parts and phase rates.  It returns a tuple of
+nine floats, which VODE converts itself, and builds no array.  Only the
+maser's body is fused: a model whose field comes first, whose spin comes
+second and whose only nonzero scalars are alpha_0, beta_0, Re gamma_++
+and Re gamma_+- (every maser_hamiltonian model) gets _maser_rhs, one
+Python call per evaluation, which writes the composition out in one body
+with each term of a zero coefficient deleted and every other term kept
+in its place.  For finite operands it returns the composition's bits,
+apart from the sign of an exactly zero rate.
 
 _flow_rhs is the one definition of the flow: _tangent_rhs evaluates the
 function it binds once at label parts a complex step off the real ones,
@@ -85,13 +82,8 @@ import numpy as np
 # because perfbench/trace.py wraps dynamics.solve_ivp as a trace target
 from scipy.integrate import ode, solve_ivp  # noqa: F401
 
-from .algebra import _LABEL_BOUND, GroupKind, CohChaosError, _check_label, overlap, overlap_exponent
-
-# mean_field_coeffs is not called here: _flow_rhs computes the coefficients
-# in its own body.  It stays importable from this module only because
-# perfbench/trace.py counts calls of dynamics.mean_field_coeffs, and a
-# missing trace target fails a traced run
-from .model import BilinearHamiltonian, classical_energy, mean_field_coeffs  # noqa: F401
+from .algebra import _LABEL_BOUND, GroupKind, CohChaosError, _check_label, expectations, overlap, overlap_exponent
+from .model import BilinearHamiltonian, classical_energy, mean_field_coeffs
 
 
 class IntegrationError(CohChaosError):
@@ -179,96 +171,68 @@ def _pack(s: ProductState) -> np.ndarray:
     return np.array([s.x.real, s.x.imag, s.y.real, s.y.imag, s.eta_x, s.eta_y, 0.0, 0.0, 0.0])
 
 
-def _flow_rhs(h: BilinearHamiltonian):
-    """The flow's right-hand side rhs(t, v) of model h: nine rates at the state v, a list of Python floats.
+def _degree_rates(
+    group: GroupKind, zr: float, zi: float, coeffs: tuple[float, float, float]
+) -> tuple[float, float, float, float]:
+    """Label velocity (Re dz, Im dz) and phase rates (deta, ds1) of one degree at z = zr + i zi.
 
-    h.scalars and each degree's kind and j are bound here once.  Each
-    expression is algebra.expectations, model.mean_field_coeffs or the
-    module docstring's label velocity and phase rates, taken on real and
-    imaginary parts in the same operation order, so every rate keeps the
-    bits of that composition.  rhs returns a tuple, which VODE converts
-    itself.  Only + - * / act on the label parts, so _tangent_rhs may pass
-    them complex.  An oscillator-spin model whose 11 entries other than
-    a0, b0, gppr and gpmr are exactly 0 gets _maser_rhs's trimmed body,
-    which gives the same bits for finite operands; every other model gets
-    the general body below.
+    coeffs are its (c_0, Re c_+, Im c_+) from model.mean_field_coeffs; the
+    forms are the module docstring's on real and imaginary parts.
+    """
+    c0, cpr, cpi = coeffs
+    drive = cpr * zr + cpi * zi  # Re(c_+ conj(z))
+    if not group.is_spin:
+        # dz = -i (c_0 z + c_+)
+        eta_rate = -drive
+        return c0 * zi + cpi, -(c0 * zr + cpr), eta_rate, eta_rate - c0
+    j = group.j
+    # dz = i (conj(c_+) z^2 - c_+ - c_0 z), with z^2 = wr + i wi
+    wr = zr * zr - zi * zi
+    wi = 2.0 * zr * zi
+    dzr = cpi + c0 * zi - (cpr * wi - cpi * wr)
+    dzi = (cpr * wr + cpi * wi) - cpr - c0 * zr
+    eta_rate = j * (c0 - 2.0 * drive)
+    return dzr, dzi, eta_rate, eta_rate * (j - 1.0) / j
+
+
+def _flow_rhs(h: BilinearHamiltonian):
+    """The flow's right-hand side rhs(t, v) of model h: nine rates at the state v, a tuple of Python floats.
+
+    rhs composes algebra.expectations, model.mean_field_coeffs and
+    _degree_rates, with the model and its groups bound here once.  Only
+    + - * / act on the label parts, so _tangent_rhs may pass them complex.
+    An oscillator-spin model whose 11 entries other than a0, b0, gppr and
+    gpmr are exactly 0 gets _maser_rhs's fused body instead, which gives
+    the composition's bits for finite operands.
     """
     a0, apr, api, b0, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppr, gppi, gpmr, gpmi = h.scalars
-    spin_a, ja = h.group_a.is_spin, h.group_a.j
-    spin_b, jb = h.group_b.is_spin, h.group_b.j
-    if not spin_a and spin_b and not any((apr, api, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppi, gpmi)):
-        return _maser_rhs(a0, b0, gppr, gpmr, jb)
+    group_a, group_b = h.group_a, h.group_b
+    if not group_a.is_spin and group_b.is_spin and not any((apr, api, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppi, gpmi)):
+        return _maser_rhs(a0, b0, gppr, gpmr, group_b.j)
 
     def rhs(t: float, v: list[float]) -> tuple[float, ...]:
         xr, xi, yr, yi = v[:4]
-        # the expectations (<A_0>, Re <A_+>, Im <A_+>) and (<B_0>, Re <B_+>, Im <B_+>)
-        rx = xr * xr + xi * xi
-        if spin_a:
-            den = 1.0 + rx
-            inv = 1.0 / den
-            ea0, ear, eai = -ja * (1.0 - rx) / den, 2.0 * ja * xr * inv, -2.0 * ja * xi * inv
-        else:
-            ea0, ear, eai = rx, xr, -xi
-        ry = yr * yr + yi * yi
-        if spin_b:
-            den = 1.0 + ry
-            inv = 1.0 / den
-            eb0, ebr, ebi = -jb * (1.0 - ry) / den, 2.0 * jb * yr * inv, -2.0 * jb * yi * inv
-        else:
-            eb0, ebr, ebi = ry, yr, -yi
-        # the mean-field coefficients (c_0, Re c_+, Im c_+) of each degree, and the coupling energy
-        s0 = g00 * ea0 + 2.0 * (gp0r * ear - gp0i * eai)
-        spr = g0pr * ea0 + (gppr * ear - gppi * eai) + (gpmr * ear - gpmi * eai)
-        spi = g0pi * ea0 + (gppr * eai + gppi * ear) - (gpmr * eai + gpmi * ear)
-        c0 = a0 + g00 * eb0 + 2.0 * (g0pr * ebr - g0pi * ebi)
-        cpr = apr + gp0r * eb0 + (gppr * ebr - gppi * ebi) + (gpmr * ebr + gpmi * ebi)
-        cpi = api + gp0i * eb0 + (gppr * ebi + gppi * ebr) + (gpmi * ebr - gpmr * ebi)
-        # the factorized one-body Hamiltonians each count the coupling energy
-        # dphi once, so the physical phases carry it back as a counterterm
-        dphi = s0 * eb0 + 2.0 * (spr * ebr - spi * ebi)
-        # each label's velocity and its two phase rates, deta in its reduced form
-        drive = cpr * xr + cpi * xi  # Re(c_+ conj(x))
-        if spin_a:
-            # dx = i (conj(c_+) x^2 - c_+ - c_0 x), with x^2 = wr + i wi
-            wr = xr * xr - xi * xi
-            wi = 2.0 * xr * xi
-            dxr = cpi + c0 * xi - (cpr * wi - cpi * wr)
-            dxi = (cpr * wr + cpi * wi) - cpr - c0 * xr
-            deta_x = ja * (c0 - 2.0 * drive)
-            ds1_x = deta_x * (ja - 1.0) / ja
-        else:
-            # dx = -i (c_0 x + c_+)
-            dxr, dxi = c0 * xi + cpi, -(c0 * xr + cpr)
-            deta_x = -drive
-            ds1_x = deta_x - c0
-        c0, cpr, cpi = b0 + s0, bpr + spr, bpi + spi
-        drive = cpr * yr + cpi * yi
-        if spin_b:
-            wr = yr * yr - yi * yi
-            wi = 2.0 * yr * yi
-            dyr = cpi + c0 * yi - (cpr * wi - cpi * wr)
-            dyi = (cpr * wr + cpi * wi) - cpr - c0 * yr
-            deta_y = jb * (c0 - 2.0 * drive)
-            ds1_y = deta_y * (jb - 1.0) / jb
-        else:
-            dyr, dyi = c0 * yi + cpi, -(c0 * yr + cpr)
-            deta_y = -drive
-            ds1_y = deta_y - c0
+        a, b, dphi = mean_field_coeffs(h, expectations(group_a, xr, xi), expectations(group_b, yr, yi))
+        dxr, dxi, deta_x, ds1_x = _degree_rates(group_a, xr, xi, a)
+        dyr, dyi, deta_y, ds1_y = _degree_rates(group_b, yr, yi, b)
         return dxr, dxi, dyr, dyi, deta_x, deta_y, ds1_x, ds1_y, dphi
 
     return rhs
 
 
 def _maser_rhs(a0: float, b0: float, gppr: float, gpmr: float, jb: float):
-    """_flow_rhs's body for an oscillator then a spin whose only nonzero scalars are a0, b0, gppr and gpmr.
+    """_flow_rhs's fused body for an oscillator then a spin whose only nonzero scalars are a0, b0, gppr and gpmr.
 
-    Each term of the general body whose bound coefficient is 0 is deleted
-    and every other term is kept in its place, so that spr is gppr * ear +
-    gpmr * ear, not (gppr + gpmr) * ear.  For finite operands a + 0 * x
-    and a - 0 * x equal a, apart from the sign of an exactly zero result,
-    so every rate keeps the general body's bits.  An infinite intermediate
-    (an overflowed |x|^2, which this body does not compute) can make the
-    general body's rates NaN through 0 * inf where these stay finite.
+    It writes out algebra.expectations, model.mean_field_coeffs and
+    _degree_rates in their operation order, with each term whose bound
+    coefficient is 0 deleted and every other term kept in its place, so
+    that spr is gppr * ear + gpmr * ear, not (gppr + gpmr) * ear.  For
+    finite operands a + 0 * x and a - 0 * x equal a, apart from the sign
+    of an exactly zero result, so every rate keeps the composition's bits,
+    and this body must keep them if those definitions change.  An infinite
+    intermediate (an overflowed |x|^2, which this body does not compute)
+    can make the composition's rates NaN through 0 * inf where these stay
+    finite.
     """
 
     def maser_rhs(t: float, v: list[float]) -> tuple[float, ...]:

@@ -37,10 +37,13 @@ class BilinearHamiltonian:
     alpha and beta are the linear coefficients of the two sides, gamma[i, j]
     couples A_i to B_j.  Construction rejects any violation of hermiticity:
     alpha_0, beta_0 real, alpha_- = conj(alpha_+) (same for beta), and
-    gamma[dag(i), dag(j)] = conj(gamma[i, j]) where dag swaps PLUS and MINUS.
-    The arrays are copies of the arguments, made read-only, and serve the
-    exact oracle.  The flow's right-hand side, mean_field_coeffs and
-    classical_energy read `scalars` instead: the nine independent entries
+    gamma[dag(i), dag(j)] = conj(gamma[i, j]) where dag swaps PLUS and MINUS,
+    to 1e-12 of the largest entry.  The arrays are read-only copies of the
+    arguments with each zero entry made real and each dependent entry the
+    conjugate of its partner, and serve the oracle and the correction
+    kernel.  The flow, mean_field_coeffs and classical_energy read
+    `scalars` instead, the model the arrays then describe: the nine
+    independent entries
     (alpha_0, alpha_+, beta_0, beta_+, gamma_00, gamma_0+, gamma_+0,
     gamma_++, gamma_+-) as 15 Python floats, built once here: each zero
     entry as one real float, each PLUS entry as its real part followed by
@@ -78,10 +81,17 @@ class BilinearHamiltonian:
                     problems.append(f"gamma[{_DAG[i]},{_DAG[jj]}] must equal conj(gamma[{i},{jj}])")
         if problems:
             raise HermiticityError("; ".join(sorted(set(problems))))
+        zero, plus, minus = Gen
+        # within tol, the arrays the oracle reads are made the model of scalars
+        fixes = [(vec, zero, vec[zero].real) for vec in (alpha, beta)]
+        fixes += [(vec, minus, np.conj(vec[plus])) for vec in (alpha, beta)] + [(gamma, (zero, zero), gamma[zero, zero].real)]
+        fixes += [(gamma, (_DAG[i], _DAG[k]), np.conj(gamma[i, k])) for i, k in ((zero, plus), (plus, zero), (plus, plus), (plus, minus))]
+        for arr, index, value in fixes:
+            if arr[index] != value:  # an entry already equal keeps its bits, a signed zero its sign
+                arr[index] = value
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        zero, plus, minus = Gen
         object.__setattr__(
             self,
             "scalars",
@@ -164,10 +174,10 @@ def mean_field_coeffs(
     decoupled single-factor Hamiltonians count twice, is
     E_c = sum_ij gamma_ij <A_i><B_j> = s_0 <B_0> + 2 Re(s_+ <B_+>).  Every
     complex product above is taken on its real and imaginary parts, in
-    Python floats on h.scalars, the sums written out.  The flow's
-    right-hand side (dynamics._flow_rhs) computes these sums in its own
-    body in the same operation order, and must keep the bits of this form;
-    classical_energy and the tests call this one.
+    Python floats on h.scalars, the sums written out.  The flow's general
+    right-hand side (dynamics._flow_rhs) and classical_energy call this
+    one; the maser's fused body (dynamics._maser_rhs) writes these sums out
+    in the same operation order and must keep the bits of this form.
     """
     a0, apr, api, b0, bpr, bpi, g00, g0pr, g0pi, gp0r, gp0i, gppr, gppi, gpmr, gpmi = h.scalars
     ea0, ear, eai = ev_a

@@ -1,10 +1,10 @@
 """Literal reference implementations the tests check the library against.
 
-Nothing here is imported by the library. Each object is either an earlier
-form of a library closed form kept verbatim (the numpy mean-field
-right-hand side, and the per-degree label velocity and phase rates that
-the scalar right-hand side composed before it was fused) or a
-construction that only the tests need (dense
+Nothing here is imported by the library. Each object is either a form of
+a library closed form kept verbatim (the numpy mean-field right-hand side
+the library wrote before its scalar form, and the scalar per-degree label
+velocity and phase rates with the composition the flow's bits are held
+to) or a construction that only the tests need (dense
 generator matrices, single-degree coherent vectors with their norm
 deficit, matrix exponentials, excited fiducials, the exact evolution one
 time at a time or stepped by the CSR form of its Chebyshev step, the
@@ -112,9 +112,10 @@ def degree_rates(
     coeffs are the independent one-body coefficients (c_0, Re c_+, Im c_+)
     acting on the degree at z = zr + i zi, c_- = conj(c_+); see the
     cohchaos.dynamics docstring for the forms, here taken on real and
-    imaginary parts, deta in its reduced form.  The scalar flow composed
-    algebra.expectations, model.mean_field_coeffs and this once per degree
-    before dynamics._flow_rhs fused them in the same operation order.
+    imaginary parts, deta in its reduced form.  A verbatim copy of
+    dynamics._degree_rates, kept apart from it so that an edit there, or in
+    the maser's fused body (dynamics._maser_rhs), that moves a bit fails the
+    bit-for-bit properties.
     """
     c0, cpr, cpi = coeffs
     drive = cpr * zr + cpi * zi  # Re(c_+ conj(z))
@@ -133,7 +134,11 @@ def degree_rates(
 
 
 def composed_rhs(h: BilinearHamiltonian, v) -> tuple[float, ...]:
-    """The nine flow rates as algebra.expectations, then model.mean_field_coeffs, then degree_rates per degree."""
+    """The nine flow rates as algebra.expectations, then model.mean_field_coeffs, then degree_rates per degree.
+
+    dynamics._flow_rhs's general body is this composition; its maser body
+    must give the same bits.
+    """
     xr, xi, yr, yi = v[:4]
     ev_a, ev_b = algebra.expectations(h.group_a, xr, xi), algebra.expectations(h.group_b, yr, yi)
     a, b, dphi = model.mean_field_coeffs(h, ev_a, ev_b)

@@ -133,6 +133,38 @@ def test_flow_rhs_trims_only_an_oscillator_spin_model_with_the_maser_zeros(h, bo
         assert rhs(0.0, parts) == composed_rhs(h, parts)
 
 
+def test_a_general_model_calls_mean_field_coeffs_once_per_evaluation(monkeypatch):
+    # the general body composes the one definition; the maser's fused body calls none
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mean_field_coeffs(*args)
+
+    monkeypatch.setattr(dynamics, "mean_field_coeffs", counted)
+    maser = maser_hamiltonian(MaserParams())
+    driven = model_from_scalars(HEISENBERG, spin(4.5), (maser.scalars[0], 0.3, -0.2, *maser.scalars[3:]))
+    s = ProductState(x=0.8 - 0.3j, y=0.4 + 0.2j)
+    traj = integrate(driven, s, 2.0)
+    assert traj.rhs_evals > 0 and len(calls) == traj.rhs_evals
+    calls.clear()
+    assert integrate(maser, s, 2.0).rhs_evals > 0 and calls == []
+
+
+def test_whole_runs_of_the_maser_body_equal_those_of_the_composition(monkeypatch, fig1_h, fig1_states):
+    # fig1's model runs the fused maser body; patched, both runs compose the one definitions
+    def runs():
+        traj = integrate(fig1_h, fig1_states[0], 5.0)
+        series = lyapunov_series(fig1_h, fig1_states[0], t_total=10.0)
+        return (traj.rhs_evals, series.rhs_evals, *(a.tobytes() for a in (*vars(traj).values(), *series) if hasattr(a, "tobytes")))
+
+    assert _flow_rhs(fig1_h).__name__ == "maser_rhs"
+    fused = runs()
+    monkeypatch.setattr(dynamics, "_flow_rhs", lambda h: lambda t, v: composed_rhs(h, v))
+    assert runs() == fused
+    assert len(fused) == 2 + 7 + 2
+
+
 def test_action_rate_stationary_fiducial():
     coeffs = (1.3, 0.0, 0.0)
     dzr, dzi, eta, s1 = degree_rates(HEISENBERG, 0.0, 0.0, coeffs)

@@ -121,6 +121,34 @@ def test_scalars_hold_the_independent_entries_as_real_floats():
     assert all(type(c) is float for c in h.scalars)
 
 
+def test_a_model_within_the_tolerance_is_stored_as_its_scalars_describe():
+    dag = (0, 2, 1)
+    alpha = np.array([1.5, 0.2 + 0.1j, 0.2 - 0.1j])
+    beta = np.array([-0.5, 0.3 - 0.7j, 0.3 + 0.7j])
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[0, 0] = 0.25
+    for (i, k), c in zip(((0, 1), (1, 0), (1, 1), (1, 2)), (1 + 2j, 3 + 4j, 5 + 6j, 7 + 8j)):
+        gamma[i, k], gamma[dag[i], dag[k]] = c, np.conj(c)
+    exact = BilinearHamiltonian(group_a=HEISENBERG, group_b=spin(1.0), alpha=alpha, beta=beta, gamma=gamma)
+    # an exactly hermitian model keeps its bits
+    for stored, given in zip((exact.alpha, exact.beta, exact.gamma), (alpha, beta, gamma)):
+        assert stored.tobytes() == given.tobytes()
+    # each zero entry and each dependent one off by 7e-12, inside the tolerance
+    # of 1.1e-11: the arrays are stored as the model that scalars describe
+    off = 5e-12 + 5e-12j
+    alpha[0] += 5e-12j
+    beta[0] += 5e-12j
+    alpha[2] += off
+    beta[2] -= off
+    gamma[0, 0] -= 5e-12j
+    for i, k in ((0, 2), (2, 0), (2, 2), (2, 1)):
+        gamma[i, k] += off
+    near = BilinearHamiltonian(group_a=HEISENBERG, group_b=spin(1.0), alpha=alpha, beta=beta, gamma=gamma)
+    assert near.scalars == exact.scalars
+    for stored, want in zip((near.alpha, near.beta, near.gamma), (exact.alpha, exact.beta, exact.gamma)):
+        assert stored.tobytes() == want.tobytes()
+
+
 def test_mean_field_coeffs_decoupled():
     h = decoupled(epsilon=0.7, omega=1.3)
     a, b, coupling = mean_field_coeffs(h, expectations(h.group_a, 0.4, 0.2), expectations(h.group_b, 0.0, -0.1))

@@ -159,6 +159,17 @@ def test_hamiltonian_with_an_unmatched_coupling_fails_its_hermiticity_check():
             build_hamiltonian_matrix(h, SMALL)
 
 
+def test_hamiltonian_of_a_model_within_the_construction_tolerance_is_hermitian():
+    # gamma_-- is 9e-13 off conj(gamma_++), which construction accepts; the
+    # assembly reads the stored arrays, which are now those of the scalars'
+    # model, and no longer fails with a residual of 3.8e-11
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[Gen.PLUS, Gen.PLUS], gamma[Gen.MINUS, Gen.MINUS] = 0.05, 0.05 + 9e-13
+    h = BilinearHamiltonian(group_a=HEISENBERG, group_b=spin_group(4.5), alpha=np.zeros(3), beta=np.zeros(3), gamma=gamma)
+    mat = build_hamiltonian_matrix(h, HilbertConfig(n_max=70, j=4.5))
+    assert abs(mat - mat.getH()).max() == 0.0
+
+
 def test_driven_field_follows_mean_field():
     # a linear drive f a^dag + conj(f) a and no coupling: the field stays
     # coherent, so the exact <a>(t) is the mean-field label x(t)

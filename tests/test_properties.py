@@ -258,9 +258,10 @@ TANGENTS = st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 4))
 @settings(max_examples=200, deadline=None)
 @given(bilinear_models(st.tuples(GROUPS, GROUPS)), FLOW_LABELS, FLOW_LABELS, TANGENTS)
 def test_fused_flow_rhs_equals_the_composition_bit_for_bit(h, x, y, u):
-    # _flow_rhs fuses algebra.expectations, model.mean_field_coeffs and the
-    # per-degree rates in their operation order, so every rate keeps its
-    # bits, on real label parts and on complex-step ones alike
+    # _flow_rhs's general body composes algebra.expectations,
+    # model.mean_field_coeffs and _degree_rates, which must keep the bits of
+    # the reference's composition, on real label parts and on complex-step
+    # ones alike (a maser model's fused body is held to the same bits)
     parts = [x.real, x.imag, y.real, y.imag]
     if u is not None:
         parts = [complex(p, _STEP * c) for p, c in zip(parts, u, strict=True)]
